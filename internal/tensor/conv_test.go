@@ -1,0 +1,253 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// convSpecials are the values the differential test injects: both signed
+// zeros, values in and near the denormal range, and both infinities. They
+// decide the sign of zero sums, whether a g == 0 / x == 0 skip is visible,
+// and where 0·Inf or Inf−Inf turns an accumulator into NaN.
+var convSpecials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	1e-30, -1e-30, 1e-40, -1e-40, math.SmallestNonzeroFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+}
+
+// convCase is one random convolution problem.
+type convCase struct {
+	n, c, f, h, w, kh, kw, stride, pad int
+	special                            int // 0 plain, 1 zeros and denormals, 2 also ±Inf
+}
+
+func (cc convCase) String() string {
+	return fmt.Sprintf("n%d c%d f%d %dx%d k%dx%d s%d p%d special%d",
+		cc.n, cc.c, cc.f, cc.h, cc.w, cc.kh, cc.kw, cc.stride, cc.pad, cc.special)
+}
+
+// randConvCase draws a shape with stride 1-3, pad 0-2, kernels 1-5 and
+// channel/filter counts up to 17, past several of the kernels' 4-wide
+// tiles, so full and partly padded tiles both run.
+func randConvCase(r *rand.Rand) convCase {
+	cc := convCase{
+		n: 1 + r.Intn(2), c: 1 + r.Intn(17), f: 1 + r.Intn(17),
+		kh: 1 + r.Intn(5), kw: 1 + r.Intn(5),
+		stride: 1 + r.Intn(3), pad: r.Intn(3), special: r.Intn(3),
+	}
+	// Input at least as large as the kernel after padding, so the output
+	// is never empty.
+	cc.h = max(1, cc.kh-2*cc.pad) + r.Intn(8)
+	cc.w = max(1, cc.kw-2*cc.pad) + r.Intn(8)
+	return cc
+}
+
+// fill returns a tensor of N(0,1) values; in special modes about a quarter
+// of the elements are replaced by zeros and denormals, and in mode 2 a few
+// by infinities.
+func (cc convCase) fill(r *rand.Rand, shape ...int) *Tensor {
+	t := Randn(r, 1, shape...)
+	if cc.special == 0 {
+		return t
+	}
+	finite := convSpecials[:7]
+	for i := range t.Data {
+		if r.Intn(4) == 0 {
+			t.Data[i] = finite[r.Intn(len(finite))]
+		}
+	}
+	if cc.special == 2 {
+		for k := 0; k < 1+r.Intn(2); k++ {
+			t.Data[r.Intn(len(t.Data))] = convSpecials[7+r.Intn(2)]
+		}
+	}
+	return t
+}
+
+// sameBits reports the first element whose bit pattern differs.
+func sameBits(t *testing.T, what string, cc convCase, got, want *Tensor) {
+	t.Helper()
+	if !SameShape(got, want) {
+		t.Fatalf("%v: %s shape %v, want %v", cc, what, got.Shape, want.Shape)
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%v: %s[%d] = %g (%#08x), want %g (%#08x)", cc, what, i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
+func convCases() int {
+	if testing.Short() {
+		return 300
+	}
+	return 1500
+}
+
+// checkConv runs the convolution of cc, or its transposed convolution,
+// and the gradients through the kernels and through the reference nests,
+// with and without bias, and compares every output bit for bit.
+func checkConv(t *testing.T, r *rand.Rand, cc convCase, transposed bool) {
+	t.Helper()
+	fwd, grads, refFwd, refGrads := Conv2D, Conv2DGrads, refConv2D, refConv2DGrads
+	wShape := []int{cc.f, cc.c, cc.kh, cc.kw}
+	if transposed {
+		fwd, grads, refFwd, refGrads = ConvTranspose2D, ConvTranspose2DGrads, refConvTranspose2D, refConvTranspose2DGrads
+		wShape = []int{cc.c, cc.f, cc.kh, cc.kw}
+		// The output, (h-1)*stride - 2*pad + k, must not be empty.
+		for (cc.h-1)*cc.stride-2*cc.pad+cc.kh <= 0 {
+			cc.h++
+		}
+		for (cc.w-1)*cc.stride-2*cc.pad+cc.kw <= 0 {
+			cc.w++
+		}
+	}
+	x := cc.fill(r, cc.n, cc.c, cc.h, cc.w)
+	w := cc.fill(r, wShape...)
+	var b *Tensor
+	if r.Intn(2) == 0 {
+		b = cc.fill(r, cc.f)
+	}
+	want, err := refFwd(x, w, b, cc.stride, cc.pad)
+	if err != nil {
+		t.Fatalf("%v: %v", cc, err)
+	}
+	got, err := fwd(x, w, b, cc.stride, cc.pad)
+	if err != nil {
+		t.Fatalf("%v: %v", cc, err)
+	}
+	sameBits(t, "y", cc, got, want)
+
+	dy := cc.fill(r, want.Shape...)
+	wdx, wdw, wdb, err := refGrads(x, w, dy, cc.stride, cc.pad)
+	if err != nil {
+		t.Fatalf("%v: %v", cc, err)
+	}
+	dx, dw, db, err := grads(x, w, dy, cc.stride, cc.pad)
+	if err != nil {
+		t.Fatalf("%v: %v", cc, err)
+	}
+	sameBits(t, "dx", cc, dx, wdx)
+	sameBits(t, "dw", cc, dw, wdw)
+	sameBits(t, "db", cc, db, wdb)
+}
+
+// TestConv2DBitIdentical holds Conv2D and Conv2DGrads bit-identical to the
+// reference nests on random shapes and on the study's own, including
+// signed zeros, denormals and infinities in x, w, b and dy.
+func TestConv2DBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < convCases(); i++ {
+		checkConv(t, r, randConvCase(r), false)
+	}
+	for _, s := range convBenchShapes {
+		checkConv(t, r, s.convCase(), false)
+	}
+	// A Tango AlexNet layer: an 11x11 kernel, mostly clipped at the border.
+	checkConv(t, r, convShape{"AN_conv1", 1, 3, 24, 56, 11, 1, 5}.convCase(), false)
+}
+
+// TestConvTranspose2DBitIdentical is the same differential check for the
+// transposed convolution and its gradients.
+func TestConvTranspose2DBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for i := 0; i < convCases(); i++ {
+		checkConv(t, r, randConvCase(r), true)
+	}
+	for _, s := range convTBenchShapes {
+		checkConv(t, r, s.convCase(), true)
+	}
+}
+
+// convShape is one convolution layer of the study's ML workloads at the
+// batch size it trains with.
+type convShape struct {
+	name                          string
+	n, c, f, size, k, stride, pad int
+}
+
+// convBenchShapes are the convolutions of the DCGAN discriminator (DCG),
+// the DQN of RFL, the VGG-style extractor of NST and the classifier of SPT.
+var convBenchShapes = []convShape{
+	{"DCG_d1_3x32x32_k4s2", 8, 3, 24, 32, 4, 2, 1},
+	{"DCG_d2_24x16x16_k4s2", 8, 24, 48, 16, 4, 2, 1},
+	{"DCG_d3_48x8x8_k4s2", 8, 48, 96, 8, 4, 2, 1},
+	{"DCG_d4_96x4x4_k4s1", 8, 96, 1, 4, 4, 1, 0},
+	{"RFL_c1_4x20x20_k4s2", 16, 4, 16, 20, 4, 2, 1},
+	{"RFL_c2_16x10x10_k4s2", 16, 16, 32, 10, 4, 2, 1},
+	{"RFL_c3_32x5x5_k3s1", 16, 32, 32, 5, 3, 1, 1},
+	{"NST_16x32x32_k3s1", 1, 16, 16, 32, 3, 1, 1},
+	{"SPT_10x8x8_k5s1", 8, 10, 20, 8, 5, 1, 2},
+}
+
+// convTBenchShapes are the transposed convolutions of the DCGAN generator.
+var convTBenchShapes = []convShape{
+	{"DCG_g1_32x1x1_k4s1", 8, 32, 64, 1, 4, 1, 0},
+	{"DCG_g2_64x4x4_k4s2", 8, 64, 32, 4, 4, 2, 1},
+	{"DCG_g3_32x8x8_k4s2", 8, 32, 16, 8, 4, 2, 1},
+	{"DCG_g4_16x16x16_k4s2", 8, 16, 3, 16, 4, 2, 1},
+}
+
+// convCase is the layer as a differential-test case. Its values are
+// plain: the random cases inject the special ones, and denormal
+// arithmetic at these sizes makes the test several times slower.
+func (s convShape) convCase() convCase {
+	return convCase{n: s.n, c: s.c, f: s.f, h: s.size, w: s.size, kh: s.k, kw: s.k, stride: s.stride, pad: s.pad}
+}
+
+var convBenchSink *Tensor
+
+// benchConv runs op once per iteration for every shape, on N(0,1) inputs:
+// x (n, c, size, size), the weights, and a dy shaped like the layer's
+// output. A transposed layer's weights are (c, f, k, k).
+func benchConv(b *testing.B, shapes []convShape, transposed bool, op func(s convShape, x, w, dy *Tensor) (*Tensor, error)) {
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			wShape, out := []int{s.f, s.c, s.k, s.k}, ConvShape(s.size, s.k, s.stride, s.pad)
+			if transposed {
+				wShape, out = []int{s.c, s.f, s.k, s.k}, (s.size-1)*s.stride-2*s.pad+s.k
+			}
+			r := rand.New(rand.NewSource(1))
+			x := Randn(r, 1, s.n, s.c, s.size, s.size)
+			w := Randn(r, 0.1, wShape...)
+			dy := Randn(r, 1, s.n, s.f, out, out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				y, err := op(s, x, w, dy)
+				if err != nil {
+					b.Fatal(err)
+				}
+				convBenchSink = y
+			}
+		})
+	}
+}
+
+func BenchmarkConv2D(b *testing.B) {
+	benchConv(b, convBenchShapes, false, func(s convShape, x, w, _ *Tensor) (*Tensor, error) {
+		return Conv2D(x, w, nil, s.stride, s.pad)
+	})
+}
+
+func BenchmarkConv2DGrads(b *testing.B) {
+	benchConv(b, convBenchShapes, false, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+		dx, _, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad)
+		return dx, err
+	})
+}
+
+func BenchmarkConvTranspose2D(b *testing.B) {
+	benchConv(b, convTBenchShapes, true, func(s convShape, x, w, _ *Tensor) (*Tensor, error) {
+		return ConvTranspose2D(x, w, nil, s.stride, s.pad)
+	})
+}
+
+func BenchmarkConvTranspose2DGrads(b *testing.B) {
+	benchConv(b, convTBenchShapes, true, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+		dx, _, _, err := ConvTranspose2DGrads(x, w, dy, s.stride, s.pad)
+		return dx, err
+	})
+}

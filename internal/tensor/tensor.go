@@ -3,12 +3,36 @@
 // network framework in internal/nn. This package is pure computation; kernel
 // emission onto the device model happens one layer up, in internal/nn, with
 // counts derived from the shapes processed here.
+//
+// # Convolution accumulation order
+//
+// Float32 addition is not associative, so the convolution kernels fix, for
+// every output element, the value its sum starts from and the order its
+// products are added in. Taps that fall on the padding add nothing.
+//
+//   - Conv2D: y[n,f,oy,ox] starts at b[f] (+0 when b is nil) and adds w*x
+//     over (ci, ky, kx) in ascending order.
+//   - Conv2DGrads: db[f] and dw[f,c,ky,kx] start at +0 and add over
+//     (n, oy, ox) in ascending order. dx[n,c,iy,ix] starts at +0 and adds
+//     over f, then over the (oy, ox) it reaches in ascending order, which
+//     is descending (ky, kx). Every term whose dy is zero is skipped.
+//   - ConvTranspose2D: y[n,f,oy,ox] starts at b[f] (+0 when b is nil) and
+//     adds x*w over (ci, iy, ix) in ascending order, skipping zero x.
+//   - ConvTranspose2DGrads: db[f] adds every dy over (n, oy, ox);
+//     dx[n,c,iy,ix] adds over (f, ky, kx) and dw[c,f,ky,kx] over
+//     (n, iy, ix), all from +0 in ascending order, with no skips.
+//
+// The skips are part of the contract: they decide the sign of a zero sum
+// and whether 0·Inf turns it into NaN. The kernels tile, reorder their
+// loops and repack operands freely within this order, and are tested bit
+// for bit against the naive nests.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major FP32 tensor.
@@ -185,73 +209,28 @@ func Conv2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: conv2d empty output for input %dx%d kernel %dx%d", h, wd, kh, kw)
 	}
 	out := New(n, f, oh, ow)
-	// Accumulate tap by tap into the output plane instead of summing taps
-	// per output element: each element still receives its contributions in
-	// (ci, ky, kx) order starting from the bias, so the result is
-	// bit-identical to the naive nest, but the inner loop becomes a
-	// contiguous AXPY over an output row (stride 1) with the weight hoisted.
-	for ni := 0; ni < n; ni++ {
-		for fi := 0; fi < f; fi++ {
-			plane := out.Data[(ni*f+fi)*oh*ow : (ni*f+fi+1)*oh*ow]
-			if b != nil {
-				bias := b.Data[fi]
-				for i := range plane {
-					plane[i] = bias
-				}
-			}
-			for ci := 0; ci < c; ci++ {
-				xplane := x.Data[(ni*c+ci)*h*wd : (ni*c+ci+1)*h*wd]
-				wrow := w.Data[(fi*cw+ci)*kh*kw : (fi*cw+ci+1)*kh*kw]
-				for ky := 0; ky < kh; ky++ {
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*stride + ky - pad
-						if iy < 0 || iy >= h {
-							continue
-						}
-						xrow := xplane[iy*wd : iy*wd+wd]
-						orow := plane[oy*ow : oy*ow+ow]
-						for kx := 0; kx < kw; kx++ {
-							wv := wrow[ky*kw+kx]
-							oxLo, oxHi := convOxRange(kx, pad, stride, wd, ow)
-							if oxLo > oxHi {
-								continue
-							}
-							xoff := kx - pad
-							if stride == 1 {
-								xr := xrow[oxLo+xoff : oxHi+xoff+1]
-								or := orow[oxLo : oxHi+1]
-								for t := range or {
-									or[t] += wv * xr[t]
-								}
-							} else {
-								for ox := oxLo; ox <= oxHi; ox++ {
-									orow[ox] += wv * xrow[ox*stride+xoff]
-								}
-							}
-						}
-					}
-				}
+	hw, ohw, kk := h*wd, oh*ow, kh*kw
+	// Output-stationary over a tile of filters: y[fi, p] starts from the
+	// bias and adds w*x over (ci, ky, kx), i.e. channel by channel over
+	// the output pixel's terms (x pixel, tap).
+	tab := newConvTable(convAxis{h, oh, kh, stride, pad}, convAxis{wd, ow, kw, stride, pad}, perOut)
+	wt := make([][convTile]float32, c*kk)
+	var bias, acc [convTile]float32
+	for f0 := 0; f0 < f; f0 += convTile {
+		lanes := min(convTile, f-f0)
+		convLanes(wt, w.Data, f0, f, 1, c*kk, c*kk, 0)
+		if b != nil {
+			copy(bias[:], b.Data[f0:f0+lanes])
+		}
+		for ni := 0; ni < n; ni++ {
+			for p, at := range tab.pos {
+				acc = bias
+				convSum(&acc, tab.class[at.class], x.Data[ni*c*hw+int(at.s):], hw, wt[at.v:], kk, c)
+				convStore(out.Data[(ni*f+f0)*ohw:], ohw, p, &acc, lanes)
 			}
 		}
 	}
 	return out, nil
-}
-
-// convOxRange returns the inclusive output-column range [lo, hi] for which
-// the input column ox*stride + kx - pad falls inside [0, wd). An empty range
-// reports lo > hi.
-func convOxRange(kx, pad, stride, wd, ow int) (lo, hi int) {
-	lo = 0
-	if num := pad - kx; num > 0 {
-		lo = (num + stride - 1) / stride
-	}
-	hi = ow - 1
-	if num := wd - 1 + pad - kx; num < 0 {
-		return 1, 0
-	} else if byInput := num / stride; byInput < hi {
-		hi = byInput
-	}
-	return lo, hi
 }
 
 // Conv2DGrads computes input and weight gradients of Conv2D.
@@ -262,63 +241,54 @@ func Conv2DGrads(x, w, dy *Tensor, stride, pad int) (dx, dw, db *Tensor, err err
 	dx = New(n, c, h, wd)
 	dw = New(f, c, kh, kw)
 	db = New(f)
-	// The loop nest (and with it every accumulation order into dx, dw, db)
-	// matches the naive formulation exactly; only the inner kx walk changes,
-	// from per-tap index arithmetic to contiguous slices — the valid kx range
-	// is computed up front instead of bounds-checking ix per tap.
-	for ni := 0; ni < n; ni++ {
-		for fi := 0; fi < f; fi++ {
-			for oy := 0; oy < oh; oy++ {
-				dyRow := dy.Data[((ni*f+fi)*oh+oy)*ow : ((ni*f+fi)*oh+oy)*ow+ow]
-				for ox := 0; ox < ow; ox++ {
-					g := dyRow[ox]
-					if g == 0 {
-						continue
-					}
-					db.Data[fi] += g
-					kxLo, kxHi := convKxRange(ox, pad, stride, wd, kw)
-					if kxLo > kxHi {
-						continue
-					}
-					span := kxHi - kxLo + 1
-					for ci := 0; ci < c; ci++ {
-						for ky := 0; ky < kh; ky++ {
-							iy := oy*stride + ky - pad
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xBase := ((ni*c+ci)*h+iy)*wd + ox*stride - pad + kxLo
-							wBase := ((fi*c+ci)*kh+ky)*kw + kxLo
-							xr := x.Data[xBase : xBase+span]
-							wr := w.Data[wBase : wBase+span]
-							dxr := dx.Data[xBase : xBase+span]
-							dwr := dw.Data[wBase : wBase+span]
-							for t := range xr {
-								dxr[t] += g * wr[t]
-								dwr[t] += g * xr[t]
-							}
-						}
-					}
+	hw, ohw, kk := h*wd, oh*ow, kh*kw
+	ya, xa := convAxis{h, oh, kh, stride, pad}, convAxis{wd, ow, kw, stride, pad}
+	var acc [convTile]float32
+
+	// db[fi] sums the nonzero dy of filter fi over (ni, oy, ox).
+	for fi := 0; fi < f; fi++ {
+		var s float32
+		for ni := 0; ni < n; ni++ {
+			for _, g := range dy.Data[(ni*f+fi)*ohw : (ni*f+fi+1)*ohw] {
+				if g != 0 {
+					s += g
 				}
+			}
+		}
+		db.Data[fi] = s
+	}
+
+	// dw[fi, ci, tap] sums g*x over (ni, oy, ox): sample by sample over the
+	// tap's terms (dy pixel, x pixel), a tile of channels sharing each g.
+	tab := newConvTable(ya, xa, perTap)
+	xt := make([][convTile]float32, n*hw)
+	for c0 := 0; c0 < c; c0 += convTile {
+		convLanes(xt, x.Data, c0, c, n, hw, hw, c*hw)
+		for fi := 0; fi < f; fi++ {
+			for t, at := range tab.pos {
+				acc = [convTile]float32{}
+				convSumNonzero(&acc, tab.class[at.class], dy.Data[fi*ohw+int(at.s):], f*ohw, xt[at.v:], hw, n)
+				convStore(dw.Data[(fi*c+c0)*kk:], kk, t, &acc, min(convTile, c-c0))
+			}
+		}
+	}
+
+	// dx[ni, ci, iy, ix] sums g*w over fi, then over the x pixel's
+	// (oy, ox) contributors in ascending order: filter by filter over its
+	// terms (dy pixel, tap), a tile of channels sharing each g.
+	tab = newConvTable(ya, xa, perIn)
+	wt := make([][convTile]float32, f*kk)
+	for c0 := 0; c0 < c; c0 += convTile {
+		convLanes(wt, w.Data, c0, c, f, kk, kk, c*kk)
+		for ni := 0; ni < n; ni++ {
+			for p, at := range tab.pos {
+				acc = [convTile]float32{}
+				convSumNonzero(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
+				convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
 			}
 		}
 	}
 	return dx, dw, db, nil
-}
-
-// convKxRange returns the inclusive kernel-column range [lo, hi] for which
-// the input column ox*stride + kx - pad falls inside [0, wd). An empty range
-// reports lo > hi.
-func convKxRange(ox, pad, stride, wd, kw int) (lo, hi int) {
-	lo = 0
-	if num := pad - ox*stride; num > 0 {
-		lo = num
-	}
-	hi = kw - 1
-	if byInput := wd - 1 - ox*stride + pad; byInput < hi {
-		hi = byInput
-	}
-	return lo, hi
 }
 
 // ConvTranspose2D computes a NCHW transposed convolution (deconvolution):
@@ -339,49 +309,26 @@ func ConvTranspose2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: convT empty output")
 	}
 	out := New(n, f, oh, ow)
-	if b != nil {
-		for ni := 0; ni < n; ni++ {
-			for fi := 0; fi < f; fi++ {
-				base := (ni*f + fi) * oh * ow
-				for i := 0; i < oh*ow; i++ {
-					out.Data[base+i] = b.Data[fi]
-				}
-			}
+	hw, ohw, kk := h*wd, oh*ow, kh*kw
+	// The transposed convolution is the input gradient of a convolution
+	// from the (oh, ow) plane, its input, to the (h, w) plane, its output.
+	// y[fi, p] starts from the bias and adds x*w over (ci, iy, ix),
+	// skipping zero x: channel by channel over the y pixel's terms
+	// (x pixel, tap), a tile of filters sharing each x.
+	tab := newConvTable(convAxis{oh, h, kh, stride, pad}, convAxis{ow, wd, kw, stride, pad}, perIn)
+	wt := make([][convTile]float32, c*kk)
+	var bias, acc [convTile]float32
+	for f0 := 0; f0 < f; f0 += convTile {
+		lanes := min(convTile, f-f0)
+		convLanes(wt, w.Data, f0, f, c, kk, kk, f*kk)
+		if b != nil {
+			copy(bias[:], b.Data[f0:f0+lanes])
 		}
-	}
-	// Same nest as the naive formulation (accumulation order into out is
-	// unchanged); the kx walk becomes one contiguous AXPY per (ky, fi) over
-	// the output row, with the valid kx range hoisted out of the loop.
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			for iy := 0; iy < h; iy++ {
-				xRow := x.Data[((ni*c+ci)*h+iy)*wd : ((ni*c+ci)*h+iy)*wd+wd]
-				for ix := 0; ix < wd; ix++ {
-					xv := xRow[ix]
-					if xv == 0 {
-						continue
-					}
-					kxLo, kxHi := convKxRange(ix, pad, stride, ow, kw)
-					if kxLo > kxHi {
-						continue
-					}
-					span := kxHi - kxLo + 1
-					for fi := 0; fi < f; fi++ {
-						for ky := 0; ky < kh; ky++ {
-							oy := iy*stride + ky - pad
-							if oy < 0 || oy >= oh {
-								continue
-							}
-							oBase := ((ni*f+fi)*oh+oy)*ow + ix*stride - pad + kxLo
-							wBase := ((ci*f+fi)*kh+ky)*kw + kxLo
-							or := out.Data[oBase : oBase+span]
-							wr := w.Data[wBase : wBase+span]
-							for t := range or {
-								or[t] += xv * wr[t]
-							}
-						}
-					}
-				}
+		for ni := 0; ni < n; ni++ {
+			for p, at := range tab.pos {
+				acc = bias
+				convSumNonzero(&acc, tab.class[at.class], x.Data[ni*c*hw+int(at.s):], hw, wt[at.v:], kk, c)
+				convStore(out.Data[(ni*f+f0)*ohw:], ohw, p, &acc, lanes)
 			}
 		}
 	}
@@ -396,53 +343,270 @@ func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int) (dx, dw, db *Tensor
 	dx = New(n, c, h, wd)
 	dw = New(c, f, kh, kw)
 	db = New(f)
-	for ni := 0; ni < n; ni++ {
-		for fi := 0; fi < f; fi++ {
-			base := (ni*f + fi) * oh * ow
-			for i := 0; i < oh*ow; i++ {
-				db.Data[fi] += dy.Data[base+i]
+	hw, ohw, kk := h*wd, oh*ow, kh*kw
+	ya, xa := convAxis{oh, h, kh, stride, pad}, convAxis{ow, wd, kw, stride, pad}
+	var acc [convTile]float32
+
+	// db[fi] sums dy of filter fi over (ni, oy, ox).
+	for fi := 0; fi < f; fi++ {
+		var s float32
+		for ni := 0; ni < n; ni++ {
+			for _, g := range dy.Data[(ni*f+fi)*ohw : (ni*f+fi+1)*ohw] {
+				s += g
+			}
+		}
+		db.Data[fi] = s
+	}
+
+	// dx[ni, ci, iy, ix] sums g*w over (fi, ky, kx): filter by filter over
+	// the x pixel's terms (dy pixel, tap), a tile of channels sharing each g.
+	tab := newConvTable(ya, xa, perOut)
+	wt := make([][convTile]float32, f*kk)
+	for c0 := 0; c0 < c; c0 += convTile {
+		convLanes(wt, w.Data, c0, c, f, kk, f*kk, kk)
+		for ni := 0; ni < n; ni++ {
+			for p, at := range tab.pos {
+				acc = [convTile]float32{}
+				convSum(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
+				convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
 			}
 		}
 	}
-	// Same nest as the naive formulation. dx[xi] accumulates through a local
-	// running value seeded from the current entry — the identical sequence
-	// of adds, kept in a register — and the kx walk uses contiguous slices.
-	for ni := 0; ni < n; ni++ {
+
+	// dw[ci, fi, tap] sums g*x over (ni, iy, ix): sample by sample over the
+	// tap's terms (x pixel, dy pixel), a tile of filters sharing each x.
+	tab = newConvTable(ya, xa, perTap)
+	dyt := make([][convTile]float32, n*ohw)
+	for f0 := 0; f0 < f; f0 += convTile {
+		convLanes(dyt, dy.Data, f0, f, n, ohw, ohw, f*ohw)
 		for ci := 0; ci < c; ci++ {
-			for iy := 0; iy < h; iy++ {
-				for ix := 0; ix < wd; ix++ {
-					xi := ((ni*c+ci)*h+iy)*wd + ix
-					xv := x.Data[xi]
-					kxLo, kxHi := convKxRange(ix, pad, stride, ow, kw)
-					if kxLo > kxHi {
-						continue
-					}
-					span := kxHi - kxLo + 1
-					acc := dx.Data[xi]
-					for fi := 0; fi < f; fi++ {
-						for ky := 0; ky < kh; ky++ {
-							oy := iy*stride + ky - pad
-							if oy < 0 || oy >= oh {
-								continue
-							}
-							dyBase := ((ni*f+fi)*oh+oy)*ow + ix*stride - pad + kxLo
-							wBase := ((ci*f+fi)*kh+ky)*kw + kxLo
-							dyr := dy.Data[dyBase : dyBase+span]
-							wr := w.Data[wBase : wBase+span]
-							dwr := dw.Data[wBase : wBase+span]
-							for t := range dyr {
-								g := dyr[t]
-								acc += g * wr[t]
-								dwr[t] += g * xv
-							}
-						}
-					}
-					dx.Data[xi] = acc
-				}
+			for t, at := range tab.pos {
+				acc = [convTile]float32{}
+				convSum(&acc, tab.class[at.class], x.Data[ci*hw+int(at.s):], c*hw, dyt[at.v:], ohw, n)
+				convStore(dw.Data[(ci*f+f0)*kk:], kk, t, &acc, min(convTile, f-f0))
 			}
 		}
 	}
 	return dx, dw, db, nil
+}
+
+// convTile is the register-tile width of the convolution kernels: each
+// sum runs for 4 filters or 4 channels at once, the lanes of one
+// accumulator set sharing every load of the other operand (and, in the
+// gradients, its zero test). A count that is not a multiple of 4 runs in
+// zero-padded lanes that are never stored.
+const convTile = 4
+
+// convAxis is one spatial axis of a convolution: output positions
+// o < out and kernel offsets k < k read input positions
+// i = o*stride + k - pad, and only those with 0 <= i < in take part.
+type convAxis struct{ in, out, k, stride, pad int }
+
+// A convRole names what a convolution sum is taken for, and with it the
+// two indices each term carries: the scalar operand's and the lane
+// operand's. In Conv2D's terms:
+//   - perOut sums for an output position over k ascending; terms (i, k).
+//   - perTap sums for a kernel offset over o ascending; terms (o, i).
+//   - perIn sums for an input position over o ascending; terms (o, k).
+type convRole int
+
+const (
+	perOut convRole = iota
+	perTap
+	perIn
+)
+
+// terms lists, for every position of the role along this axis, the index
+// pairs of its sum in summation order, and the extents sn and vn of the
+// s and v index ranges.
+func (a convAxis) terms(role convRole) (lists [][]convTerm, sn, vn int) {
+	// Every list gets room for its longest possible length up front, in
+	// one backing array, so the appends below never reallocate.
+	n, most := a.out, a.k
+	switch role {
+	case perOut:
+		sn, vn = a.in, a.k
+	case perTap:
+		n, most, sn, vn = a.k, a.out, a.out, a.in
+	case perIn:
+		n, sn, vn = a.in, a.out, a.k
+	}
+	buf := make([]convTerm, n*most)
+	lists = make([][]convTerm, n)
+	for p := range lists {
+		lists[p] = buf[p*most : p*most : (p+1)*most]
+	}
+	for o := 0; o < a.out; o++ {
+		for k := 0; k < a.k; k++ {
+			i := o*a.stride + k - a.pad
+			if i < 0 || i >= a.in {
+				continue
+			}
+			switch role {
+			case perOut:
+				lists[o] = append(lists[o], convTerm{uint32(i), uint32(k)})
+			case perTap:
+				lists[k] = append(lists[k], convTerm{uint32(o), uint32(i)})
+			case perIn:
+				lists[i] = append(lists[i], convTerm{uint32(o), uint32(k)})
+			}
+		}
+	}
+	return lists, sn, vn
+}
+
+// convTerm is one product of a convolution sum: s indexes the scalar
+// operand and v the lane operand, each within one block of the sum.
+type convTerm struct{ s, v uint32 }
+
+// convTable holds every sum of a 2-D convolution for one role. The sum
+// for position p (row-major over the role's y and x positions) adds the
+// terms of class[pos[p].class], each index offset by pos[p].s and
+// pos[p].v. Positions whose sums differ only by those offsets (all
+// interior pixels, for one) share a class, so the table stays small.
+type convTable struct {
+	class [][]convTerm
+	pos   []convPos
+}
+
+// convPos places one position's sum: its class and the offsets its
+// terms' s and v indices are shifted by.
+type convPos struct{ class, s, v uint32 }
+
+// newConvTable builds the table for role from the y and x axes: a
+// position's terms are its y terms times its x terms, y-major, which is
+// the (row, column) order of the naive nests. Both indices of a term are
+// row-major in their plane.
+func newConvTable(y, x convAxis, role convRole) convTable {
+	ylists, _, _ := y.terms(role)
+	xlists, sw, vw := x.terms(role)
+	yc, ys := convClasses(ylists)
+	xc, xs := convClasses(xlists)
+	at := func(a, b convTerm) convTerm { return convTerm{a.s*uint32(sw) + b.s, a.v*uint32(vw) + b.v} }
+	t := convTable{class: make([][]convTerm, 0, len(yc)*len(xc)), pos: make([]convPos, 0, len(ys)*len(xs))}
+	var ny, nx int
+	for _, ty := range yc {
+		ny += len(ty)
+	}
+	for _, tx := range xc {
+		nx += len(tx)
+	}
+	buf := make([]convTerm, 0, ny*nx)
+	for _, ty := range yc {
+		for _, tx := range xc {
+			start := len(buf)
+			for _, a := range ty {
+				for _, b := range tx {
+					buf = append(buf, at(a, b))
+				}
+			}
+			t.class = append(t.class, buf[start:len(buf):len(buf)])
+		}
+	}
+	for _, py := range ys {
+		for _, px := range xs {
+			off := at(convTerm{py.s, py.v}, convTerm{px.s, px.v})
+			t.pos = append(t.pos, convPos{py.class*uint32(len(xc)) + px.class, off.s, off.v})
+		}
+	}
+	return t
+}
+
+// convClasses shifts each list by its smallest s and v, so its indices
+// start at 0, and merges lists that become equal. It returns the
+// distinct shifted lists and, per list, its class and shift.
+func convClasses(lists [][]convTerm) (classes [][]convTerm, pos []convPos) {
+	pos = make([]convPos, len(lists))
+	var rel []convTerm
+	for i, l := range lists {
+		p := &pos[i]
+		if len(l) > 0 {
+			p.s, p.v = l[0].s, l[0].v
+			for _, t := range l {
+				p.s, p.v = min(p.s, t.s), min(p.v, t.v)
+			}
+		}
+		rel = rel[:0]
+		for _, t := range l {
+			rel = append(rel, convTerm{t.s - p.s, t.v - p.v})
+		}
+		c := slices.IndexFunc(classes, func(c []convTerm) bool { return slices.Equal(c, rel) })
+		if c < 0 {
+			c = len(classes)
+			classes = append(classes, slices.Clone(rel))
+		}
+		p.class = uint32(c)
+	}
+	return classes, pos
+}
+
+// convLanes fills dst, outer*inner elements, with the rows r0..r0+3 of an
+// (outer, rows, inner) view of data whose element (o, r, k) sits at
+// o*outerStride + r*rowStride + k: lane j of dst[o*inner+k] holds row
+// r0+j, or 0 past the last row.
+func convLanes(dst [][convTile]float32, data []float32, r0, rows, outer, inner, rowStride, outerStride int) {
+	for o := 0; o < outer; o++ {
+		d := dst[o*inner : (o+1)*inner]
+		for j := 0; j < convTile; j++ {
+			if r0+j >= rows {
+				for k := range d {
+					d[k][j] = 0
+				}
+				continue
+			}
+			src := data[o*outerStride+(r0+j)*rowStride:][:inner]
+			for k, v := range src {
+				d[k][j] = v
+			}
+		}
+	}
+}
+
+// convStore writes the first lanes of acc to dst[j*stride+p].
+func convStore(dst []float32, stride, p int, acc *[convTile]float32, lanes int) {
+	for j := 0; j < lanes; j++ {
+		dst[j*stride+p] = acc[j]
+	}
+}
+
+// convSum adds to every lane j of acc the products v[b*vs+t.v][j] *
+// s[b*ss+t.s], block by block for b < nb and within a block in term order
+// — the order the sum's definition gives its terms.
+func convSum(acc *[convTile]float32, terms []convTerm, s []float32, ss int, v [][convTile]float32, vs, nb int) {
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	for so, vo := 0, 0; so < nb*ss; so, vo = so+ss, vo+vs {
+		for _, t := range terms {
+			sv := s[so+int(t.s)]
+			q := &v[vo+int(t.v)]
+			a0 += q[0] * sv
+			a1 += q[1] * sv
+			a2 += q[2] * sv
+			a3 += q[3] * sv
+		}
+	}
+	*acc = [convTile]float32{a0, a1, a2, a3}
+}
+
+// convSumNonzero is convSum skipping every term whose scalar is zero, as
+// the naive nests skip a zero dy (or a zero x in the transposed
+// convolution). The skip is visible: adding 0*v would turn a sum of -0
+// into +0 and, for an infinite v, into NaN.
+func convSumNonzero(acc *[convTile]float32, terms []convTerm, s []float32, ss int, v [][convTile]float32, vs, nb int) {
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	for so, vo := 0, 0; so < nb*ss; so, vo = so+ss, vo+vs {
+		for _, t := range terms {
+			sv := s[so+int(t.s)]
+			if sv == 0 {
+				continue
+			}
+			q := &v[vo+int(t.v)]
+			a0 += sv * q[0]
+			a1 += sv * q[1]
+			a2 += sv * q[2]
+			a3 += sv * q[3]
+		}
+	}
+	*acc = [convTile]float32{a0, a1, a2, a3}
 }
 
 // MaxPool2D computes 2x2-style max pooling with the given window and stride,

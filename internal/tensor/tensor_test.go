@@ -201,7 +201,6 @@ func TestConv2DGradsNumerically(t *testing.T) {
 		w.Data[idx] = orig + eps
 		up := loss()
 		w.Data[idx] = orig - eps
-		w.Data[idx] = orig - eps
 		dn := loss()
 		w.Data[idx] = orig
 		num := (up - dn) / (2 * eps)
