@@ -17,13 +17,12 @@
 // Flags:
 //
 //	-run a,b         run only the named analyzers (default: all)
-//	-analyzers a,b   alias for -run (the original spelling)
 //	-json            print findings (or suppressions, or the -list table) as JSON, one per line
 //	-list            print every analyzer with its description and scope, sorted by name, and exit
 //	-suppressions    list every //lint:ignore directive instead of linting
 //
-// An unknown analyzer name given to -run (or -analyzers) is a usage
-// error: exit code 2, nothing analyzed.
+// An unknown analyzer name given to -run is a usage error: exit code 2,
+// nothing analyzed.
 //
 // With -json each finding is one object per line, for tooling (the GitHub
 // Actions problem matcher in .github/cactuslint-matcher.json consumes it):
@@ -66,7 +65,6 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 	fs := flag.NewFlagSet("cactuslint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	names := fs.String("analyzers", "", "alias for -run")
 	asJSON := fs.Bool("json", false, "print findings (or suppressions, or the -list table) as JSON, one per line")
 	list := fs.Bool("list", false, "print every analyzer with its description and scope and exit")
 	suppressions := fs.Bool("suppressions", false, "list every //lint:ignore directive instead of linting")
@@ -78,13 +76,9 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 	if *list {
 		return listAnalyzers(out, analyzers, *asJSON)
 	}
-	sel := *runNames
-	if sel == "" {
-		sel = *names
-	}
-	if sel != "" {
+	if *runNames != "" {
 		analyzers = analyzers[:0]
-		for _, name := range strings.Split(sel, ",") {
+		for _, name := range strings.Split(*runNames, ",") {
 			a := lint.ByName(strings.TrimSpace(name))
 			if a == nil {
 				return 2, fmt.Errorf("unknown analyzer %q", name)

@@ -79,8 +79,8 @@ func TestObservation5(t *testing.T) {
 			mem++
 		}
 	}
-	if mem < 6 {
-		t.Errorf("only %d/10 Cactus apps memory-intensive, paper reports 8", mem)
+	if mem != 8 {
+		t.Errorf("%d/10 Cactus apps memory-intensive, want 8 (paper and EXPERIMENTS.md: all but GMS and DCG)", mem)
 	}
 	gms, err := cactus.Profile("GMS")
 	if err != nil {

@@ -275,9 +275,9 @@ func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workl
 		Metrics:  opts.Metrics,
 		Logger:   opts.Logger,
 	})
-	//lint:ignore ctxflow one-shot CLI entry point with no inbound context; the deferred shutdown must run even after a study error
+	// One-shot CLI entry point with no inbound context; the deferred shutdown must run even after a study error
 	defer func() { _ = e.Shutdown(context.Background()) }()
-	//lint:ignore ctxflow one-shot CLI entry point with no inbound context; cancellation belongs to the process signal handler
+	// One-shot CLI entry point with no inbound context; cancellation belongs to the process signal handler
 	return e.StudyWith(context.Background(), cfg, opts, ws...)
 }
 
@@ -290,7 +290,9 @@ func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workl
 // lane of the goroutine doing the work. When dev is non-nil the simulation
 // runs on that (pooled) device instead of building a fresh one — the
 // engine's device reuse path; telemetry must already be attached to it.
-func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int, dev *gpu.Device) (*Profile, error) {
+// The cache-probe outcome is returned alongside the profile (CacheDisabled
+// when opts carries no cache).
+func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int, dev *gpu.Device) (*Profile, CacheOutcome, error) {
 	tr := telemetry.Or(opts.Tracer)
 	//lint:ignore nodeterminism wall time is telemetry about the pipeline, not model output
 	wallStart := time.Now()
@@ -329,7 +331,7 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 			p, err = characterize(w, cfg, tr, opts.Counters, lane)
 		}
 		if err != nil {
-			return nil, err
+			return nil, outcome, err
 		}
 		if opts.Cache != nil {
 			if storeErr = opts.Cache.Store(p, cfg); storeErr != nil {
@@ -398,7 +400,7 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 			StoreErr:    storeErr,
 		})
 	}
-	return p, nil
+	return p, outcome, nil
 }
 
 // Add appends an already-characterized profile to the study (used to slice

@@ -167,10 +167,7 @@ func (e *Engine) Characterize(ctx context.Context, cfg gpu.DeviceConfig, w workl
 	if err != nil {
 		return nil, CacheDisabled, err
 	}
-	opts := e.studyOptions()
-	outcome := CacheDisabled
-	opts.Progress = func(p WorkloadProgress) { outcome = p.Cache }
-	p, err := characterizeCached(w, cfg, opts, 0, 0, dev)
+	p, outcome, err := characterizeCached(w, cfg, e.studyOptions(), 0, 0, dev)
 	if err != nil {
 		return nil, CacheDisabled, err
 	}
@@ -218,7 +215,7 @@ func (e *Engine) StudyWith(ctx context.Context, cfg gpu.DeviceConfig, opts Study
 			if err := e.acquire(ctx); err != nil {
 				return nil, err
 			}
-			p, err := characterizeCached(w, cfg, opts, i, 0, dev)
+			p, _, err := characterizeCached(w, cfg, opts, i, 0, dev)
 			e.release()
 			if err != nil {
 				return nil, err
@@ -267,7 +264,7 @@ func (e *Engine) characterizeAll(ctx context.Context, profiles []*Profile, ws []
 					continue
 				}
 				opts.Counters.Add(telemetry.CtrWorkersBusy, 1)
-				p, err := characterizeCached(ws[i], cfg, opts, i, worker, dev)
+				p, _, err := characterizeCached(ws[i], cfg, opts, i, worker, dev)
 				opts.Counters.Add(telemetry.CtrWorkersBusy, -1)
 				e.release()
 				if err != nil {

@@ -86,8 +86,9 @@ func TestEngineCacheOutcomes(t *testing.T) {
 }
 
 // TestEngineContextCancellation — a cancelled context fails slot
-// acquisition instead of starting work.
+// acquisition instead of starting work, and leaves no goroutine behind.
 func TestEngineContextCancellation(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	e := NewEngine(EngineOptions{Workers: 1})
 	defer func() { _ = e.Shutdown(context.Background()) }()
 	ctx, cancel := context.WithCancel(context.Background())

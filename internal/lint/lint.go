@@ -3,10 +3,10 @@
 // regenerated bit-for-bit from a deterministic device model; the analyzers
 // here turn the invariants that make that true — no wall-clock or global
 // randomness in model code, no map-iteration order leaking into emitted
-// output, no non-finite float reaching a JSON boundary unclamped, all
-// modeled GPU work routed through gpu.Device.Launch, no silently dropped
-// errors on stores/sinks/closers — into machine-checked rules instead of
-// reviewer vigilance.
+// output, no non-finite float reaching a JSON boundary unclamped, no raw
+// numbers crossing a typed-unit boundary, no silently dropped errors on
+// stores/sinks/closers — into machine-checked rules instead of reviewer
+// vigilance.
 //
 // The driver is dependency-free: packages are parsed with go/parser and
 // type-checked with go/types against export data produced by `go list
@@ -16,7 +16,8 @@
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported.
+// The reason is mandatory, and the analyzer must be a registered one; a
+// directive that breaks either rule is itself reported.
 package lint
 
 import (
@@ -26,8 +27,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/callgraph"
 )
 
 // Finding is one analyzer diagnostic.
@@ -53,10 +52,7 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Analyzer is one invariant checker. An analyzer is either per-package
-// (Run) or whole-program (RunProgram): per-package analyzers see one
-// package at a time, whole-program analyzers see every in-scope package at
-// once and can follow the call graph across package boundaries.
+// Analyzer is one invariant checker; it sees one package at a time.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -66,23 +62,13 @@ type Analyzer struct {
 	// Scope restricts the analyzer to packages for which it returns true.
 	// A nil Scope means every package.
 	Scope func(pkgPath string) bool
-	// NeedsCallGraph requests the whole-program call graph; Run builds it
-	// once per invocation and shares it across every analyzer that asks.
-	NeedsCallGraph bool
-	// Run is the per-package entry point; nil for whole-program analyzers.
+	// Run checks one in-scope package, reporting through the Pass.
 	Run func(*Pass)
-	// RunProgram is the whole-program entry point, called once with every
-	// in-scope package; nil for per-package analyzers.
-	RunProgram func(*ProgramPass)
 }
 
 // Pass couples an analyzer with one package for a single run.
 type Pass struct {
 	*Package
-	// Graph is the whole-program call graph, non-nil iff the analyzer
-	// declared NeedsCallGraph. It spans every analyzed package, not just
-	// this one.
-	Graph    *callgraph.Graph
 	analyzer *Analyzer
 	findings *[]Finding
 }
@@ -96,35 +82,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ProgramPass couples a whole-program analyzer with every in-scope package
-// for a single run.
-type ProgramPass struct {
-	// Pkgs are the packages the analyzer's Scope admits, in path order.
-	Pkgs []*Package
-	// Fset positions every file of every package.
-	Fset *token.FileSet
-	// Graph is the whole-program call graph (covering all packages, even
-	// out-of-scope ones), non-nil iff the analyzer declared
-	// NeedsCallGraph.
-	Graph    *callgraph.Graph
-	analyzer *Analyzer
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // Analyzers returns every cactuslint analyzer in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoDeterminism, FiniteFlow, LaunchPath, ErrCheckStrict, UnitSafety,
-		MutexGuard, CtxFlow, AtomicSafe, LockOrder, GoLife,
+		NoDeterminism, FiniteFlow, ErrCheckStrict, UnitSafety,
 	}
 }
 
@@ -161,69 +122,23 @@ func modelScope(path string) bool {
 	return false
 }
 
-// gpuPackage reports whether path is the device-model package (the one
-// place allowed to construct launch results and compute occupancy).
-func gpuPackage(path string) bool {
-	return path == "gpu" || strings.HasSuffix(path, "/gpu")
-}
-
 // Run applies the analyzers to the packages, filters suppressed findings,
-// and returns the rest sorted by position. When any requested analyzer
-// declares NeedsCallGraph the whole-program call graph is built exactly
-// once, over every package, and shared.
+// and returns the rest sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var all []Finding
-	graph := sharedGraph(pkgs, analyzers)
-	// Suppressions are collected globally so whole-program findings filter
-	// the same way per-package ones do.
-	supAll := make(map[string]map[int][]directive)
 	for _, pkg := range pkgs {
 		sup, malformed := suppressions(pkg)
 		all = append(all, malformed...)
-		for file, lines := range sup {
-			supAll[file] = lines
-		}
-	}
-	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil || a.Scope != nil && !a.Scope(pkg.Path) {
+			if a.Scope != nil && !a.Scope(pkg.Path) {
 				continue
 			}
 			var fs []Finding
-			pass := &Pass{Package: pkg, analyzer: a, findings: &fs}
-			if a.NeedsCallGraph {
-				pass.Graph = graph
-			}
-			a.Run(pass)
+			a.Run(&Pass{Package: pkg, analyzer: a, findings: &fs})
 			for _, f := range fs {
-				if !suppressed(supAll, f) {
+				if !suppressed(sup, f) {
 					all = append(all, f)
 				}
-			}
-		}
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		var scoped []*Package
-		for _, pkg := range pkgs {
-			if a.Scope == nil || a.Scope(pkg.Path) {
-				scoped = append(scoped, pkg)
-			}
-		}
-		if len(scoped) == 0 {
-			continue
-		}
-		var fs []Finding
-		pass := &ProgramPass{Pkgs: scoped, Fset: scoped[0].Fset, analyzer: a, findings: &fs}
-		if a.NeedsCallGraph {
-			pass.Graph = graph
-		}
-		a.RunProgram(pass)
-		for _, f := range fs {
-			if !suppressed(supAll, f) {
-				all = append(all, f)
 			}
 		}
 	}
@@ -243,26 +158,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return all
 }
 
-// sharedGraph builds the whole-program call graph once per Run when any
-// requested analyzer asks for it, or returns nil.
-func sharedGraph(pkgs []*Package, analyzers []*Analyzer) *callgraph.Graph {
-	needed := false
-	for _, a := range analyzers {
-		if a.NeedsCallGraph {
-			needed = true
-			break
-		}
-	}
-	if !needed || len(pkgs) == 0 {
-		return nil
-	}
-	srcs := make([]callgraph.Source, len(pkgs))
-	for i, p := range pkgs {
-		srcs[i] = callgraph.Source{Path: p.Path, Files: p.Files, Info: p.Info, Pkg: p.Types}
-	}
-	return callgraph.Build(pkgs[0].Fset, srcs)
-}
-
 // ignorePrefix opens a suppression directive.
 const ignorePrefix = "lint:ignore"
 
@@ -273,7 +168,9 @@ type directive struct {
 }
 
 // suppressions collects the //lint:ignore directives of a package, indexed
-// by file and line, and reports malformed ones as findings.
+// by file and line, and reports malformed ones as findings. A directive
+// naming no registered analyzer is malformed too: it could never suppress
+// anything, yet would count toward the suppression budget.
 func suppressions(pkg *Package) (map[string]map[int][]directive, []Finding) {
 	sup := make(map[string]map[int][]directive)
 	var malformed []Finding
@@ -290,6 +187,13 @@ func suppressions(pkg *Package) (map[string]map[int][]directive, []Finding) {
 					malformed = append(malformed, Finding{
 						Pos: pos, Analyzer: "lint",
 						Message: `malformed suppression: want "//lint:ignore <analyzer> <reason>"`,
+					})
+					continue
+				}
+				if ByName(fields[0]) == nil {
+					malformed = append(malformed, Finding{
+						Pos: pos, Analyzer: "lint",
+						Message: fmt.Sprintf("suppression names unknown analyzer %q", fields[0]),
 					})
 					continue
 				}
@@ -319,9 +223,9 @@ func (s Suppression) String() string {
 
 // CollectSuppressions inventories every well-formed //lint:ignore directive
 // of the packages, sorted by file, line, and analyzer. Malformed directives
-// are excluded — Run already reports those as findings. The list is the
-// input to the suppression budget: CI pins its length so the escape hatch
-// cannot widen silently.
+// (no reason, or an unknown analyzer) are excluded — Run already reports
+// those as findings. The list is the input to the suppression budget: CI
+// pins its length so the escape hatch cannot widen silently.
 func CollectSuppressions(pkgs []*Package) []Suppression {
 	var out []Suppression
 	for _, pkg := range pkgs {

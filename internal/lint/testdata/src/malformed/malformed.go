@@ -1,5 +1,7 @@
-// Package malformed holds a reasonless suppression directive: the directive
-// itself is reported and does not suppress the finding below it.
+// Package malformed holds suppression directives that are themselves
+// reported: one without a reason, one naming an analyzer that is not
+// registered. Neither suppresses the finding below it. The third directive
+// names a registered analyzer outside the test's -run subset and is valid.
 package malformed
 
 import "os"
@@ -9,4 +11,14 @@ func drop(f *os.File) {
 	f.Close()
 }
 
-var _ = drop
+func stale(f *os.File) {
+	//lint:ignore golife no analyzer of that name is registered
+	f.Close()
+}
+
+func registered() {
+	//lint:ignore nodeterminism names a registered analyzer, so it is well-formed
+	_ = 0
+}
+
+var _, _, _ = drop, stale, registered

@@ -399,7 +399,7 @@ func (b *Batcher) Flush() {
 // config half (the CacheConfig pair held here) is what lets a shared Device
 // run trace replays concurrently: each launch borrows its own state instead
 // of serializing on one hierarchy behind a mutex.
-// No field here takes a `guarded by` annotation (the mutexguard
+// No field here takes a `guarded by` annotation (the lock-documentation
 // convention): l1/l2 are immutable after construction, and pool is a
 // sync.Pool, which synchronizes internally.
 type ReplayPool struct {

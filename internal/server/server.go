@@ -237,7 +237,7 @@ func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName s
 		}
 		// Detached from the request context: the study belongs to every
 		// current and future asker of this key, not to the first one.
-		//lint:ignore ctxflow the singleflight leader's study outlives its requester: later askers and the LRU inherit it, so a 504'd first caller must not cancel it
+		// The singleflight leader's study outlives its requester: later askers and the LRU inherit it, so a 504'd first caller must not cancel it
 		p, _, err := s.engine.Characterize(context.Background(), cfg, w)
 		if err != nil {
 			return nil, err

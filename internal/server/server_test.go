@@ -134,8 +134,10 @@ func TestHandlerErrorPaths(t *testing.T) {
 
 // TestDeadlineExceeded — a request whose deadline expires gets 504, the
 // deadline counter moves, and the underlying study still completes and
-// lands in the LRU for the next asker.
+// lands in the LRU for the next asker. The leak check proves the detached
+// singleflight leader exits once its study lands.
 func TestDeadlineExceeded(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	s := newTestServer(t, Options{Timeout: time.Nanosecond})
 	rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil)
 	if rr.Code != http.StatusGatewayTimeout {

@@ -47,7 +47,7 @@ func (g *flightGroup) do(key string, fn func() (*core.Profile, error)) (c *fligh
 	g.m[key] = c
 	g.mu.Unlock()
 
-	//lint:ignore golife the leader is deliberately detached from its spawner: do returns immediately and every caller (including this one) joins via <-c.done in the handler, bounded by fn's own context
+	// The leader is deliberately detached from its spawner: do returns immediately and every caller (including this one) joins via <-c.done in the handler, bounded by fn's own context
 	go func() {
 		c.p, c.err = fn()
 		g.mu.Lock()

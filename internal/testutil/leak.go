@@ -1,9 +1,8 @@
 // Package testutil holds test-only runtime harnesses shared across
-// packages. The static analyzers (internal/lint) prove lock and context
-// discipline at the source level; the goroutine-leak checker here is the
-// runtime complement: it proves that lifecycle code — engine shutdown,
-// server drain, singleflight completion — actually returns the goroutines
-// it started.
+// packages. The goroutine-leak checker here proves that lifecycle code —
+// engine shutdown, server drain, singleflight completion, the detached
+// study a 504'd request leaves behind — actually returns the goroutines it
+// started.
 package testutil
 
 import (
