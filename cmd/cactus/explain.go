@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/profiler"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -46,13 +45,9 @@ func explainCmd(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 	if *launches {
 		children := make([]*telemetry.AttributionNode, 0, len(ws))
 		for _, w := range ws {
-			dev, err := gpu.New(cfg)
+			sess, err := core.RunWorkload(w, cfg, nil, nil, 0)
 			if err != nil {
 				return err
-			}
-			sess := profiler.NewSession(dev)
-			if err := w.Run(sess); err != nil {
-				return fmt.Errorf("explain: %s: %w", w.Abbr(), err)
 			}
 			children = append(children, core.AttributeSession(w.Abbr(), sess))
 		}

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -104,16 +107,35 @@ func TestMetricsFlag(t *testing.T) {
 	}
 }
 
-// TestLogFlag — -log json emits one structured completion event per
-// workload on stderr.
+// TestLogFlag — -log json emits exactly one structured completion event
+// per workload on stderr, with the same keys whatever the worker count.
 func TestLogFlag(t *testing.T) {
 	var errOut bytes.Buffer
-	if err := run([]string{"-no-cache", "-log", "json", "run", "pb-sgemm"}, io.Discard, &errOut); err != nil {
+	if err := run([]string{"-no-cache", "-j", "2", "-log", "json", "run", "pb-sgemm", "pb-spmv"}, io.Discard, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errOut.String(), `"msg":"workload characterized"`) ||
-		!strings.Contains(errOut.String(), `"workload":"pb-sgemm"`) {
-		t.Errorf("-log json output missing the completion event:\n%s", errOut.String())
+	wantKeys := []string{"cache", "kernels", "level", "modeled_ms", "msg", "time", "wall_ms", "workload"}
+	events := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(errOut.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("-log json line is not JSON: %q: %v", line, err)
+		}
+		if ev["msg"] != "workload characterized" {
+			continue
+		}
+		keys := make([]string, 0, len(ev))
+		for k := range ev {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, wantKeys) {
+			t.Errorf("completion event keys = %v, want %v", keys, wantKeys)
+		}
+		events[fmt.Sprint(ev["workload"])]++
+	}
+	if want := map[string]int{"pb-sgemm": 1, "pb-spmv": 1}; !reflect.DeepEqual(events, want) {
+		t.Errorf("completion events per workload = %v, want %v:\n%s", events, want, errOut.String())
 	}
 }
 

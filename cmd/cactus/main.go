@@ -103,7 +103,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -196,33 +195,28 @@ func run(args []string, out, errOut io.Writer) error {
 		return usagef("unknown device %q (rtx3080 or gtx1080)", *deviceName)
 	}
 
-	counters := telemetry.NewCounters()
-	registry := telemetry.NewRegistryWith(counters)
-	liveRegistry.Store(registry)
-	opts := core.StudyOptions{Workers: *jobs, Counters: counters, Metrics: registry}
+	var logger *slog.Logger
 	switch *logFormat {
 	case "":
 	case "text":
-		opts.Logger = slog.New(slog.NewTextHandler(errOut, nil))
+		logger = slog.New(slog.NewTextHandler(errOut, nil))
 	case "json":
-		opts.Logger = slog.New(slog.NewJSONHandler(errOut, nil))
+		logger = slog.New(slog.NewJSONHandler(errOut, nil))
 	default:
 		return usagef("unknown -log format %q (text or json)", *logFormat)
+	}
+	counters := telemetry.NewCounters()
+	registry := telemetry.NewRegistryWith(counters)
+	liveRegistry.Store(registry)
+	opts := core.StudyOptions{
+		Workers:  *jobs,
+		Counters: counters,
+		Progress: studyProgress(registry, logger, *verbose, errOut),
 	}
 	var rec *telemetry.Recorder
 	if *traceFile != "" {
 		rec = telemetry.NewRecorder()
 		opts.Tracer = rec
-	}
-	if *verbose {
-		opts.Progress = func(p core.WorkloadProgress) {
-			if p.StoreErr != nil {
-				fmt.Fprintf(errOut, "cactus: %s: cache store failed: %v\n", p.Abbr, p.StoreErr)
-			}
-			fmt.Fprintf(errOut, "cactus: %s: %d kernels, modeled %.3f ms, wall %s, cache %s\n",
-				p.Abbr, p.Kernels, p.ModeledTime.Millis(),
-				p.Wall.Round(time.Millisecond), p.Cache)
-		}
 	}
 	if *pprofAddr != "" {
 		ln, err := net.Listen("tcp", *pprofAddr)
@@ -259,7 +253,7 @@ func run(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	cmdErr := dispatch(rest, cat, cfg, opts, counters, *clusters, out, errOut)
+	cmdErr := dispatch(rest, cat, cfg, opts, registry, *clusters, out, errOut)
 	if *verbose {
 		fmt.Fprintln(errOut, "cactus: counters:")
 		if err := counters.WriteText(errOut); err != nil && cmdErr == nil {
@@ -283,7 +277,7 @@ func run(args []string, out, errOut io.Writer) error {
 
 // dispatch executes one CLI command.
 func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
-	opts core.StudyOptions, counters *telemetry.Counters, clusters int,
+	opts core.StudyOptions, reg *telemetry.Registry, clusters int,
 	out, errOut io.Writer) error {
 	switch rest[0] {
 	case "list":
@@ -326,12 +320,8 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if err != nil {
 			return err
 		}
-		dev, err := gpu.New(cfg)
+		sess, err := core.RunWorkload(w, cfg, nil, nil, 0)
 		if err != nil {
-			return err
-		}
-		sess := profiler.NewSession(dev)
-		if err := w.Run(sess); err != nil {
 			return err
 		}
 		if err := writeToSink(rest, out, func(sink io.Writer) error {
@@ -352,16 +342,9 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if err != nil {
 			return err
 		}
-		dev, err := gpu.New(cfg)
-		if err != nil {
-			return err
-		}
 		rec := telemetry.NewRecorder()
-		dev.SetTelemetry(rec, counters)
-		sess := profiler.NewSessionWith(dev, profiler.SessionOptions{
-			Tracer: rec, Label: w.Abbr(),
-		})
-		if err := w.Run(sess); err != nil {
+		sess, err := core.RunWorkload(w, cfg, rec, reg.Counters(), 0)
+		if err != nil {
 			return err
 		}
 		if err := writeToSink(rest, out, func(sink io.Writer) error {
@@ -507,7 +490,7 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		return benchCmd(rest, cfg, out, errOut)
 
 	case "serve":
-		return serveCmd(rest[1:], opts, errOut)
+		return serveCmd(rest[1:], opts, reg, errOut)
 
 	case "all":
 		st, err := core.NewStudyWith(cfg, opts, cat.All()...)
@@ -551,88 +534,41 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 
 // lintWorkloads runs each workload against an audit device — recording its
 // kernel-spec stream without simulating it — and reports every spec that
-// violates the device's hardware limits, one line per (kernel, rule) with
-// the number of offending launches. Returns an error (nonzero exit) when
-// any violation is found.
+// violates the device's hardware limits (gpu.CheckSpec).
 func lintWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	var launches, violations int
-	for _, w := range ws {
+	return checkWorkloads("lint", "kernel-spec", ws, cfg, out, errOut, func(w workloads.Workload) (int, []issue, error) {
 		dev, err := gpu.NewAudit(cfg)
 		if err != nil {
-			return err
+			return 0, nil, err
 		}
-		sess := profiler.NewSession(dev)
-		if err := w.Run(sess); err != nil {
-			return fmt.Errorf("lint: %s: %w", w.Abbr(), err)
+		if err := w.Run(profiler.NewSession(dev)); err != nil {
+			return 0, nil, fmt.Errorf("lint: %s: %w", w.Abbr(), err)
 		}
 		specs := dev.AuditSpecs()
-		launches += len(specs)
-
-		type key struct{ kernel, rule string }
-		counts := make(map[key]int)
-		details := make(map[key]string)
-		var order []key
+		var issues []issue
 		for _, spec := range specs {
-			for _, issue := range gpu.CheckSpec(cfg, spec) {
-				k := key{spec.Name, issue.Rule}
-				if counts[k] == 0 {
-					order = append(order, k)
-					details[k] = issue.Detail
-				}
-				counts[k]++
+			for _, is := range gpu.CheckSpec(cfg, spec) {
+				issues = append(issues, issue{spec.Name, is.Rule, is.Detail})
 			}
 		}
-		for _, k := range order {
-			fmt.Fprintf(out, "%s/%s: kernel %s: %s: %s (%d launches)\n",
-				w.Suite(), w.Abbr(), k.kernel, k.rule, details[k], counts[k])
-			violations++
-		}
-	}
-	fmt.Fprintf(errOut, "cactus lint: %d workloads, %d launches audited, %d violations\n",
-		len(ws), launches, violations)
-	if violations > 0 {
-		return fmt.Errorf("lint: %d kernel-spec violation(s)", violations)
-	}
-	return nil
+		return len(specs), issues, nil
+	})
 }
 
 // auditWorkloads replays each workload on the real timing model and audits
 // every launch result for metric soundness (gpu.CheckResult), plus the
 // session-level identity that per-kernel times sum to the session total.
-// One line per (kernel, rule) with the number of offending launches; returns
-// an error (nonzero exit) when any violation is found.
 func auditWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	var launches, violations int
-	for _, w := range ws {
-		dev, err := gpu.New(cfg)
+	return checkWorkloads("audit", "metric-soundness", ws, cfg, out, errOut, func(w workloads.Workload) (int, []issue, error) {
+		sess, err := core.RunWorkload(w, cfg, nil, nil, 0)
 		if err != nil {
-			return err
-		}
-		sess := profiler.NewSession(dev)
-		if err := w.Run(sess); err != nil {
-			return fmt.Errorf("audit: %s: %w", w.Abbr(), err)
+			return 0, nil, err
 		}
 		ls := sess.Launches()
-		launches += len(ls)
-
-		type key struct{ kernel, rule string }
-		counts := make(map[key]int)
-		details := make(map[key]string)
-		var order []key
+		var issues []issue
 		for _, l := range ls {
-			for _, issue := range gpu.CheckResult(cfg, l) {
-				k := key{l.Name, issue.Rule}
-				if counts[k] == 0 {
-					order = append(order, k)
-					details[k] = issue.Detail
-				}
-				counts[k]++
+			for _, is := range gpu.CheckResult(cfg, l) {
+				issues = append(issues, issue{l.Name, is.Rule, is.Detail})
 			}
 		}
 		var kernelSum units.Seconds
@@ -641,21 +577,53 @@ func auditWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut i
 		}
 		total := sess.TotalTime().Float()
 		if diff := math.Abs(kernelSum.Float() - total); diff > 1e-9*math.Max(total, 1e-12) {
-			k := key{"(session)", "time-sum"}
-			order = append(order, k)
-			details[k] = fmt.Sprintf("per-kernel times sum to %.9g s, session total is %.9g s", kernelSum.Float(), total)
-			counts[k] = 1
+			issues = append(issues, issue{"(session)", "time-sum",
+				fmt.Sprintf("per-kernel times sum to %.9g s, session total is %.9g s", kernelSum.Float(), total)})
 		}
-		for _, k := range order {
-			fmt.Fprintf(out, "%s/%s: kernel %s: %s: %s (%d launches)\n",
-				w.Suite(), w.Abbr(), k.kernel, k.rule, details[k], counts[k])
-			violations++
-		}
+		return len(ls), issues, nil
+	})
+}
+
+// issue is one rule violation found on one launch.
+type issue struct{ kernel, rule, detail string }
+
+// checkWorkloads runs check over each workload in turn and reports what it
+// found: one line per (kernel, rule), in order of first appearance, with
+// the first detail and the number of offending launches, then a summary on
+// errOut. It returns an error (nonzero exit) when any violation is found;
+// kind names the class of violation.
+func checkWorkloads(cmd, kind string, ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer,
+	check func(workloads.Workload) (launches int, issues []issue, err error)) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	fmt.Fprintf(errOut, "cactus audit: %d workloads, %d launches audited, %d violations\n",
-		len(ws), launches, violations)
+	type key struct{ kernel, rule string }
+	var launches, violations int
+	for _, w := range ws {
+		n, issues, err := check(w)
+		if err != nil {
+			return err
+		}
+		launches += n
+		counts := make(map[key]int)
+		var first []issue
+		for _, is := range issues {
+			k := key{is.kernel, is.rule}
+			if counts[k] == 0 {
+				first = append(first, is)
+			}
+			counts[k]++
+		}
+		for _, is := range first {
+			fmt.Fprintf(out, "%s/%s: kernel %s: %s: %s (%d launches)\n",
+				w.Suite(), w.Abbr(), is.kernel, is.rule, is.detail, counts[key{is.kernel, is.rule}])
+		}
+		violations += len(first)
+	}
+	fmt.Fprintf(errOut, "cactus %s: %d workloads, %d launches audited, %d violations\n",
+		cmd, len(ws), launches, violations)
 	if violations > 0 {
-		return fmt.Errorf("audit: %d metric-soundness violation(s)", violations)
+		return fmt.Errorf("%s: %d %s violation(s)", cmd, violations, kind)
 	}
 	return nil
 }

@@ -10,7 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gpu"
+	"repro/internal/isa"
+	"repro/internal/profiler"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 func TestRunArgValidation(t *testing.T) {
@@ -332,5 +336,52 @@ func TestTraceFlagOnStudy(t *testing.T) {
 func TestNoCacheFlag(t *testing.T) {
 	if err := run([]string{"-no-cache", "figure", "1"}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// badSpecs launches kernels that break the device's spec limits: two
+// launches of a block size that is not a warp multiple, then one block
+// larger than any SM holds.
+type badSpecs struct{}
+
+func (badSpecs) Name() string             { return "bad-specs" }
+func (badSpecs) Abbr() string             { return "BAD" }
+func (badSpecs) Suite() workloads.Suite   { return workloads.Cactus }
+func (badSpecs) Domain() workloads.Domain { return workloads.Scientific }
+
+func (badSpecs) Run(s *profiler.Session) error {
+	var mix isa.Mix
+	mix.Add(isa.FP32, 1<<10)
+	for _, spec := range []gpu.KernelSpec{
+		{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix},
+		{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix},
+		{Name: "huge", Grid: gpu.D1(8), Block: gpu.D1(2048), Mix: mix},
+	} {
+		if _, err := s.Launch(spec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestLintReportsViolations — one line per (kernel, rule) in order of
+// first appearance, with its first detail and offending-launch count, then
+// the summary, and an error for the nonzero exit.
+func TestLintReportsViolations(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := lintWorkloads([]workloads.Workload{badSpecs{}}, gpu.RTX3080(), &out, &errOut)
+	if err == nil || err.Error() != "lint: 4 kernel-spec violation(s)" {
+		t.Errorf("err = %v, want the 4-violation lint error", err)
+	}
+	want := `cactus/BAD: kernel ragged: block-warp: block size 100 is not a multiple of WarpSize 32; the trailing partial warp wastes 28 lanes per block (2 launches)
+cactus/BAD: kernel huge: validate: gpu: kernel huge: block size 2048 exceeds 1024 (1 launches)
+cactus/BAD: kernel huge: block-limit: block size 2048 exceeds the device limit of 1024 threads per block (1 launches)
+cactus/BAD: kernel huge: occupancy: zero theoretical occupancy: warps demand means not even one block fits on an SM (1 launches)
+`
+	if out.String() != want {
+		t.Errorf("lint report:\n%s\nwant:\n%s", out.String(), want)
+	}
+	if got, want := errOut.String(), "cactus lint: 1 workloads, 3 launches audited, 4 violations\n"; got != want {
+		t.Errorf("summary = %q, want %q", got, want)
 	}
 }

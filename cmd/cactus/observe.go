@@ -1,12 +1,52 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
+
+// studyProgress is the CLI's per-workload subscriber: it observes the
+// workload in reg's histograms (-metrics, /metrics), then emits the -log
+// events when logger is non-nil and the -v line when verbose, all on
+// errOut. It is called from every study worker, so the writes to errOut
+// hold a lock: the -v lines and the logger's records share that writer.
+func studyProgress(reg *telemetry.Registry, logger *slog.Logger, verbose bool, errOut io.Writer) func(core.WorkloadProgress) {
+	observe := core.ObserveMetrics(reg)
+	var mu sync.Mutex
+	return func(p core.WorkloadProgress) {
+		observe(p)
+		mu.Lock()
+		defer mu.Unlock()
+		abbr := p.Profile.Abbr()
+		if logger != nil {
+			if p.StoreErr != nil {
+				logger.Warn("profile cache store failed", "workload", abbr, "error", p.StoreErr.Error())
+			}
+			logger.Info("workload characterized",
+				"workload", abbr,
+				"kernels", len(p.Profile.Kernels),
+				"modeled_ms", p.Profile.TotalTime.Millis(),
+				"wall_ms", float64(p.Wall.Nanoseconds())/1e6,
+				"cache", p.Cache.String())
+		}
+		if verbose {
+			if p.StoreErr != nil {
+				fmt.Fprintf(errOut, "cactus: %s: cache store failed: %v\n", abbr, p.StoreErr)
+			}
+			fmt.Fprintf(errOut, "cactus: %s: %d kernels, modeled %.3f ms, wall %s, cache %s\n",
+				abbr, len(p.Profile.Kernels), p.Profile.TotalTime.Millis(),
+				p.Wall.Round(time.Millisecond), p.Cache)
+		}
+	}
+}
 
 // Live observability state behind the -pprof listener. The handlers render
 // whatever registry and attribution tree the current command most recently

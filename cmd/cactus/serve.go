@@ -14,13 +14,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // serveCmd runs `cactus serve`: the characterization pipeline as a
-// long-running HTTP service. It honors the global -j, -cache/-no-cache,
-// -metrics, and -pprof flags through opts — the server's counters and
-// histograms land in the same registry those flags snapshot.
-func serveCmd(args []string, opts core.StudyOptions, errOut io.Writer) error {
+// long-running HTTP service. It honors the global -j and -cache/-no-cache
+// flags through opts, and the -metrics and -pprof flags through reg — the
+// server's counters and histograms land in the registry those flags
+// snapshot (nil builds a fresh one).
+func serveCmd(args []string, opts core.StudyOptions, reg *telemetry.Registry, errOut io.Writer) error {
 	fs := flag.NewFlagSet("cactus serve", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
@@ -40,7 +42,7 @@ func serveCmd(args []string, opts core.StudyOptions, errOut io.Writer) error {
 		LRUEntries:  *lruEntries,
 		MaxInFlight: *maxInflight,
 		Timeout:     *timeout,
-		Registry:    opts.Metrics,
+		Registry:    reg,
 	})
 	if err != nil {
 		return err

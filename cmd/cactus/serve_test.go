@@ -95,7 +95,7 @@ func TestServeCommandEndToEnd(t *testing.T) {
 	var errOut lockedBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- serveCmd([]string{"-addr", "127.0.0.1:0"}, core.StudyOptions{Workers: 2}, &errOut)
+		done <- serveCmd([]string{"-addr", "127.0.0.1:0"}, core.StudyOptions{Workers: 2}, nil, &errOut)
 	}()
 
 	// The listening line carries the resolved ephemeral address.

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"time"
 
@@ -125,31 +124,36 @@ func (p *Profile) KernelPoints() []roofline.Point {
 
 // Characterize runs one workload on a fresh device and derives its profile.
 func Characterize(w workloads.Workload, cfg gpu.DeviceConfig) (*Profile, error) {
-	return characterize(w, cfg, telemetry.Nop, nil, 0)
+	return characterize(w, cfg, nil, nil, 0)
 }
 
-// characterize is Characterize with telemetry attached to the device and
-// session: the session lays the workload's launches on modeled-track lane
-// `lane`, and the device counts launches and warp instructions.
-func characterize(w workloads.Workload, cfg gpu.DeviceConfig, tr telemetry.Tracer, ctr *telemetry.Counters, lane int) (*Profile, error) {
+// RunWorkload is the one path every characterization takes: it builds a
+// fresh device for cfg, attaches tr and ctr to it (host-track launch spans,
+// launch and warp-instruction counters), opens a profiling session labelled
+// with the workload on modeled-track lane `lane`, and runs the workload.
+// Both sinks are optional. The returned session holds every launch result.
+// A device is never shared between calls, so concurrent calls race on
+// nothing but the sinks, which are safe for concurrent use.
+func RunWorkload(w workloads.Workload, cfg gpu.DeviceConfig, tr telemetry.Tracer, ctr *telemetry.Counters, lane int) (*profiler.Session, error) {
 	dev, err := gpu.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	dev.SetTelemetry(tr, ctr)
-	return characterizeOn(dev, w, tr, lane)
-}
-
-// characterizeOn runs one workload on an existing device — fresh or pooled
-// — through a fresh profiling session. Devices are safe for concurrent
-// launches, so a pooled device may characterize many workloads at once;
-// only the session (which accumulates this run's launches) is per-call.
-func characterizeOn(dev *gpu.Device, w workloads.Workload, tr telemetry.Tracer, lane int) (*Profile, error) {
 	sess := profiler.NewSessionWith(dev, profiler.SessionOptions{
 		Tracer: tr, Label: w.Abbr(), Lane: lane,
 	})
 	if err := w.Run(sess); err != nil {
 		return nil, fmt.Errorf("core: running %s: %w", w.Abbr(), err)
+	}
+	return sess, nil
+}
+
+// characterize is Characterize with telemetry attached (see RunWorkload).
+func characterize(w workloads.Workload, cfg gpu.DeviceConfig, tr telemetry.Tracer, ctr *telemetry.Counters, lane int) (*Profile, error) {
+	sess, err := RunWorkload(w, cfg, tr, ctr, lane)
+	if err != nil {
+		return nil, err
 	}
 	return profileFromSession(w, sess)
 }
@@ -194,11 +198,11 @@ type Study struct {
 // The zero value means: one worker per CPU, no profile cache, telemetry off.
 type StudyOptions struct {
 	// Workers is the number of goroutines characterizing workloads
-	// concurrently. Zero or negative selects runtime.NumCPU(). Each worker
-	// builds its own gpu.Device and profiler.Session, so no simulator state
-	// is shared across goroutines, and Study.Profiles is assembled in the
-	// caller's workload order — the resulting figures and tables are
-	// byte-identical to a serial run.
+	// concurrently. Zero or negative selects runtime.NumCPU(). Each
+	// characterization builds its own gpu.Device and profiler.Session, so
+	// no simulator state is shared across goroutines, and Study.Profiles is
+	// assembled in the caller's workload order — the resulting figures and
+	// tables are byte-identical whatever the worker count.
 	Workers int
 	// Cache, when non-nil, is consulted before simulating a workload and
 	// updated after each miss, so repeated studies skip re-simulation.
@@ -215,31 +219,19 @@ type StudyOptions struct {
 	// warp instructions, cache hits/misses/corruption/store errors, busy
 	// workers, and per-workload modeled vs wall time.
 	Counters *telemetry.Counters
-	// Metrics, when non-nil, receives histogram observations as workloads
-	// complete: per-workload modeled and wall seconds, and per-kernel L1/L2
-	// hit rates. When Metrics wraps the same Counters registry
-	// (telemetry.NewRegistryWith), one snapshot covers both. Must be safe
-	// for concurrent use (observed from every worker goroutine).
-	Metrics *telemetry.Registry
-	// Logger, when non-nil, receives structured per-workload completion
-	// events (and cache store-error warnings). Must be safe for concurrent
-	// use; slog handlers are.
-	Logger *slog.Logger
 	// Progress, when non-nil, is invoked once per workload — from the
 	// goroutine that characterized it, in completion order — after its
-	// profile is ready. Must be safe for concurrent use when Workers > 1.
+	// profile is ready. It is the subscriber seam for everything beyond
+	// traces and counters: the CLI's -v lines and slog events, and metrics
+	// histograms (ObserveMetrics). Must be safe for concurrent use when
+	// Workers > 1.
 	Progress func(WorkloadProgress)
 }
 
-// WorkloadProgress reports one characterized workload to
-// StudyOptions.Progress (the CLI's -v output).
+// WorkloadProgress reports one characterized workload to a Progress hook.
 type WorkloadProgress struct {
-	// Abbr is the workload abbreviation.
-	Abbr string
-	// Kernels is the number of distinct kernels in the profile.
-	Kernels int
-	// ModeledTime is the workload's modeled GPU time.
-	ModeledTime units.Seconds
+	// Profile is the workload's characterization.
+	Profile *Profile
 	// Wall is the host wall time spent producing the profile (simulation
 	// or cache load, including the cache probe and store).
 	Wall time.Duration
@@ -250,6 +242,24 @@ type WorkloadProgress struct {
 	// Store failures do not fail the study; they are reported here and
 	// counted under telemetry.CtrCacheStoreErrors.
 	StoreErr error
+}
+
+// ObserveMetrics returns a Progress hook that records each characterized
+// workload in reg's histograms: its modeled and wall seconds, and every
+// kernel's L1 and L2 hit rate. The histograms come into being on the first
+// observation, so a run that characterizes nothing exports none. The hook
+// is safe for concurrent use.
+func ObserveMetrics(reg *telemetry.Registry) func(WorkloadProgress) {
+	return func(p WorkloadProgress) {
+		reg.Histogram(telemetry.HistWorkloadModeledSeconds).Observe(p.Profile.TotalTime.Float())
+		reg.Histogram(telemetry.HistWorkloadWallSeconds).Observe(p.Wall.Seconds())
+		l1 := reg.Histogram(telemetry.HistKernelL1HitRate)
+		l2 := reg.Histogram(telemetry.HistKernelL2HitRate)
+		for _, k := range p.Profile.Kernels {
+			l1.Observe(k.Metrics.Get(profiler.L1HitRate))
+			l2.Observe(k.Metrics.Get(profiler.L2HitRate))
+		}
+	}
 }
 
 // NewStudy characterizes all the given workloads on cfg, serially and
@@ -268,13 +278,7 @@ func NewStudy(cfg gpu.DeviceConfig, ws ...workloads.Workload) (*Study, error) {
 // engine down. Long-running callers (the HTTP server) construct one Engine
 // and share it across requests instead.
 func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workload) (*Study, error) {
-	e := NewEngine(EngineOptions{
-		Workers:  opts.Workers,
-		Cache:    opts.Cache,
-		Counters: opts.Counters,
-		Metrics:  opts.Metrics,
-		Logger:   opts.Logger,
-	})
+	e := NewEngine(EngineOptions{Workers: opts.Workers})
 	// One-shot CLI entry point with no inbound context; the deferred shutdown must run even after a study error
 	defer func() { _ = e.Shutdown(context.Background()) }()
 	// One-shot CLI entry point with no inbound context; cancellation belongs to the process signal handler
@@ -284,15 +288,13 @@ func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workl
 // characterizeCached is one workload's characterization behind the optional
 // profile cache, instrumented end to end: the cache probe outcome becomes a
 // host-track instant and a hit/miss/corrupt counter, the whole task becomes
-// a host-track span on the worker's lane, and the workload's modeled vs
-// wall time land in per-workload counters. `lane` is the workload's
-// modeled-track lane (its index in the study); `worker` is the host-track
-// lane of the goroutine doing the work. When dev is non-nil the simulation
-// runs on that (pooled) device instead of building a fresh one — the
-// engine's device reuse path; telemetry must already be attached to it.
-// The cache-probe outcome is returned alongside the profile (CacheDisabled
+// a host-track span on the worker's lane, the workload's modeled vs wall
+// time land in per-workload counters, and Progress hears of the result.
+// `lane` is the workload's modeled-track lane (its index in the study);
+// `worker` is the host-track lane of the goroutine doing the work. The
+// cache-probe outcome is returned alongside the profile (CacheDisabled
 // when opts carries no cache).
-func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int, dev *gpu.Device) (*Profile, CacheOutcome, error) {
+func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int) (*Profile, CacheOutcome, error) {
 	tr := telemetry.Or(opts.Tracer)
 	//lint:ignore nodeterminism wall time is telemetry about the pipeline, not model output
 	wallStart := time.Now()
@@ -325,22 +327,13 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 	var storeErr error
 	if p == nil {
 		var err error
-		if dev != nil {
-			p, err = characterizeOn(dev, w, tr, lane)
-		} else {
-			p, err = characterize(w, cfg, tr, opts.Counters, lane)
-		}
-		if err != nil {
+		if p, err = characterize(w, cfg, tr, opts.Counters, lane); err != nil {
 			return nil, outcome, err
 		}
 		if opts.Cache != nil {
 			if storeErr = opts.Cache.Store(p, cfg); storeErr != nil {
 				storeErr = fmt.Errorf("core: caching %s: %w", w.Abbr(), storeErr)
 				opts.Counters.Add(telemetry.CtrCacheStoreErrors, 1)
-				if opts.Logger != nil {
-					opts.Logger.Warn("profile cache store failed",
-						"workload", w.Abbr(), "error", storeErr.Error())
-				}
 				if tr.Enabled() {
 					tr.Emit(telemetry.Event{
 						Track: telemetry.TrackHost, Phase: telemetry.PhaseInstant,
@@ -360,24 +353,6 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 	opts.Counters.Add(telemetry.CtrWorkloads, 1)
 	opts.Counters.Add(telemetry.WorkloadModeledNs(w.Abbr()), int64(p.TotalTime.Nanos()))
 	opts.Counters.Add(telemetry.WorkloadWallNs(w.Abbr()), wall.Nanoseconds())
-	if m := opts.Metrics; m != nil {
-		m.Histogram(telemetry.HistWorkloadModeledSeconds).Observe(p.TotalTime.Float())
-		m.Histogram(telemetry.HistWorkloadWallSeconds).Observe(wall.Seconds())
-		l1 := m.Histogram(telemetry.HistKernelL1HitRate)
-		l2 := m.Histogram(telemetry.HistKernelL2HitRate)
-		for _, k := range p.Kernels {
-			l1.Observe(k.Metrics.Get(profiler.L1HitRate))
-			l2.Observe(k.Metrics.Get(profiler.L2HitRate))
-		}
-	}
-	if opts.Logger != nil {
-		opts.Logger.Info("workload characterized",
-			"workload", w.Abbr(),
-			"kernels", len(p.Kernels),
-			"modeled_ms", p.TotalTime.Millis(),
-			"wall_ms", float64(wall.Nanoseconds())/1e6,
-			"cache", outcome.String())
-	}
 	if tr.Enabled() {
 		tr.Emit(telemetry.Event{
 			Track: telemetry.TrackHost, Phase: telemetry.PhaseSpan,
@@ -391,14 +366,7 @@ func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOp
 		})
 	}
 	if opts.Progress != nil {
-		opts.Progress(WorkloadProgress{
-			Abbr:        w.Abbr(),
-			Kernels:     len(p.Kernels),
-			ModeledTime: p.TotalTime,
-			Wall:        wall,
-			Cache:       outcome,
-			StoreErr:    storeErr,
-		})
+		opts.Progress(WorkloadProgress{Profile: p, Wall: wall, Cache: outcome, StoreErr: storeErr})
 	}
 	return p, outcome, nil
 }

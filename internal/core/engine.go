@@ -2,19 +2,17 @@
 // NewStudyWith run one batch and exit — fine for the CLI, useless for a
 // long-running server that must answer thousands of overlapping study
 // requests. Engine gives the pipeline an explicit lifecycle (constructor,
-// Shutdown with drain), a global bounded worker pool shared by every
-// concurrent caller, and a per-device simulator pool so trace-replay state
-// (memsim hierarchies warmed by earlier launches) is reused across requests
-// instead of being rebuilt per call. Results are byte-identical to the
-// one-shot path: devices are deterministic and safe for concurrent
-// launches, and profiles are assembled in the caller's workload order.
+// Shutdown with drain) and a global bounded worker pool shared by every
+// concurrent caller. Every characterization runs on a fresh device
+// (RunWorkload), so results are byte-identical to the one-shot path:
+// devices are deterministic, and profiles are assembled in the caller's
+// workload order.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
 
@@ -36,12 +34,11 @@ type EngineOptions struct {
 	// Cache, when non-nil, is the on-disk profile cache consulted before
 	// simulating and updated after each miss.
 	Cache *ProfileCache
-	// Counters, Metrics, and Logger are the engine's default telemetry
-	// sinks, attached to pooled devices and to Characterize calls. All are
-	// optional and must be safe for concurrent use (they are).
+	// Counters and Progress are the telemetry sinks of Characterize and
+	// Study calls, as in StudyOptions. Both are optional and must be safe
+	// for concurrent use.
 	Counters *telemetry.Counters
-	Metrics  *telemetry.Registry
-	Logger   *slog.Logger
+	Progress func(WorkloadProgress)
 }
 
 // Engine is a long-lived, concurrency-safe study pipeline. Construct with
@@ -54,9 +51,8 @@ type Engine struct {
 	// while probing the cache and simulating.
 	slots chan struct{}
 
-	mu      sync.Mutex
-	devices map[string]*gpu.Device // guarded by mu; pooled simulators by Fingerprint(cfg)
-	closed  bool                   // guarded by mu
+	mu     sync.Mutex
+	closed bool // guarded by mu
 
 	wg sync.WaitGroup // in-flight Study/Characterize calls (drained by Shutdown)
 }
@@ -69,11 +65,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		workers = runtime.NumCPU()
 	}
 	opts.Workers = workers
-	return &Engine{
-		opts:    opts,
-		slots:   make(chan struct{}, workers),
-		devices: make(map[string]*gpu.Device),
-	}
+	return &Engine{opts: opts, slots: make(chan struct{}, workers)}
 }
 
 // Workers returns the engine-wide concurrent-characterization cap.
@@ -102,51 +94,18 @@ func (e *Engine) acquire(ctx context.Context) error {
 
 func (e *Engine) release() { <-e.slots }
 
-// device returns the pooled simulator for cfg, building and validating it
-// on first use. Pooled devices carry the engine's counters and a no-op
-// tracer; gpu.Device.Launch is safe for concurrent use, so one device
-// serves every concurrent characterization of its configuration, and its
-// replay pool's warmed cache-hierarchy states are reused across requests.
-func (e *Engine) device(cfg gpu.DeviceConfig) (*gpu.Device, error) {
-	fp := Fingerprint(cfg)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if dev, ok := e.devices[fp]; ok {
-		return dev, nil
-	}
-	dev, err := gpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dev.SetTelemetry(telemetry.Nop, e.opts.Counters)
-	e.devices[fp] = dev
-	return dev, nil
-}
-
-// pooledFor reports the pooled device to use for a study with the given
-// options, or nil when the study must build fresh devices: a per-study
-// tracer or a foreign counters registry cannot be attached to a shared
-// device without racing other studies that are using it concurrently.
-func (e *Engine) pooledFor(cfg gpu.DeviceConfig, opts StudyOptions) (*gpu.Device, error) {
-	if opts.Tracer != nil || opts.Counters != e.opts.Counters {
-		return nil, nil
-	}
-	return e.device(cfg)
-}
-
 // studyOptions are the engine defaults as one-shot study options.
 func (e *Engine) studyOptions() StudyOptions {
 	return StudyOptions{
 		Workers:  e.opts.Workers,
 		Cache:    e.opts.Cache,
 		Counters: e.opts.Counters,
-		Metrics:  e.opts.Metrics,
-		Logger:   e.opts.Logger,
+		Progress: e.opts.Progress,
 	}
 }
 
 // Characterize produces one workload's profile on cfg using the engine's
-// cache, telemetry, and pooled device, waiting for a worker slot first. It
+// cache and telemetry on a fresh device, waiting for a worker slot first. It
 // reports how the profile was obtained (cache hit, miss, corrupt entry, or
 // CacheDisabled when the engine has no cache). The context gates slot
 // acquisition and is checked before simulating; a simulation once started
@@ -163,11 +122,7 @@ func (e *Engine) Characterize(ctx context.Context, cfg gpu.DeviceConfig, w workl
 	if err := ctx.Err(); err != nil {
 		return nil, CacheDisabled, err
 	}
-	dev, err := e.device(cfg)
-	if err != nil {
-		return nil, CacheDisabled, err
-	}
-	p, outcome, err := characterizeCached(w, cfg, e.studyOptions(), 0, 0, dev)
+	p, outcome, err := characterizeCached(w, cfg, e.studyOptions(), 0, 0)
 	if err != nil {
 		return nil, CacheDisabled, err
 	}
@@ -187,8 +142,7 @@ func (e *Engine) Study(ctx context.Context, cfg gpu.DeviceConfig, ws ...workload
 // order, and the output is byte-identical to a serial run. The engine
 // contributes its global worker slots — opts.Workers study-local workers
 // still fan out, but every characterization holds an engine slot while it
-// runs, so concurrent studies share one bounded pool — and its pooled
-// device when opts carries no tracer and no foreign counters.
+// runs, so concurrent studies share one bounded pool.
 //
 // The context gates slot acquisition and stops the feed between workloads;
 // characterizations already started run to completion before StudyWith
@@ -205,24 +159,8 @@ func (e *Engine) StudyWith(ctx context.Context, cfg gpu.DeviceConfig, opts Study
 	if workers > len(ws) {
 		workers = len(ws)
 	}
-	dev, err := e.pooledFor(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
 	profiles := make([]*Profile, len(ws))
-	if workers <= 1 {
-		for i, w := range ws {
-			if err := e.acquire(ctx); err != nil {
-				return nil, err
-			}
-			p, _, err := characterizeCached(w, cfg, opts, i, 0, dev)
-			e.release()
-			if err != nil {
-				return nil, err
-			}
-			profiles[i] = p
-		}
-	} else if err := e.characterizeAll(ctx, profiles, ws, cfg, opts, workers, dev); err != nil {
+	if err := e.characterizeAll(ctx, profiles, ws, cfg, opts, workers); err != nil {
 		return nil, err
 	}
 	st := &Study{Device: cfg, byAbbr: make(map[string]*Profile, len(ws))}
@@ -241,13 +179,19 @@ func (e *Engine) StudyWith(ctx context.Context, cfg gpu.DeviceConfig, opts Study
 // record, and CtrWorkersBusy gauges its occupancy. Every task additionally
 // holds one engine-wide slot, so concurrent studies on one engine share
 // the global Workers bound.
-func (e *Engine) characterizeAll(ctx context.Context, profiles []*Profile, ws []workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, workers int, dev *gpu.Device) error {
+func (e *Engine) characterizeAll(ctx context.Context, profiles []*Profile, ws []workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, workers int) error {
 	var (
 		wg       sync.WaitGroup
 		once     sync.Once
 		firstErr error
 	)
 	tr := telemetry.Or(opts.Tracer)
+	// A one-worker pool has no occupancy to gauge; leaving the gauge
+	// untouched keeps its counter dumps free of a constant zero.
+	busy := opts.Counters
+	if workers == 1 {
+		busy = nil
+	}
 	idx := make(chan int)
 	fail := make(chan struct{})
 	for n := 0; n < workers; n++ {
@@ -263,9 +207,9 @@ func (e *Engine) characterizeAll(ctx context.Context, profiles []*Profile, ws []
 					once.Do(func() { firstErr = err; close(fail) })
 					continue
 				}
-				opts.Counters.Add(telemetry.CtrWorkersBusy, 1)
-				p, _, err := characterizeCached(ws[i], cfg, opts, i, worker, dev)
-				opts.Counters.Add(telemetry.CtrWorkersBusy, -1)
+				busy.Add(telemetry.CtrWorkersBusy, 1)
+				p, _, err := characterizeCached(ws[i], cfg, opts, i, worker)
+				busy.Add(telemetry.CtrWorkersBusy, -1)
 				e.release()
 				if err != nil {
 					once.Do(func() { firstErr = err; close(fail) })

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/telemetry"
 	"repro/internal/testutil"
 	"repro/internal/workloads"
 )
@@ -99,9 +100,8 @@ func TestEngineContextCancellation(t *testing.T) {
 }
 
 // TestEngineConcurrentStudiesDeterministic — many overlapping studies and
-// characterizations on both devices, sharing pooled simulators and one
-// global slot pool, must each produce output byte-identical to the
-// one-shot serial pipeline.
+// characterizations on both device models, sharing one global slot pool,
+// must each produce output byte-identical to the one-shot serial pipeline.
 func TestEngineConcurrentStudiesDeterministic(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	ws := []workloads.Workload{
@@ -202,5 +202,35 @@ func TestEngineShutdownDrains(t *testing.T) {
 		if err := <-results; err != nil && !errors.Is(err, ErrEngineClosed) {
 			t.Errorf("call %d: %v", i, err)
 		}
+	}
+}
+
+// TestEngineStudyCountersAreTheStudys — a study that brings its own
+// counters gets every launch and warp instruction it caused, and the
+// engine's own counters get none of them.
+func TestEngineStudyCountersAreTheStudys(t *testing.T) {
+	engineCtr, studyCtr := telemetry.NewCounters(), telemetry.NewCounters()
+	e := NewEngine(EngineOptions{Workers: 2, Counters: engineCtr})
+	defer func() { _ = e.Shutdown(context.Background()) }()
+	ws := cheapSet(4)
+	st, err := e.StudyWith(context.Background(), gpu.RTX3080(), StudyOptions{Workers: 2, Counters: studyCtr}, ws...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantLaunches, wantInsts int64
+	for _, w := range ws {
+		wantLaunches += int64(w.(tinyWorkload).launches)
+	}
+	for _, p := range st.Profiles {
+		wantInsts += int64(p.TotalWarpInsts)
+	}
+	if got := studyCtr.Get(telemetry.CtrLaunches); got != wantLaunches {
+		t.Errorf("study counters: %d launches, want %d", got, wantLaunches)
+	}
+	if got := studyCtr.Get(telemetry.CtrWarpInstructions); got != wantInsts {
+		t.Errorf("study counters: %d warp instructions, want %d", got, wantInsts)
+	}
+	if snap := engineCtr.Snapshot(); len(snap) != 0 {
+		t.Errorf("engine counters touched by a study with its own: %+v", snap)
 	}
 }

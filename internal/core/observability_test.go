@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"log/slog"
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/gpu"
@@ -61,7 +58,7 @@ func TestParallelObservabilityMatchesSerial(t *testing.T) {
 		st, err := NewStudyWith(cfg, StudyOptions{
 			Workers:  workers,
 			Counters: reg.Counters(),
-			Metrics:  reg,
+			Progress: ObserveMetrics(reg),
 		}, ws...)
 		if err != nil {
 			t.Fatal(err)
@@ -92,13 +89,13 @@ func TestParallelObservabilityMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStudyMetricsObservation — a study with a registry attached observes
-// one modeled-seconds and one wall-seconds sample per workload and one
-// L1/L2 sample per kernel profile.
+// TestStudyMetricsObservation — a study whose Progress is ObserveMetrics
+// observes one modeled-seconds and one wall-seconds sample per workload
+// and one L1/L2 sample per kernel profile.
 func TestStudyMetricsObservation(t *testing.T) {
 	ws := cheapSet(5)
 	reg := telemetry.NewRegistry()
-	st, err := NewStudyWith(gpu.RTX3080(), StudyOptions{Workers: 2, Metrics: reg}, ws...)
+	st, err := NewStudyWith(gpu.RTX3080(), StudyOptions{Workers: 2, Progress: ObserveMetrics(reg)}, ws...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,40 +122,4 @@ func TestStudyMetricsObservation(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", name, h.Count, want)
 		}
 	}
-}
-
-// TestStudyLoggerEvents — a slog logger on StudyOptions receives one
-// structured completion event per workload, concurrently safe (the JSON
-// handler serializes), and silence when absent.
-func TestStudyLoggerEvents(t *testing.T) {
-	ws := cheapSet(4)
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	logger := slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
-	if _, err := NewStudyWith(gpu.RTX3080(), StudyOptions{Workers: 2, Logger: logger}, ws...); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if got := strings.Count(out, "workload characterized"); got != len(ws) {
-		t.Errorf("logger saw %d completion events, want %d:\n%s", got, len(ws), out)
-	}
-	for _, w := range ws {
-		if !strings.Contains(out, `"workload":"`+w.Abbr()+`"`) {
-			t.Errorf("no log event for %s:\n%s", w.Abbr(), out)
-		}
-	}
-}
-
-// lockedWriter serializes writes from concurrent slog handlers in tests.
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (l lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }

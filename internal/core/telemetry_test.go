@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -127,7 +128,7 @@ func TestStudyProgressAttribution(t *testing.T) {
 		got := map[string]WorkloadProgress{}
 		opts.Progress = func(p WorkloadProgress) {
 			mu.Lock()
-			got[p.Abbr] = p
+			got[p.Profile.Abbr()] = p
 			mu.Unlock()
 		}
 		if _, err := NewStudyWith(cfg, opts, ws...); err != nil {
@@ -156,7 +157,7 @@ func TestStudyProgressAttribution(t *testing.T) {
 			if p.Cache != run.want {
 				t.Errorf("%s: %s cache outcome %v, want %v", run.name, w.Abbr(), p.Cache, run.want)
 			}
-			if p.Kernels <= 0 || p.ModeledTime <= 0 {
+			if len(p.Profile.Kernels) <= 0 || p.Profile.TotalTime <= 0 {
 				t.Errorf("%s: %s progress incomplete: %+v", run.name, w.Abbr(), p)
 			}
 			if p.StoreErr != nil {
@@ -197,7 +198,7 @@ func TestCorruptCacheEntriesAreCountedNotSwallowed(t *testing.T) {
 		Workers: 2, Cache: cache, Counters: ctr,
 		Progress: func(p WorkloadProgress) {
 			mu.Lock()
-			outcomes[p.Abbr] = p.Cache
+			outcomes[p.Profile.Abbr()] = p.Cache
 			mu.Unlock()
 		},
 	}, ws...)
@@ -267,12 +268,12 @@ func TestCacheStoreFailureDoesNotFailStudy(t *testing.T) {
 	}
 }
 
-// TestStudyTraceEvents — a traced parallel study must record one modeled
-// kernel span per launch on the right lane, worker thread names, cache
-// probe instants, and characterize spans; and the modeled track must
-// serialize byte-identically between a serial and a parallel run (the
-// determinism contract extended to telemetry). Run under -race this also
-// exercises concurrent sink writes from pooled workers.
+// TestStudyTraceEvents — a traced study must record one modeled kernel
+// span per launch on the right lane, one host-track thread name per
+// worker, cache probe instants, and characterize spans; and the modeled
+// track must serialize byte-identically between a 1-worker and a 4-worker
+// run (the determinism contract extended to telemetry). Run under -race
+// this also exercises concurrent sink writes from the workers.
 func TestStudyTraceEvents(t *testing.T) {
 	cfg := gpu.RTX3080()
 	ws := cheapSet(6)
@@ -291,6 +292,21 @@ func TestStudyTraceEvents(t *testing.T) {
 		var buf bytes.Buffer
 		if err := telemetry.WriteChrome(&buf, rec.Events(), telemetry.TrackModeled); err != nil {
 			t.Fatal(err)
+		}
+		// One host-track lane name per worker, whatever the worker count.
+		names := map[int][]string{}
+		for _, ev := range rec.Events() {
+			if ev.Track == telemetry.TrackHost && ev.Phase == telemetry.PhaseMeta {
+				names[ev.TID] = append(names[ev.TID], fmt.Sprint(ev.Args["name"]))
+			}
+		}
+		if len(names) != workers {
+			t.Errorf("%d workers: host-track thread names on %d lanes, want %d: %v", workers, len(names), workers, names)
+		}
+		for worker := 0; worker < workers; worker++ {
+			if want := []string{fmt.Sprintf("worker %d", worker)}; !reflect.DeepEqual(names[worker], want) {
+				t.Errorf("%d workers: lane %d thread names %q, want %q", workers, worker, names[worker], want)
+			}
 		}
 		return buf.Bytes(), rec.Events()
 	}

@@ -147,7 +147,7 @@ func New(opts Options) (*Server, error) {
 		Workers:  opts.Workers,
 		Cache:    opts.Cache,
 		Counters: s.ctr,
-		Metrics:  s.reg,
+		Progress: core.ObserveMetrics(s.reg),
 	})
 	s.mux = s.buildMux()
 	return s, nil

@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -148,49 +145,8 @@ func (c *Counters) Snapshot() []CounterValue {
 	return out
 }
 
-// WriteText writes the snapshot as aligned "name value" lines.
+// WriteText writes the snapshot as aligned "name value" lines — the
+// counters half of MetricsSnapshot.WriteText.
 func (c *Counters) WriteText(w io.Writer) error {
-	snap := c.Snapshot()
-	width := 0
-	for _, cv := range snap {
-		if len(cv.Name) > width {
-			width = len(cv.Name)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	for _, cv := range snap {
-		if _, err := fmt.Fprintf(bw, "%-*s %d\n", width, cv.Name, cv.Value); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteJSON writes the snapshot as one sorted JSON object (encoding/json
-// marshals map keys in sorted order, so output is deterministic).
-func (c *Counters) WriteJSON(w io.Writer) error {
-	m := make(map[string]int64, len(c.Snapshot()))
-	for _, cv := range c.Snapshot() {
-		m[cv.Name] = cv.Value
-	}
-	data, err := json.MarshalIndent(m, "", "\t")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
-
-// PublishExpvar exposes the registry under the given expvar name (served at
-// /debug/vars by any net/http server on the default mux, e.g. the CLI's
-// -pprof listener). Publishing the same name twice is a no-op rather than
-// the panic expvar.Publish would raise. The published value is a
-// MetricsSnapshot rendered through the same snapshot path as every other
-// output format (text, JSON, Prometheus) — a counters-only registry view,
-// so expvar cannot drift from the other emitters.
-func (c *Counters) PublishExpvar(name string) {
-	if c == nil {
-		return
-	}
-	NewRegistryWith(c).PublishExpvar(name)
+	return MetricsSnapshot{Counters: c.Snapshot()}.WriteText(w)
 }

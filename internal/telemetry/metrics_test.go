@@ -60,7 +60,7 @@ func TestRegistryHistogramIdempotent(t *testing.T) {
 
 // TestRegistrySharesCountersState — a registry wrapping an existing
 // Counters sees every counter written through either handle, the contract
-// that keeps Counters.PublishExpvar and the /metrics endpoint one state.
+// that keeps the -v counters dump and the /metrics endpoint one state.
 func TestRegistrySharesCountersState(t *testing.T) {
 	ctr := NewCounters()
 	r := NewRegistryWith(ctr)
@@ -161,25 +161,6 @@ func TestRegistryPublishExpvar(t *testing.T) {
 	}
 	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != HistKernelL1HitRate.Name {
 		t.Errorf("expvar histograms = %+v", snap.Histograms)
-	}
-}
-
-// TestCountersPublishExpvarDelegates — the legacy Counters entry point now
-// renders through the registry snapshot: same shape, counters included.
-func TestCountersPublishExpvarDelegates(t *testing.T) {
-	ctr := NewCounters()
-	ctr.Add(CtrCacheHits, 4)
-	ctr.PublishExpvar("metrics_test_counters")
-	v := expvar.Get("metrics_test_counters")
-	if v == nil {
-		t.Fatal("counters not published")
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value is not a MetricsSnapshot: %v", err)
-	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Name != CtrCacheHits {
-		t.Errorf("expvar counters = %+v", snap.Counters)
 	}
 }
 
