@@ -51,11 +51,12 @@
 //
 // `cactus lint` statically audits every registered workload's kernel-spec
 // stream against the device limits (Table II) without running the
-// simulation: each workload executes against an audit device that records
-// specs instead of modeling them, and every spec is checked for block sizes
-// that are not warp multiples or exceed device limits, shared memory over
-// the SM budget, degenerate grids, and zero theoretical occupancy. Exit is
-// nonzero on any violation. The code-level companion is cmd/cactuslint.
+// simulation: each workload executes against a device-less profiling
+// session that records specs instead of pricing them, and every spec is
+// checked for block sizes that are not warp multiples or exceed device
+// limits, shared memory over the SM budget, degenerate grids, and zero
+// theoretical occupancy. Exit is nonzero on any violation. The code-level
+// companion is cmd/cactuslint.
 //
 // `cactus audit` replays every registered workload's launches through the
 // real timing model and audits each result for metric soundness
@@ -532,19 +533,16 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 	}
 }
 
-// lintWorkloads runs each workload against an audit device — recording its
-// kernel-spec stream without simulating it — and reports every spec that
-// violates the device's hardware limits (gpu.CheckSpec).
+// lintWorkloads runs each workload against a device-less session —
+// recording its kernel-spec stream without pricing it — and reports every
+// spec that violates the device's hardware limits (gpu.CheckSpec).
 func lintWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer) error {
 	return checkWorkloads("lint", "kernel-spec", ws, cfg, out, errOut, func(w workloads.Workload) (int, []issue, error) {
-		dev, err := gpu.NewAudit(cfg)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := w.Run(profiler.NewSession(dev)); err != nil {
+		sess := profiler.NewSession(nil)
+		if err := w.Run(sess); err != nil {
 			return 0, nil, fmt.Errorf("lint: %s: %w", w.Abbr(), err)
 		}
-		specs := dev.AuditSpecs()
+		specs := sess.Specs()
 		var issues []issue
 		for _, spec := range specs {
 			for _, is := range gpu.CheckSpec(cfg, spec) {

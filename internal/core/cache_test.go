@@ -113,3 +113,34 @@ func TestStudyUsesCache(t *testing.T) {
 		t.Error("warm-cache study differs from the cold study")
 	}
 }
+
+// TestCharacterizeWithCacheOutcomes — the single-workload path reports how
+// each profile was obtained: disabled without a cache, then a miss on the
+// cold run and a hit on the warm one, with the same profile either way.
+func TestCharacterizeWithCacheOutcomes(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, cfg := BaselineWorkloads()[0], gpu.RTX3080()
+	for _, run := range []struct {
+		name string
+		opts StudyOptions
+		want CacheOutcome
+	}{
+		{"no cache", StudyOptions{}, CacheDisabled},
+		{"cold", StudyOptions{Cache: cache}, CacheMiss},
+		{"warm", StudyOptions{Cache: cache}, CacheHit},
+	} {
+		p, outcome, err := CharacterizeWith(w, cfg, run.opts, 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if outcome != run.want {
+			t.Errorf("%s: outcome = %v, want %v", run.name, outcome, run.want)
+		}
+		if want := cheapWorkload(t); !reflect.DeepEqual(p.Kernels, want.Kernels) {
+			t.Errorf("%s: profile differs from Characterize's", run.name)
+		}
+	}
+}

@@ -8,9 +8,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/gpu"
@@ -272,29 +273,91 @@ func NewStudy(cfg gpu.DeviceConfig, ws ...workloads.Workload) (*Study, error) {
 // NewStudyWith characterizes all the given workloads on cfg according to
 // opts. On error the first failure observed is returned and the partial
 // study is discarded.
-//
-// NewStudyWith is a convenience wrapper over the reusable study engine: it
-// builds an ephemeral Engine from opts, runs one study, and shuts the
-// engine down. Long-running callers (the HTTP server) construct one Engine
-// and share it across requests instead.
 func NewStudyWith(cfg gpu.DeviceConfig, opts StudyOptions, ws ...workloads.Workload) (*Study, error) {
-	e := NewEngine(EngineOptions{Workers: opts.Workers})
-	// One-shot CLI entry point with no inbound context; the deferred shutdown must run even after a study error
-	defer func() { _ = e.Shutdown(context.Background()) }()
-	// One-shot CLI entry point with no inbound context; cancellation belongs to the process signal handler
-	return e.StudyWith(context.Background(), cfg, opts, ws...)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > len(ws) {
+		workers = len(ws)
+	}
+	profiles, err := characterizeAll(ws, cfg, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	st := &Study{Device: cfg}
+	for _, p := range profiles {
+		st.Add(p)
+	}
+	return st, nil
 }
 
-// characterizeCached is one workload's characterization behind the optional
+// characterizeAll fans the workloads out over a fixed pool of workers,
+// writing each profile into its workload's slot so order is preserved.
+// The first error stops the feed; characterizations already started
+// finish before return. Each worker owns one host-track telemetry lane;
+// its per-task spans are the pool's lifecycle record, and CtrWorkersBusy
+// gauges its occupancy.
+func characterizeAll(ws []workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, workers int) ([]*Profile, error) {
+	profiles := make([]*Profile, len(ws))
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	tr := telemetry.Or(opts.Tracer)
+	// A one-worker pool has no occupancy to gauge; leaving the gauge
+	// untouched keeps its counter dumps free of a constant zero.
+	busy := opts.Counters
+	if workers == 1 {
+		busy = nil
+	}
+	idx := make(chan int)
+	fail := make(chan struct{})
+	for n := 0; n < workers; n++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			if tr.Enabled() {
+				tr.Emit(telemetry.ThreadName(telemetry.TrackHost, worker,
+					fmt.Sprintf("worker %d", worker)))
+			}
+			for i := range idx {
+				busy.Add(telemetry.CtrWorkersBusy, 1)
+				p, _, err := CharacterizeWith(ws[i], cfg, opts, i, worker)
+				busy.Add(telemetry.CtrWorkersBusy, -1)
+				if err != nil {
+					once.Do(func() { firstErr = err; close(fail) })
+					continue
+				}
+				profiles[i] = p
+			}
+		}(n)
+	}
+feed:
+	for i := range ws {
+		select {
+		case idx <- i:
+		case <-fail:
+			break feed
+		}
+	}
+	close(idx)
+	wg.Wait()
+	return profiles, firstErr
+}
+
+// CharacterizeWith is one workload's characterization behind the optional
 // profile cache, instrumented end to end: the cache probe outcome becomes a
 // host-track instant and a hit/miss/corrupt counter, the whole task becomes
 // a host-track span on the worker's lane, the workload's modeled vs wall
 // time land in per-workload counters, and Progress hears of the result.
-// `lane` is the workload's modeled-track lane (its index in the study);
-// `worker` is the host-track lane of the goroutine doing the work. The
-// cache-probe outcome is returned alongside the profile (CacheDisabled
-// when opts carries no cache).
-func characterizeCached(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int) (*Profile, CacheOutcome, error) {
+// opts.Workers is ignored. `lane` is the workload's modeled-track lane (its
+// index in a study); `worker` is the host-track lane of the goroutine doing
+// the work. The cache-probe outcome is returned alongside the profile
+// (CacheDisabled when opts carries no cache). Studies run it once per
+// workload; the server runs it once per cold (workload, device) pair.
+func CharacterizeWith(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOptions, lane, worker int) (*Profile, CacheOutcome, error) {
 	tr := telemetry.Or(opts.Tracer)
 	//lint:ignore nodeterminism wall time is telemetry about the pipeline, not model output
 	wallStart := time.Now()

@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/memsim"
@@ -82,13 +81,6 @@ type Device struct {
 
 	tracer   telemetry.Tracer
 	counters *telemetry.Counters
-
-	// audit makes Launch record specs and skip the memory and timing
-	// model entirely — the spec-extraction mode behind `cactus lint`.
-	audit bool
-
-	mu    sync.Mutex
-	specs []KernelSpec // guarded by mu (audit mode only)
 }
 
 // New builds a device from cfg.
@@ -107,48 +99,6 @@ func New(cfg DeviceConfig) (*Device, error) {
 // Config returns the device configuration.
 func (d *Device) Config() DeviceConfig { return d.cfg }
 
-// NewAudit builds a device in audit mode: Launch records every spec and
-// returns a synthetic result without resolving memory traffic, replaying
-// traces, or running the timing model. Running a workload against an audit
-// device extracts its full input-dependent KernelSpec stream statically —
-// the paper's Observation #3 means the stream cannot be known without
-// executing the application logic, but nothing needs to be simulated to
-// validate it against the device limits (CheckSpec / `cactus lint`).
-func NewAudit(cfg DeviceConfig) (*Device, error) {
-	d, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	d.audit = true
-	return d, nil
-}
-
-// AuditSpecs returns the kernel specs recorded in audit mode, in issue
-// order.
-func (d *Device) AuditSpecs() []KernelSpec {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]KernelSpec, len(d.specs))
-	copy(out, d.specs)
-	return out
-}
-
-// auditLaunch records spec and synthesizes a minimal result. Specs are not
-// validated here — collecting an invalid spec is the point: CheckSpec
-// reports it instead of aborting the audit run.
-func (d *Device) auditLaunch(spec KernelSpec) LaunchResult {
-	d.mu.Lock()
-	d.specs = append(d.specs, spec)
-	d.mu.Unlock()
-	return LaunchResult{
-		Name: spec.Name, Grid: spec.Grid, Block: spec.Block,
-		Mix:      spec.Mix,
-		Occ:      occupancyOf(d.cfg, spec),
-		Time:     spec.LaunchOverhead(d.cfg),
-		Overhead: spec.LaunchOverhead(d.cfg),
-	}
-}
-
 // SetTelemetry attaches an event tracer and a counters registry to the
 // device: every Launch then emits a host-track span (the time spent in the
 // model) and bumps the launch/warp-instruction counters. Either may be nil.
@@ -166,9 +116,6 @@ func (d *Device) Launch(spec KernelSpec) (LaunchResult, error) {
 	var hostStart float64
 	if traced {
 		hostStart = telemetry.Now()
-	}
-	if d.audit {
-		return d.auditLaunch(spec), nil
 	}
 	if err := spec.Validate(); err != nil {
 		return LaunchResult{}, err

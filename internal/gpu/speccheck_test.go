@@ -158,32 +158,3 @@ func TestCheckSpec(t *testing.T) {
 		})
 	}
 }
-
-// TestAuditDeviceCollectsSpecs checks the audit-mode device: launches are
-// recorded (even invalid ones, so CheckSpec can report them) and no
-// simulation state is touched.
-func TestAuditDeviceCollectsSpecs(t *testing.T) {
-	d, err := NewAudit(RTX3080())
-	if err != nil {
-		t.Fatalf("NewAudit: %v", err)
-	}
-
-	good := validSpec()
-	bad := validSpec()
-	bad.Name = "" // Validate would reject this; audit mode must still record it
-
-	if _, err := d.Launch(good); err != nil {
-		t.Fatalf("audit Launch(good) = %v", err)
-	}
-	if _, err := d.Launch(bad); err != nil {
-		t.Fatalf("audit Launch(bad) = %v, want nil (audit records, not rejects)", err)
-	}
-
-	specs := d.AuditSpecs()
-	if len(specs) != 2 {
-		t.Fatalf("AuditSpecs() returned %d specs, want 2", len(specs))
-	}
-	if specs[0].Name != "k" || specs[1].Name != "" {
-		t.Errorf("AuditSpecs() = %q, %q; want recorded launch order", specs[0].Name, specs[1].Name)
-	}
-}

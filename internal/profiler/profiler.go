@@ -191,7 +191,9 @@ func (k *KernelProfile) Metrics() Vector {
 }
 
 // Session records the launches of one workload run. It wraps a device so
-// workload code only ever talks to the session.
+// workload code only ever talks to the session. A session without a device
+// prices nothing: it records each spec as issued, which is how `cactus
+// lint` extracts a workload's input-dependent spec stream.
 type Session struct {
 	dev    *gpu.Device
 	tracer telemetry.Tracer
@@ -199,7 +201,8 @@ type Session struct {
 
 	mu       sync.Mutex
 	launches []gpu.LaunchResult
-	cursor   units.Seconds // modeled-track timeline position
+	specs    []gpu.KernelSpec // device-less sessions only
+	cursor   units.Seconds    // modeled-track timeline position
 }
 
 // SessionOptions configures a session's telemetry.
@@ -216,7 +219,8 @@ type SessionOptions struct {
 	Lane int
 }
 
-// NewSession starts a profiling session on dev with telemetry disabled.
+// NewSession starts a profiling session on dev with telemetry disabled. A
+// nil dev makes a session that only records specs (see Specs).
 func NewSession(dev *gpu.Device) *Session {
 	return NewSessionWith(dev, SessionOptions{})
 }
@@ -233,8 +237,16 @@ func NewSessionWith(dev *gpu.Device, opts SessionOptions) *Session {
 // Device returns the underlying device.
 func (s *Session) Device() *gpu.Device { return s.dev }
 
-// Launch models spec on the device and records the result.
+// Launch models spec on the device and records the result. Without a
+// device it records spec unvalidated — collecting an invalid spec is the
+// point, so gpu.CheckSpec can report it — and returns a zero result.
 func (s *Session) Launch(spec gpu.KernelSpec) (gpu.LaunchResult, error) {
+	if s.dev == nil {
+		s.mu.Lock()
+		s.specs = append(s.specs, spec)
+		s.mu.Unlock()
+		return gpu.LaunchResult{}, nil
+	}
 	res, err := s.dev.Launch(spec)
 	if err != nil {
 		return res, err
@@ -271,6 +283,15 @@ func (s *Session) Launches() []gpu.LaunchResult {
 	defer s.mu.Unlock()
 	out := make([]gpu.LaunchResult, len(s.launches))
 	copy(out, s.launches)
+	return out
+}
+
+// Specs returns the specs a device-less session recorded, in issue order.
+func (s *Session) Specs() []gpu.KernelSpec {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]gpu.KernelSpec, len(s.specs))
+	copy(out, s.specs)
 	return out
 }
 

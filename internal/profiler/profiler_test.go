@@ -118,6 +118,37 @@ func TestSessionLaunchError(t *testing.T) {
 	s.MustLaunch(gpu.KernelSpec{})
 }
 
+// TestDevicelessSessionCollectsSpecs checks the session behind `cactus
+// lint`: without a device, launches are recorded in issue order — even
+// invalid ones, so gpu.CheckSpec can report them — priced at zero, and
+// kept out of the launch results.
+func TestDevicelessSessionCollectsSpecs(t *testing.T) {
+	s := NewSession(nil)
+	good := spec("k", 1000, false)
+	bad := spec("", 1000, false) // Validate would reject this; the session must still record it
+
+	for _, sp := range []gpu.KernelSpec{good, bad} {
+		res, err := s.Launch(sp)
+		if err != nil {
+			t.Fatalf("Launch(%q) = %v, want nil (a device-less session records, not rejects)", sp.Name, err)
+		}
+		if res != (gpu.LaunchResult{}) {
+			t.Errorf("Launch(%q) = %+v, want the zero result", sp.Name, res)
+		}
+	}
+
+	specs := s.Specs()
+	if len(specs) != 2 {
+		t.Fatalf("Specs() returned %d specs, want 2", len(specs))
+	}
+	if specs[0].Name != "k" || specs[1].Name != "" {
+		t.Errorf("Specs() = %q, %q; want recorded launch order", specs[0].Name, specs[1].Name)
+	}
+	if n := s.LaunchCount(); n != 0 {
+		t.Errorf("LaunchCount() = %d, want 0 (nothing was priced)", n)
+	}
+}
+
 func TestKernelAggregation(t *testing.T) {
 	s := session(t)
 	s.MustLaunch(spec("alpha", 1<<24, false))

@@ -542,7 +542,7 @@ type batchResult struct {
 }
 
 // handleBatch answers many queries in one request, fanned out over the
-// engine's worker pool. Results come back in request order; each query
+// server's worker slots. Results come back in request order; each query
 // fails or succeeds independently.
 func (s *Server) handleBatch(r *http.Request) (string, []byte, *apiError) {
 	if aerr := requireMethod(r, http.MethodPost); aerr != nil {
@@ -559,9 +559,9 @@ func (s *Server) handleBatch(r *http.Request) (string, []byte, *apiError) {
 	if len(req.Queries) == 0 {
 		return "", nil, apiErrorf(http.StatusBadRequest, "empty batch")
 	}
-	if len(req.Queries) > s.opts.MaxBatch {
+	if len(req.Queries) > maxBatch {
 		return "", nil, apiErrorf(http.StatusBadRequest,
-			"batch of %d queries exceeds the limit of %d", len(req.Queries), s.opts.MaxBatch)
+			"batch of %d queries exceeds the limit of %d", len(req.Queries), maxBatch)
 	}
 	results := make([]batchResult, len(req.Queries))
 	var wg sync.WaitGroup

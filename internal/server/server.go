@@ -4,16 +4,17 @@
 // comparisons, and bottleneck-attribution trees for any workload × device
 // combination; the server answers from a sharded in-memory LRU in front of
 // the on-disk profile cache, collapses concurrent identical studies with
-// singleflight, and runs cold studies on one shared core.Engine whose
-// global worker pool bounds simulation concurrency across all requests.
+// singleflight, and bounds cold characterizations across all requests
+// with a fixed number of worker slots.
 //
 // Degradation is explicit: a bounded admission queue rejects overload with
 // 429, per-request deadlines return 504 (the underlying study keeps
 // running and lands in the LRU for the next asker), and shutdown drains
-// in-flight requests while rejecting new ones with 503. Every request
-// flows into the telemetry registry — request counters, LRU and
-// singleflight funnel counters, and a latency histogram — served back out
-// at /metrics through the same snapshot path the CLI uses.
+// in-flight requests and the studies they started while rejecting new
+// ones with 503. Every request flows into the telemetry registry — request
+// counters, LRU and singleflight funnel counters, and a latency histogram
+// — served back out at /metrics through the same snapshot path the CLI
+// uses.
 package server
 
 import (
@@ -40,30 +41,32 @@ type Options struct {
 	Devices map[string]gpu.DeviceConfig
 	// Catalog is the servable workload set. Nil selects core.DefaultCatalog.
 	Catalog *workloads.Catalog
-	// Workers caps concurrent characterizations across all requests
-	// (core.EngineOptions.Workers). Zero selects runtime.NumCPU().
+	// Workers caps concurrent characterizations across all requests.
+	// Zero selects runtime.NumCPU().
 	Workers int
 	// Cache, when non-nil, is the on-disk profile cache behind the LRU.
 	Cache *core.ProfileCache
 	// LRUEntries is the in-memory profile cache capacity (default 512
-	// entries, spread over LRUShards shards).
+	// entries, spread over lruShards shards).
 	LRUEntries int
-	// LRUShards is the LRU shard count (default 16).
-	LRUShards int
 	// MaxInFlight bounds the admitted work queue: requests beyond this
 	// many concurrently in flight are rejected with 429 (default 256).
 	MaxInFlight int
 	// Timeout is the per-request deadline; a request that exceeds it gets
 	// 504 while its study completes in the background (default 60s).
 	Timeout time.Duration
-	// MaxBatch caps the query count of one POST /api/v1/batch request
-	// (default 256).
-	MaxBatch int
 	// Registry receives the server's counters and histograms. Nil builds a
 	// fresh registry; pass one to share a snapshot path with the CLI's
 	// -metrics / -pprof surfaces.
 	Registry *telemetry.Registry
 }
+
+const (
+	// lruShards is the LRU shard count.
+	lruShards = 16
+	// maxBatch caps the query count of one POST /api/v1/batch request.
+	maxBatch = 256
+)
 
 // Server is the characterization service. Construct with New, mount
 // Handler on any http.Server, and Shutdown to drain. Safe for concurrent
@@ -73,7 +76,8 @@ type Server struct {
 	cat     *workloads.Catalog
 	devices map[string]gpu.DeviceConfig
 	devFPs  map[string]string // device name -> core.Fingerprint
-	engine  *core.Engine
+	study   core.StudyOptions // cache and telemetry of every characterization
+	slots   chan struct{}     // one per concurrent cold characterization
 	reg     *telemetry.Registry
 	ctr     *telemetry.Counters
 	latency *telemetry.Histogram
@@ -87,8 +91,7 @@ type Server struct {
 	inflight sync.WaitGroup // Add under mu in enter(); Done/Wait are WaitGroup-synchronized
 }
 
-// New builds a ready server. The returned server owns a core.Engine;
-// callers must Shutdown it when done.
+// New builds a ready server; callers must Shutdown it when done.
 func New(opts Options) (*Server, error) {
 	if opts.Devices == nil {
 		opts.Devices = map[string]gpu.DeviceConfig{
@@ -109,17 +112,11 @@ func New(opts Options) (*Server, error) {
 	if opts.LRUEntries <= 0 {
 		opts.LRUEntries = 512
 	}
-	if opts.LRUShards <= 0 {
-		opts.LRUShards = 16
-	}
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 256
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 60 * time.Second
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 256
 	}
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
@@ -139,16 +136,16 @@ func New(opts Options) (*Server, error) {
 		reg:     opts.Registry,
 		ctr:     opts.Registry.Counters(),
 		latency: opts.Registry.Histogram(telemetry.HistServeRequestSeconds),
-		lru:     newShardedLRU(opts.LRUEntries, opts.LRUShards),
+		slots:   make(chan struct{}, opts.Workers),
+		lru:     newShardedLRU(opts.LRUEntries, lruShards),
 		flight:  newFlightGroup(),
 		queue:   make(chan struct{}, opts.MaxInFlight),
 	}
-	s.engine = core.NewEngine(core.EngineOptions{
-		Workers:  opts.Workers,
+	s.study = core.StudyOptions{
 		Cache:    opts.Cache,
 		Counters: s.ctr,
 		Progress: core.ObserveMetrics(s.reg),
-	})
+	}
 	s.mux = s.buildMux()
 	return s, nil
 }
@@ -183,7 +180,10 @@ func (s *Server) enter() bool {
 func (s *Server) exit() { s.inflight.Done() }
 
 // Shutdown stops admitting requests (new ones get 503), waits for
-// in-flight requests to drain, then shuts the engine down. Idempotent.
+// in-flight requests to drain, then for the singleflight leaders they
+// started — a 504'd request's study included — to land in the LRU.
+// Idempotent. Only admitted requests start leaders, so once the requests
+// have drained no leader can start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -191,14 +191,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
+		s.flight.wg.Wait()
 		close(done)
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return s.engine.Shutdown(ctx)
 }
 
 // profileKey is the LRU and singleflight key for one (workload, device)
@@ -208,10 +209,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func profileKey(abbr, fingerprint string) string { return abbr + "@" + fingerprint }
 
 // profileFor resolves one workload's profile on one device through the
-// read path the whole API shares: sharded LRU, then singleflight, then the
-// engine (which itself consults the on-disk cache before simulating). The
-// context only gates how long this caller waits — a deadline that expires
-// mid-study abandons the wait, not the study.
+// read path the whole API shares: sharded LRU, then singleflight, then a
+// worker slot and core.CharacterizeWith (which consults the on-disk cache
+// before simulating). The context only gates how long this caller waits —
+// a deadline that expires mid-study abandons the wait, not the study.
 func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName string) (*core.Profile, error) {
 	abbr := w.Abbr()
 	fp := s.devFPs[devName]
@@ -237,8 +238,9 @@ func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName s
 		}
 		// Detached from the request context: the study belongs to every
 		// current and future asker of this key, not to the first one.
-		// The singleflight leader's study outlives its requester: later askers and the LRU inherit it, so a 504'd first caller must not cancel it
-		p, _, err := s.engine.Characterize(context.Background(), cfg, w)
+		s.slots <- struct{}{}
+		p, _, err := core.CharacterizeWith(w, cfg, s.study, 0, 0)
+		<-s.slots
 		if err != nil {
 			return nil, err
 		}
@@ -280,8 +282,6 @@ func errStatus(err error) int {
 	case errors.Is(err, context.Canceled):
 		// The client went away; 499 is the de-facto convention.
 		return 499
-	case errors.Is(err, core.ErrEngineClosed):
-		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }

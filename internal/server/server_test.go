@@ -61,7 +61,9 @@ func errBody(status int, msg string) string {
 // TestHandlerErrorPaths pins every client-facing failure to its exact
 // status code and JSON error body.
 func TestHandlerErrorPaths(t *testing.T) {
-	s := newTestServer(t, Options{MaxBatch: 2})
+	s := newTestServer(t, Options{})
+	tooMany := `{"queries":[` + strings.Repeat(`{"kind":"profile","workload":"pb-sgemm"},`, maxBatch) +
+		`{"kind":"profile","workload":"pb-spmv"}]}`
 	cases := []struct {
 		name   string
 		method string
@@ -98,9 +100,8 @@ func TestHandlerErrorPaths(t *testing.T) {
 			405, errBody(405, "method GET not allowed (use POST)")},
 		{"batch empty", "POST", "/api/v1/batch", `{"queries":[]}`,
 			400, errBody(400, "empty batch")},
-		{"batch too large", "POST", "/api/v1/batch",
-			`{"queries":[{"kind":"profile","workload":"pb-sgemm"},{"kind":"profile","workload":"pb-spmv"},{"kind":"profile","workload":"rd-nn"}]}`,
-			400, errBody(400, "batch of 3 queries exceeds the limit of 2")},
+		{"batch too large", "POST", "/api/v1/batch", tooMany,
+			400, errBody(400, fmt.Sprintf("batch of %d queries exceeds the limit of %d", maxBatch+1, maxBatch))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -203,6 +204,59 @@ func TestShutdownRejects(t *testing.T) {
 	}
 	if got := s.ctr.Get(telemetry.CtrServeRejectedShutdown); got != 1 {
 		t.Errorf("shutdown-rejection counter = %d, want 1", got)
+	}
+}
+
+// TestShutdownWaitsForDetachedLeader — the study a 504'd request leaves
+// running is part of the drain: once Shutdown returns, its profile is in
+// the LRU and its goroutine has exited.
+func TestShutdownWaitsForDetachedLeader(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	s, err := New(Options{Workers: 1, Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil)
+	if rr.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504\n%s", rr.Code, rr.Body.String())
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.lru.get(profileKey("pb-sgemm", s.devFPs["rtx3080"])); !ok {
+		t.Error("Shutdown returned before the detached study landed in the LRU")
+	}
+}
+
+// TestCancelledRequest — a request whose client has already gone away gets
+// 499 and its JSON body; the study it started still completes, and Shutdown
+// drains it without leaking a goroutine.
+func TestCancelledRequest(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	s, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the only worker slot so the study cannot finish before the
+	// request gives up.
+	s.slots <- struct{}{}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("GET", "/api/v1/profile?workload=pb-sgemm", nil).WithContext(ctx)
+	rr := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rr, req)
+	<-s.slots
+	if rr.Code != 499 {
+		t.Fatalf("status = %d, want 499\n%s", rr.Code, rr.Body.String())
+	}
+	if want := errBody(499, "context canceled"); rr.Body.String() != want {
+		t.Errorf("body = %q, want %q", rr.Body.String(), want)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.lru.get(profileKey("pb-sgemm", s.devFPs["rtx3080"])); !ok {
+		t.Error("the cancelled request's study never landed in the LRU")
 	}
 }
 

@@ -16,6 +16,8 @@ import (
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall // guarded by mu
+
+	wg sync.WaitGroup // running leaders; Server.Shutdown waits on it
 }
 
 // flightCall is one in-flight (or completed) computation. p and err are
@@ -47,8 +49,10 @@ func (g *flightGroup) do(key string, fn func() (*core.Profile, error)) (c *fligh
 	g.m[key] = c
 	g.mu.Unlock()
 
-	// The leader is deliberately detached from its spawner: do returns immediately and every caller (including this one) joins via <-c.done in the handler, bounded by fn's own context
+	g.wg.Add(1)
+	// The leader is deliberately detached from its spawner: do returns immediately and every caller (including this one) joins via <-c.done in the handler; Server.Shutdown waits for it through wg
 	go func() {
+		defer g.wg.Done()
 		c.p, c.err = fn()
 		g.mu.Lock()
 		delete(g.m, key)

@@ -1,7 +1,7 @@
 // Package testutil holds test-only runtime harnesses shared across
 // packages. The goroutine-leak checker here proves that lifecycle code —
-// engine shutdown, server drain, singleflight completion, the detached
-// study a 504'd request leaves behind — actually returns the goroutines it
+// server drain, singleflight completion, the detached study a 504'd or
+// cancelled request leaves behind — actually returns the goroutines it
 // started.
 package testutil
 
