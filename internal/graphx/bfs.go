@@ -178,17 +178,16 @@ func (em *bfsEmitter) pushIteration(frontier []int32, depth []int32, d int32) (n
 	g := em.g
 
 	// --- Functional expansion (the real traversal work) ------------------
-	var candidates []int32
+	// Every neighbor of the frontier is a filter candidate, tested against
+	// the labels in gather order.
 	for _, u := range frontier {
-		for _, v := range g.Neighbors(int(u)) {
-			edges++
-			candidates = append(candidates, v)
-		}
-	}
-	for _, v := range candidates {
-		if depth[v] == -1 {
-			depth[v] = d
-			next = append(next, v)
+		nb := g.Neighbors(int(u))
+		edges += len(nb)
+		for _, v := range nb {
+			if depth[v] == -1 {
+				depth[v] = d
+				next = append(next, v)
+			}
 		}
 	}
 
@@ -206,7 +205,7 @@ func (em *bfsEmitter) pushIteration(frontier []int32, depth []int32, d int32) (n
 		}, nil, 0, 0.05)
 	}
 
-	nc := len(candidates)
+	nc := edges // candidates
 	trace, coverage := em.advanceTrace(frontier, edges)
 	if edges > g.NumEdges()/10 {
 		// Gunrock fuses advance and filter (LB_CULL) for giant frontiers:

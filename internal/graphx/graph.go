@@ -10,8 +10,6 @@ package graphx
 import (
 	"fmt"
 	"math/rand"
-	"slices"
-	"sort"
 )
 
 // Graph is a directed graph in CSR form.
@@ -45,78 +43,125 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// fromAdjacency builds a CSR graph from an adjacency list, deduplicating
-// and sorting neighbor sets.
-func fromAdjacency(adj [][]int32) *Graph {
-	n := len(adj)
-	g := &Graph{N: n, Offsets: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		nb := adj[v]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-		// Dedup.
-		out := nb[:0]
-		var prev int32 = -1
-		for _, u := range nb {
-			if u != prev && int(u) != v {
-				out = append(out, u)
-				prev = u
-			}
+// fromEdges builds a CSR graph from an undirected edge list, given as
+// consecutive (u, v) pairs and stored in both directions, with each
+// vertex's neighbors sorted and deduplicated and self-loops dropped. The
+// graph's edges reuse pairs' backing array.
+//
+// Each pair is oriented as (lo, hi), lo < hi, and counting passes sort
+// them. The first groups the los by hi. The second walks those groups in
+// ascending hi and groups the his by lo, so each vertex's higher
+// neighbors come out ascending. The third walks the higher neighbors in
+// ascending lo and appends each lo to its hi's lower neighbors, ascending
+// too. A vertex's lower neighbors precede its higher ones, so every list
+// is sorted; a sorted multiset of int32s has exactly one order, so the
+// result is the one a per-vertex sort gives. The pairs are dead once the
+// first pass has read them, so the later passes work in their buffer,
+// and besides it the build holds one int32 per pair, where sorting both
+// arcs of every pair beside the pairs holds two.
+func fromEdges(n int, pairs []int32) *Graph {
+	// below[hi] counts the pairs (lo, hi), then holds where their los
+	// start in los.
+	below := make([]int32, n+1)
+	for i := 0; i < len(pairs); i += 2 {
+		if lo, hi := minmax(pairs[i], pairs[i+1]); lo != hi {
+			below[hi]++
 		}
-		g.Offsets[v] = int32(len(g.Edges))
-		g.Edges = append(g.Edges, out...)
 	}
-	g.Offsets[n] = int32(len(g.Edges))
-	return g
-}
+	prefixSum(below)
+	m := below[n]
+	los := make([]int32, m)
+	for i := 0; i < len(pairs); i += 2 {
+		if lo, hi := minmax(pairs[i], pairs[i+1]); lo != hi {
+			los[below[hi]] = lo
+			below[hi]++
+		}
+	}
 
-// fromEdges builds a CSR graph from an undirected edge list (each pair
-// stored in both directions), sorting and deduplicating neighbor sets and
-// dropping self-loops — the same normalization as fromAdjacency, but via a
-// two-pass counting build into flat arrays instead of growing one slice per
-// vertex, which is where the generators used to spend their allocation time.
-func fromEdges(n int, us, vs []int32) *Graph {
-	// Degree count, then prefix-sum into per-vertex cursors.
-	pos := make([]int32, n+1)
-	for i := range us {
-		pos[us[i]]++
-		pos[vs[i]]++
+	// below[hi] now ends hi's los. above[lo] counts lo's higher
+	// neighbors, then fills them in, in the upper half of the buffer the
+	// graph's 2m edges will fill.
+	above := make([]int32, n+1)
+	for _, lo := range los {
+		above[lo]++
 	}
-	var run int32
-	for v := 0; v <= n; v++ {
-		run, pos[v] = run+pos[v], run
+	prefixSum(above)
+	edges := pairs[:2*m]
+	his := edges[m:]
+	j := int32(0)
+	for hi := 0; hi < n; hi++ {
+		for ; j < below[hi]; j++ {
+			lo := los[j]
+			his[above[lo]] = int32(hi)
+			above[lo]++
+		}
 	}
-	edges := make([]int32, 2*len(us))
-	for i := range us {
-		u, v := us[i], vs[i]
-		edges[pos[u]] = v
-		pos[u]++
-		edges[pos[v]] = u
-		pos[v]++
-	}
-	// pos[v] now marks the end of v's range (and pos[v-1] its start). Sort
-	// each range, then compact dedup/self-loop-free runs toward the front;
-	// the write cursor never passes a range's read start.
-	g := &Graph{N: n, Offsets: make([]int32, n+1)}
-	w := int32(0)
-	lo := int32(0)
+
+	// above[v] now ends v's higher neighbors. Move them to their place in
+	// v's list, behind room for its lower neighbors, and make below[v] the
+	// list's start. Each vertex's higher neighbors move down by the count
+	// of lower neighbors of the vertices after it, so no move overwrites
+	// higher neighbors not yet moved.
+	var run, prevBelow, prevAbove int32
 	for v := 0; v < n; v++ {
-		hi := pos[v]
+		down, up := below[v]-prevBelow, above[v]-prevAbove
+		copy(edges[run+down:run+down+up], his[prevAbove:above[v]])
+		prevBelow, prevAbove = below[v], above[v]
+		below[v] = run
+		run += down + up
+	}
+	prevAbove = 0
+	for lo := 0; lo < n; lo++ {
+		// Every vertex below lo has been walked, so lo's lower neighbors
+		// are all in place and below[lo] points at its higher ones.
+		up := above[lo] - prevAbove
+		prevAbove = above[lo]
+		for _, hi := range edges[below[lo] : below[lo]+up] {
+			edges[below[hi]] = int32(lo)
+			below[hi]++
+		}
+	}
+
+	// Vertex v's list ends below[v] + (its higher neighbors). Compact the
+	// duplicate-free runs toward the front; the write cursor never passes
+	// a list's start.
+	g := &Graph{N: n, Offsets: below}
+	w, start := int32(0), int32(0)
+	prevAbove = 0
+	for v := 0; v < n; v++ {
+		end := below[v] + above[v] - prevAbove
+		prevAbove = above[v]
 		g.Offsets[v] = w
-		nb := edges[lo:hi]
-		slices.Sort(nb)
 		var prev int32 = -1
-		for _, u := range nb {
-			if u != prev && int(u) != v {
+		for _, u := range edges[start:end] {
+			if u != prev {
 				edges[w] = u
 				w++
 				prev = u
 			}
 		}
-		lo = hi
+		start = end
 	}
 	g.Offsets[n] = w
 	g.Edges = edges[:w:w]
 	return g
+}
+
+// minmax returns a and b in ascending order.
+func minmax(a, b int32) (int32, int32) {
+	if a > b {
+		return b, a
+	}
+	return a, b
+}
+
+// prefixSum replaces c with its exclusive prefix sums.
+func prefixSum(c []int32) {
+	var run int32
+	for i, x := range c {
+		c[i] = run
+		run += x
+	}
 }
 
 // RMAT generates a scale-free RMAT graph with 2^scale vertices and about
@@ -135,32 +180,35 @@ func RMAT(scale, edgeFactor int, seed int64) (*Graph, error) {
 	n := 1 << scale
 	m := n * edgeFactor
 	r := rand.New(rand.NewSource(seed))
-	us := make([]int32, 0, m)
-	vs := make([]int32, 0, m)
+	pairs := make([]int32, 0, 2*m)
 	const a, b, c = 0.57, 0.19, 0.19
 	for e := 0; e < m; e++ {
 		u, v := 0, 0
 		for bit := 0; bit < scale; bit++ {
+			// Each draw picks a quadrant: upper-left below a, upper-right
+			// below a+b, lower-left below a+b+c, lower-right above. So u's
+			// bit is set from a+b up, and v's bit in [a, a+b) and from
+			// a+b+c up.
 			p := r.Float64()
-			switch {
-			case p < a:
-				// upper-left: nothing
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			lower := b2i(p >= a+b)
+			u |= lower << bit
+			v |= (b2i(p >= a) ^ lower ^ b2i(p >= a+b+c)) << bit
 		}
 		if u == v {
 			continue
 		}
-		us = append(us, int32(u))
-		vs = append(vs, int32(v))
+		pairs = append(pairs, int32(u), int32(v))
 	}
-	return fromEdges(n, us, vs), nil
+	return fromEdges(n, pairs), nil
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RoadGrid generates a road-network-like graph: a w x h lattice with
@@ -175,11 +223,9 @@ func RoadGrid(w, h int, seed int64) (*Graph, error) {
 	}
 	n := w * h
 	r := rand.New(rand.NewSource(seed))
-	us := make([]int32, 0, 2*n)
-	vs := make([]int32, 0, 2*n)
+	pairs := make([]int32, 0, 4*n)
 	add := func(u, v int) {
-		us = append(us, int32(u))
-		vs = append(vs, int32(v))
+		pairs = append(pairs, int32(u), int32(v))
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -199,7 +245,7 @@ func RoadGrid(w, h int, seed int64) (*Graph, error) {
 			add(u, v)
 		}
 	}
-	return fromEdges(n, us, vs), nil
+	return fromEdges(n, pairs), nil
 }
 
 // LargestComponentVertex returns a vertex in (very likely) the largest

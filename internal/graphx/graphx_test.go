@@ -1,12 +1,41 @@
 package graphx
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/profiler"
 	"repro/internal/workloads"
 )
+
+// fromAdjacency builds a CSR graph from an adjacency list, deduplicating
+// and sorting neighbor sets.
+func fromAdjacency(adj [][]int32) *Graph {
+	n := len(adj)
+	g := &Graph{N: n, Offsets: make([]int32, n+1)}
+	for v := 0; v < n; v++ {
+		nb := adj[v]
+		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		// Dedup.
+		out := nb[:0]
+		var prev int32 = -1
+		for _, u := range nb {
+			if u != prev && int(u) != v {
+				out = append(out, u)
+				prev = u
+			}
+		}
+		g.Offsets[v] = int32(len(g.Edges))
+		g.Edges = append(g.Edges, out...)
+	}
+	g.Offsets[n] = int32(len(g.Edges))
+	return g
+}
 
 func TestRMATProperties(t *testing.T) {
 	g, err := RMAT(12, 8, 1)
@@ -154,15 +183,28 @@ func TestGunrockBFSBadSource(t *testing.T) {
 	}
 }
 
+// traverse runs w's traversal, as Run does, on a fresh session and returns
+// the traversal's result with the session.
+func traverse(t *testing.T, w *Workload) (*BFSResult, *profiler.Session) {
+	t.Helper()
+	g, err := w.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := session(t)
+	res, err := GunrockBFS(g, g.LargestComponentVertex(), w.cfg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, s
+}
+
 func TestSocialBFSKernelSet(t *testing.T) {
 	w := SocialBFS()
 	if w.Abbr() != "GST" || w.Domain() != workloads.Graph || w.Suite() != workloads.Cactus {
 		t.Error("GST identity")
 	}
-	s := session(t)
-	if err := w.Run(s); err != nil {
-		t.Fatal(err)
-	}
+	res, s := traverse(t, w)
 	ks := s.Kernels()
 	names := map[string]bool{}
 	for _, k := range ks {
@@ -179,25 +221,21 @@ func TestSocialBFSKernelSet(t *testing.T) {
 	if !names["bottom_up_expand"] {
 		t.Error("social input must trigger the pull kernels")
 	}
-	if w.LastResult.PullIterations == 0 {
+	if res.PullIterations == 0 {
 		t.Error("direction optimizer never switched on the social graph")
 	}
 	// Social graphs have tiny diameter.
-	if w.LastResult.Iterations > 15 {
-		t.Errorf("social BFS took %d iterations, want shallow", w.LastResult.Iterations)
+	if res.Iterations > 15 {
+		t.Errorf("social BFS took %d iterations, want shallow", res.Iterations)
 	}
 	// Most of the graph must be reachable.
-	if float64(w.LastResult.Visited) < 0.5*float64(1<<17) {
-		t.Errorf("visited %d of %d vertices", w.LastResult.Visited, 1<<17)
+	if float64(res.Visited) < 0.5*float64(1<<17) {
+		t.Errorf("visited %d of %d vertices", res.Visited, 1<<17)
 	}
 }
 
 func TestRoadBFSKernelSetDiffersFromSocial(t *testing.T) {
-	w := RoadBFS()
-	s := session(t)
-	if err := w.Run(s); err != nil {
-		t.Fatal(err)
-	}
+	res, s := traverse(t, RoadBFS())
 	ks := s.Kernels()
 	names := map[string]bool{}
 	for _, k := range ks {
@@ -215,12 +253,155 @@ func TestRoadBFSKernelSetDiffersFromSocial(t *testing.T) {
 	if names["bottom_up_expand"] || names["bitmap_to_queue"] {
 		t.Error("road input must not trigger bottom-up kernels")
 	}
-	if w.LastResult.PullIterations != 0 {
+	if res.PullIterations != 0 {
 		t.Error("direction optimizer switched on the road graph")
 	}
 	// Road networks have enormous diameter.
-	if w.LastResult.Iterations < 100 {
-		t.Errorf("road BFS took %d iterations, want deep traversal", w.LastResult.Iterations)
+	if res.Iterations < 100 {
+		t.Errorf("road BFS took %d iterations, want deep traversal", res.Iterations)
+	}
+}
+
+// TestWorkloadRunConcurrent runs one Workload on two sessions at once, as
+// the server does when two devices characterize the same workload. Under
+// -race it fails if Run writes shared state; either way both sessions
+// must see the same launches.
+func TestWorkloadRunConcurrent(t *testing.T) {
+	w := &Workload{
+		name: "small social BFS", abbr: "SML",
+		build: func() (*Graph, error) { return RMAT(10, 8, 5) },
+		cfg:   BFSConfig{DirectionOptimized: true, Replication: 4},
+	}
+	sessions := []*profiler.Session{session(t), session(t)}
+	errs := make([]error, len(sessions))
+	var wg sync.WaitGroup
+	for i, s := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = w.Run(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sessions[0].LaunchCount() == 0 {
+		t.Fatal("no launches")
+	}
+	if !reflect.DeepEqual(sessions[0].Launches(), sessions[1].Launches()) {
+		t.Error("concurrent runs of one workload launched different streams")
+	}
+}
+
+// sameGraph fails t unless got and want are the same CSR graph.
+func sameGraph(t *testing.T, what string, got, want *Graph) {
+	t.Helper()
+	if got.N != want.N || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Edges, want.Edges) {
+		t.Fatalf("%s: graph (N %d, %d edges) differs from the reference (N %d, %d edges)",
+			what, got.N, got.NumEdges(), want.N, want.NumEdges())
+	}
+}
+
+// TestGeneratorsMatchReference holds RMAT and RoadGrid to the graphs the
+// per-vertex-sort builder and the quadrant switch produced, over several
+// scales and seeds and at the study's own sizes.
+func TestGeneratorsMatchReference(t *testing.T) {
+	for _, scale := range []int{2, 3, 6, 10, 13} {
+		for _, ef := range []int{1, 4, 16} {
+			for seed := int64(1); seed <= 3; seed++ {
+				got, err := RMAT(scale, ef, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := refRMAT(scale, ef, seed)
+				sameGraph(t, "RMAT", got, want)
+			}
+		}
+	}
+	for _, sz := range [][3]int{{2, 2, 1}, {7, 3, 2}, {64, 64, 3}, {300, 200, 4}, {1000, 9, 5}} {
+		got, err := RoadGrid(sz[0], sz[1], int64(sz[2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := refRoadGrid(sz[0], sz[1], int64(sz[2]))
+		sameGraph(t, "RoadGrid", got, want)
+	}
+	if testing.Short() {
+		return
+	}
+	got, _ := RMAT(17, 16, 4242)
+	want, _ := refRMAT(17, 16, 4242)
+	sameGraph(t, "GST graph", got, want)
+	got, _ = RoadGrid(1024, 1024, 1717)
+	want, _ = refRoadGrid(1024, 1024, 1717)
+	sameGraph(t, "GRU graph", got, want)
+}
+
+// TestFromEdgesMatchesReference feeds both builders random edge lists with
+// self-loops and repeated edges, which the generators never produce.
+func TestFromEdgesMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		n := 1 + r.Intn([]int{4, 40, 1000}[i%3])
+		m := r.Intn(4 * n)
+		pairs := make([]int32, 0, 2*m)
+		var us, vs []int32
+		for e := 0; e < m; e++ {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n))
+			pairs = append(pairs, u, v)
+			us, vs = append(us, u), append(vs, v)
+		}
+		sameGraph(t, "fromEdges", fromEdges(n, pairs), refFromEdges(n, us, vs))
+	}
+}
+
+// TestPushIterationMatchesReference holds the fused push step to the
+// two-loop one: the same traversal result and the same launches, on graphs
+// whose frontiers reach the partition, fused and filter paths.
+func TestPushIterationMatchesReference(t *testing.T) {
+	launched := map[string]bool{}
+	for name, build := range map[string]func() (*Graph, error){
+		"rmat12": func() (*Graph, error) { return RMAT(12, 8, 7) },
+		"rmat14": func() (*Graph, error) { return RMAT(14, 16, 9) },
+		"road":   func() (*Graph, error) { return RoadGrid(96, 64, 7) },
+	} {
+		g, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := g.LargestComponentVertex()
+		for _, cfg := range []BFSConfig{
+			{},
+			{DirectionOptimized: true},
+			{DirectionOptimized: true, PullThreshold: 0.6, Replication: 24},
+		} {
+			gs, ws := session(t), session(t)
+			got, err := GunrockBFS(g, src, cfg, gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refGunrockBFS(g, src, cfg, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %+v: BFS result differs from the reference", name, cfg)
+			}
+			if !reflect.DeepEqual(gs.Launches(), ws.Launches()) {
+				t.Errorf("%s %+v: launches differ from the reference", name, cfg)
+			}
+			for _, l := range gs.Launches() {
+				launched[l.Name] = true
+			}
+		}
+	}
+	for _, k := range []string{"advance_lb_partition", "advance_filter_fused", "advance_edge_map", "filter_visited", "bottom_up_expand"} {
+		if !launched[k] {
+			t.Errorf("no case launched %s", k)
+		}
 	}
 }
 
@@ -237,4 +418,30 @@ func TestBFSConfigDefaults(t *testing.T) {
 	if c.pullThreshold() != 0.2 || c.maxTraceEdges() != 100 {
 		t.Error("explicit config ignored")
 	}
+}
+
+var benchGraphSink *Graph
+
+// benchGraph runs gen once per iteration and reports its allocations.
+func benchGraph(b *testing.B, gen func() (*Graph, error)) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := gen()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchGraphSink = g
+	}
+}
+
+// BenchmarkRMAT builds the cactus bench graphx_rmat graph and the GST
+// input.
+func BenchmarkRMAT(b *testing.B) {
+	b.Run("s15_ef8", func(b *testing.B) { benchGraph(b, func() (*Graph, error) { return RMAT(15, 8, 42) }) })
+	b.Run("GST_s17_ef16", func(b *testing.B) { benchGraph(b, func() (*Graph, error) { return RMAT(17, 16, 4242) }) })
+}
+
+// BenchmarkRoadGrid builds the GRU input.
+func BenchmarkRoadGrid(b *testing.B) {
+	b.Run("GRU_1024x1024", func(b *testing.B) { benchGraph(b, func() (*Graph, error) { return RoadGrid(1024, 1024, 1717) }) })
 }

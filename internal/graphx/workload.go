@@ -12,10 +12,6 @@ type Workload struct {
 	name, abbr string
 	build      func() (*Graph, error)
 	cfg        BFSConfig
-
-	// LastResult holds the most recent traversal outcome (for tests and
-	// diagnostics). Populated by Run.
-	LastResult *BFSResult
 }
 
 var _ workloads.Workload = (*Workload)(nil)
@@ -32,17 +28,16 @@ func (w *Workload) Suite() workloads.Suite { return workloads.Cactus }
 // Domain returns the graph-analytics domain.
 func (w *Workload) Domain() workloads.Domain { return workloads.Graph }
 
-// Run generates the graph and performs the traversal against s.
+// Run generates the graph and performs the traversal against s. It keeps
+// no state, so one Workload may run on several sessions at once.
 func (w *Workload) Run(s *profiler.Session) error {
 	g, err := w.build()
 	if err != nil {
 		return fmt.Errorf("graphx: %s: %w", w.abbr, err)
 	}
-	res, err := GunrockBFS(g, g.LargestComponentVertex(), w.cfg, s)
-	if err != nil {
+	if _, err := GunrockBFS(g, g.LargestComponentVertex(), w.cfg, s); err != nil {
 		return fmt.Errorf("graphx: %s: %w", w.abbr, err)
 	}
-	w.LastResult = res
 	return nil
 }
 

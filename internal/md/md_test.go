@@ -3,6 +3,7 @@ package md
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"repro/internal/gpu"
@@ -537,5 +538,126 @@ func TestEngineRebuildsNeighborList(t *testing.T) {
 	}
 	if eng.Rebuilds < 2 {
 		t.Errorf("rebuilds = %d, want >= 2 over 20 steps", eng.Rebuilds)
+	}
+}
+
+// sameNeighborList fails t unless BuildNeighborList and the reference
+// build the same list for s.
+func sameNeighborList(t *testing.T, what string, s *System, cutoff, skin float64) {
+	t.Helper()
+	got, err := BuildNeighborList(s, cutoff, skin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refBuildNeighborList(s, cutoff, skin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neigh, want.Neigh) || got.Cutoff != want.Cutoff {
+		t.Fatalf("%s: neighbor list (%d pairs) differs from the reference (%d pairs)", what, got.Pairs(), want.Pairs())
+	}
+}
+
+// TestNeighborListMatchesReference holds the per-axis reject to the full
+// distance test's list on the study's three systems, through their first
+// steps of dynamics (the box breathes under GMS's barostat), and on boxes
+// of one and two cells per edge.
+func TestNeighborListMatchesReference(t *testing.T) {
+	for _, w := range []*Workload{Gromacs(), LammpsRhodopsin(), LammpsColloid()} {
+		sys, err := w.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := w.Config()
+		cfg.Replication = 1
+		eng, err := NewEngine(cfg, sys, newSession(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 6; step++ {
+			sameNeighborList(t, w.Abbr(), sys, cfg.Cutoff, cfg.Skin)
+			if err := eng.Step(step); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := NewColloid(8, 100, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range []float64{1.2, 2.5} {
+		if cl, _ := BuildCellList(s, s.Box/cells); cl.Side >= 3 {
+			t.Fatalf("box of %d cells per edge", cl.Side)
+		}
+		sameNeighborList(t, "small box", s, s.Box/cells-0.1, 0.1)
+	}
+}
+
+// TestNeighborListMatchesReferenceOnLattice puts particles on a lattice
+// whose spacings hit the cutoff and half the box exactly, the boundaries
+// of both the reject and the minimum-image wrap.
+func TestNeighborListMatchesReferenceOnLattice(t *testing.T) {
+	const k, box = 8, 16.0
+	s := newSystem(k*k*k, box)
+	for i := range s.Pos {
+		s.Pos[i] = Vec3{float64(i / (k * k)), float64(i / k % k), float64(i % k)}
+		s.Pos[i] = s.Pos[i].Scale(box / k)
+	}
+	for _, rc := range []float64{box / 8, box / 4, 3 * box / 8, box / 2} {
+		sameNeighborList(t, "lattice", s, rc, 0)
+	}
+}
+
+// benchSystem is one of the study's MD systems with its run configuration.
+type benchSystem struct {
+	name string
+	sys  *System
+	cfg  Config
+}
+
+// benchSystems builds the GMS, LMR and LMC systems.
+func benchSystems(b *testing.B) []benchSystem {
+	var out []benchSystem
+	for _, w := range []*Workload{Gromacs(), LammpsRhodopsin(), LammpsColloid()} {
+		sys, err := w.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		out = append(out, benchSystem{w.Abbr(), sys, w.Config()})
+	}
+	return out
+}
+
+var benchListSink *NeighborList
+
+func BenchmarkBuildNeighborList(b *testing.B) {
+	for _, bs := range benchSystems(b) {
+		b.Run(bs.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nl, err := BuildNeighborList(bs.sys, bs.cfg.Cutoff, bs.cfg.Skin)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchListSink = nl
+			}
+		})
+	}
+}
+
+func BenchmarkComputePairForces(b *testing.B) {
+	for _, bs := range benchSystems(b) {
+		b.Run(bs.name, func(b *testing.B) {
+			nl, err := BuildNeighborList(bs.sys, bs.cfg.Cutoff, bs.cfg.Skin)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clearForces(bs.sys)
+				ComputePairForces(bs.sys, nl, bs.cfg.Cutoff, bs.cfg.EwaldAlpha)
+			}
+		})
 	}
 }

@@ -112,12 +112,25 @@ func BuildNeighborList(s *System, cutoff, skin float64) (*NeighborList, error) {
 				}
 			}
 		}
+		// Most candidates lie beyond the cutoff along x or y alone. A
+		// rounded sum of non-negative squares is at least each of its
+		// terms, so a pair with dx² or dy² >= rc² fails the full test too,
+		// and skipping it early leaves the list unchanged.
 		for k := 0; k < nCells; k++ {
 			for _, j := range cl.Cells[cells[k]] {
 				if j <= i {
 					continue
 				}
-				d := s.minimumImage(pi, s.Pos[j])
+				pj := &s.Pos[j]
+				dx := s.image(pi[0] - pj[0])
+				if dx*dx >= rc2 {
+					continue
+				}
+				dy := s.image(pi[1] - pj[1])
+				if dy*dy >= rc2 {
+					continue
+				}
+				d := Vec3{dx, dy, s.image(pi[2] - pj[2])}
 				if d.Dot(d) < rc2 {
 					nl.Neigh = append(nl.Neigh, int32(j))
 				}

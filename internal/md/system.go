@@ -73,11 +73,17 @@ type System struct {
 func (s *System) minimumImage(a, b Vec3) Vec3 {
 	d := a.Sub(b)
 	for k := 0; k < 3; k++ {
-		if d[k] > s.Box/2 {
-			d[k] -= s.Box
-		} else if d[k] < -s.Box/2 {
-			d[k] += s.Box
-		}
+		d[k] = s.image(d[k])
+	}
+	return d
+}
+
+// image wraps one axis of a displacement to its minimum image.
+func (s *System) image(d float64) float64 {
+	if d > s.Box/2 {
+		return d - s.Box
+	} else if d < -s.Box/2 {
+		return d + s.Box
 	}
 	return d
 }

@@ -30,7 +30,7 @@ func Conv2dOp(x, w, b *V, stride, pad int) (*V, error) {
 		parents = append(parents, b)
 	}
 	return d.newNode(y, func(o *V) {
-		dx, dw, db, err := tensor.Conv2DGrads(x.T, w.T, o.Grad, stride, pad)
+		dx, dw, db, err := tensor.Conv2DGrads(x.T, w.T, o.Grad, stride, pad, x.needGrad, w.needGrad)
 		if err != nil {
 			panic(err)
 		}
@@ -70,7 +70,7 @@ func ConvTranspose2dOp(x, w, b *V, stride, pad int) (*V, error) {
 		parents = append(parents, b)
 	}
 	return d.newNode(y, func(o *V) {
-		dx, dw, db, err := tensor.ConvTranspose2DGrads(x.T, w.T, o.Grad, stride, pad)
+		dx, dw, db, err := tensor.ConvTranspose2DGrads(x.T, w.T, o.Grad, stride, pad, x.needGrad, w.needGrad)
 		if err != nil {
 			panic(err)
 		}

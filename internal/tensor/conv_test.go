@@ -126,13 +126,73 @@ func checkConv(t *testing.T, r *rand.Rand, cc convCase, transposed bool) {
 	if err != nil {
 		t.Fatalf("%v: %v", cc, err)
 	}
-	dx, dw, db, err := grads(x, w, dy, cc.stride, cc.pad)
+	dx, dw, db, err := grads(x, w, dy, cc.stride, cc.pad, true, true)
 	if err != nil {
 		t.Fatalf("%v: %v", cc, err)
 	}
 	sameBits(t, "dx", cc, dx, wdx)
 	sameBits(t, "dw", cc, dw, wdw)
 	sameBits(t, "db", cc, db, wdb)
+
+	// A gradient asked for alone is the full computation's, bit for bit;
+	// one not asked for is nil.
+	for _, need := range [][2]bool{{true, false}, {false, true}, {false, false}} {
+		gx, gw, gb, err := grads(x, w, dy, cc.stride, cc.pad, need[0], need[1])
+		if err != nil {
+			t.Fatalf("%v: %v", cc, err)
+		}
+		for _, g := range []struct {
+			name      string
+			need      bool
+			got, full *Tensor
+		}{{"dx", need[0], gx, dx}, {"dw", need[1], gw, dw}, {"db", true, gb, db}} {
+			switch {
+			case g.need:
+				sameBits(t, g.name+" alone", cc, g.got, g.full)
+			case g.got != nil:
+				t.Fatalf("%v: %s computed though not asked for", cc, g.name)
+			}
+		}
+	}
+}
+
+// TestConvBiasGrad holds the shared bias reduction to both reference
+// nests, the one that skips zero dy and the one that adds every dy, on
+// filters of signed zeros, infinities, denormals and a NaN. Every NaN has
+// one payload: which of two NaN operands an add returns depends on the
+// operand order, which Go leaves to the compiler.
+func TestConvBiasGrad(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	nan := math.Float32frombits(0x7fc00001)
+	filters := [][]float32{
+		{negZero, negZero, negZero, negZero, negZero, negZero, negZero, negZero},
+		{negZero, 0, negZero, 0, 0, negZero, 0, negZero},
+		{negZero, 1.5, negZero, -1.5, 0, negZero, 2, 0},
+		{negZero, nan, 0, 1, negZero, nan, 0, -1},
+		{inf, negZero, -inf, 0, 1, negZero, 0, 2},
+		{0, 1e-40, negZero, -1e-40, 1e-30, negZero, -1e-30, 0},
+	}
+	n, f := 2, len(filters)
+	dy := New(n, f, 2, 2)
+	for fi, vals := range filters {
+		for ni := 0; ni < n; ni++ {
+			copy(dy.Data[(ni*f+fi)*4:], vals[ni*4:ni*4+4])
+		}
+	}
+	cc := convCase{n: n, c: 1, f: f, h: 2, w: 2, kh: 1, kw: 1, stride: 1}
+	x := New(n, 1, 2, 2)
+	_, _, skipDB, _ := refConv2DGrads(x, New(f, 1, 1, 1), dy, 1, 0)
+	_, _, addDB, _ := refConvTranspose2DGrads(x, New(1, f, 1, 1), dy, 1, 0)
+	db := convBiasGrad(dy)
+	sameBits(t, "db vs skipping nest", cc, db, skipDB)
+	sameBits(t, "db vs adding nest", cc, db, addDB)
+	if math.Float32bits(db.Data[0]) != 0 || math.Float32bits(db.Data[1]) != 0 {
+		t.Errorf("sums of signed zeros = %g, %g, want +0", db.Data[0], db.Data[1])
+	}
+	if !math.IsNaN(float64(db.Data[3])) || !math.IsNaN(float64(db.Data[4])) {
+		t.Errorf("NaN and Inf-Inf sums = %g, %g, want NaN", db.Data[3], db.Data[4])
+	}
 }
 
 // TestConv2DBitIdentical holds Conv2D and Conv2DGrads bit-identical to the
@@ -232,10 +292,20 @@ func BenchmarkConv2D(b *testing.B) {
 	})
 }
 
+// BenchmarkConv2DGrads times the input and the weight gradient apart, as
+// a layer whose weights or input need no gradient computes one alone.
 func BenchmarkConv2DGrads(b *testing.B) {
-	benchConv(b, convBenchShapes, false, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
-		dx, _, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad)
-		return dx, err
+	b.Run("dx", func(b *testing.B) {
+		benchConv(b, convBenchShapes, false, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+			dx, _, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad, true, false)
+			return dx, err
+		})
+	})
+	b.Run("dw", func(b *testing.B) {
+		benchConv(b, convBenchShapes, false, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+			_, dw, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad, false, true)
+			return dw, err
+		})
 	})
 }
 
@@ -245,9 +315,19 @@ func BenchmarkConvTranspose2D(b *testing.B) {
 	})
 }
 
+// BenchmarkConvTranspose2DGrads times the input and the weight gradient
+// of the transposed convolution apart.
 func BenchmarkConvTranspose2DGrads(b *testing.B) {
-	benchConv(b, convTBenchShapes, true, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
-		dx, _, _, err := ConvTranspose2DGrads(x, w, dy, s.stride, s.pad)
-		return dx, err
+	b.Run("dx", func(b *testing.B) {
+		benchConv(b, convTBenchShapes, true, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+			dx, _, _, err := ConvTranspose2DGrads(x, w, dy, s.stride, s.pad, true, false)
+			return dx, err
+		})
+	})
+	b.Run("dw", func(b *testing.B) {
+		benchConv(b, convTBenchShapes, true, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+			_, dw, _, err := ConvTranspose2DGrads(x, w, dy, s.stride, s.pad, false, true)
+			return dw, err
+		})
 	})
 }

@@ -12,15 +12,19 @@
 //
 //   - Conv2D: y[n,f,oy,ox] starts at b[f] (+0 when b is nil) and adds w*x
 //     over (ci, ky, kx) in ascending order.
-//   - Conv2DGrads: db[f] and dw[f,c,ky,kx] start at +0 and add over
-//     (n, oy, ox) in ascending order. dx[n,c,iy,ix] starts at +0 and adds
-//     over f, then over the (oy, ox) it reaches in ascending order, which
-//     is descending (ky, kx). Every term whose dy is zero is skipped.
+//   - Conv2DGrads: dw[f,c,ky,kx] starts at +0 and adds over (n, oy, ox)
+//     in ascending order. dx[n,c,iy,ix] starts at +0 and adds over f, then
+//     over the (oy, ox) it reaches in ascending order, which is descending
+//     (ky, kx). Every term whose dy is zero is skipped.
 //   - ConvTranspose2D: y[n,f,oy,ox] starts at b[f] (+0 when b is nil) and
 //     adds x*w over (ci, iy, ix) in ascending order, skipping zero x.
-//   - ConvTranspose2DGrads: db[f] adds every dy over (n, oy, ox);
-//     dx[n,c,iy,ix] adds over (f, ky, kx) and dw[c,f,ky,kx] over
-//     (n, iy, ix), all from +0 in ascending order, with no skips.
+//   - ConvTranspose2DGrads: dx[n,c,iy,ix] adds over (f, ky, kx) and
+//     dw[c,f,ky,kx] over (n, iy, ix), both from +0 in ascending order, with
+//     no skips.
+//   - Both gradients: db[f] starts at +0 and adds dy over (n, oy, ox) in
+//     ascending order. Skipping its zero dy would change nothing: a sum
+//     that starts at +0 never becomes -0, and adding ±0 leaves any other
+//     value as it is.
 //
 // The skips are part of the contract: they decide the sign of a zero sum
 // and whether 0·Inf turns it into NaN. The kernels tile, reorder their
@@ -233,42 +237,32 @@ func Conv2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 	return out, nil
 }
 
-// Conv2DGrads computes input and weight gradients of Conv2D.
-func Conv2DGrads(x, w, dy *Tensor, stride, pad int) (dx, dw, db *Tensor, err error) {
+// Conv2DGrads computes the gradients of Conv2D: dx when needDX, dw when
+// needDW, and db always. A gradient not asked for is nil and costs
+// nothing.
+func Conv2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool) (dx, dw, db *Tensor, err error) {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f, _, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
 	oh, ow := dy.Shape[2], dy.Shape[3]
-	dx = New(n, c, h, wd)
-	dw = New(f, c, kh, kw)
-	db = New(f)
 	hw, ohw, kk := h*wd, oh*ow, kh*kw
 	ya, xa := convAxis{h, oh, kh, stride, pad}, convAxis{wd, ow, kw, stride, pad}
 	var acc [convTile]float32
-
-	// db[fi] sums the nonzero dy of filter fi over (ni, oy, ox).
-	for fi := 0; fi < f; fi++ {
-		var s float32
-		for ni := 0; ni < n; ni++ {
-			for _, g := range dy.Data[(ni*f+fi)*ohw : (ni*f+fi+1)*ohw] {
-				if g != 0 {
-					s += g
-				}
-			}
-		}
-		db.Data[fi] = s
-	}
+	db = convBiasGrad(dy)
 
 	// dw[fi, ci, tap] sums g*x over (ni, oy, ox): sample by sample over the
 	// tap's terms (dy pixel, x pixel), a tile of channels sharing each g.
-	tab := newConvTable(ya, xa, perTap)
-	xt := make([][convTile]float32, n*hw)
-	for c0 := 0; c0 < c; c0 += convTile {
-		convLanes(xt, x.Data, c0, c, n, hw, hw, c*hw)
-		for fi := 0; fi < f; fi++ {
-			for t, at := range tab.pos {
-				acc = [convTile]float32{}
-				convSumNonzero(&acc, tab.class[at.class], dy.Data[fi*ohw+int(at.s):], f*ohw, xt[at.v:], hw, n)
-				convStore(dw.Data[(fi*c+c0)*kk:], kk, t, &acc, min(convTile, c-c0))
+	if needDW {
+		dw = New(f, c, kh, kw)
+		tab := newConvTable(ya, xa, perTap)
+		xt := make([][convTile]float32, n*hw)
+		for c0 := 0; c0 < c; c0 += convTile {
+			convLanes(xt, x.Data, c0, c, n, hw, hw, c*hw)
+			for fi := 0; fi < f; fi++ {
+				for t, at := range tab.pos {
+					acc = [convTile]float32{}
+					convSumNonzero(&acc, tab.class[at.class], dy.Data[fi*ohw+int(at.s):], f*ohw, xt[at.v:], hw, n)
+					convStore(dw.Data[(fi*c+c0)*kk:], kk, t, &acc, min(convTile, c-c0))
+				}
 			}
 		}
 	}
@@ -276,19 +270,39 @@ func Conv2DGrads(x, w, dy *Tensor, stride, pad int) (dx, dw, db *Tensor, err err
 	// dx[ni, ci, iy, ix] sums g*w over fi, then over the x pixel's
 	// (oy, ox) contributors in ascending order: filter by filter over its
 	// terms (dy pixel, tap), a tile of channels sharing each g.
-	tab = newConvTable(ya, xa, perIn)
-	wt := make([][convTile]float32, f*kk)
-	for c0 := 0; c0 < c; c0 += convTile {
-		convLanes(wt, w.Data, c0, c, f, kk, kk, c*kk)
-		for ni := 0; ni < n; ni++ {
-			for p, at := range tab.pos {
-				acc = [convTile]float32{}
-				convSumNonzero(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
-				convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
+	if needDX {
+		dx = New(n, c, h, wd)
+		tab := newConvTable(ya, xa, perIn)
+		wt := make([][convTile]float32, f*kk)
+		for c0 := 0; c0 < c; c0 += convTile {
+			convLanes(wt, w.Data, c0, c, f, kk, kk, c*kk)
+			for ni := 0; ni < n; ni++ {
+				for p, at := range tab.pos {
+					acc = [convTile]float32{}
+					convSumNonzero(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
+					convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
+				}
 			}
 		}
 	}
 	return dx, dw, db, nil
+}
+
+// convBiasGrad returns db for dy (N,F,OH,OW): db[f] sums filter f's dy
+// from +0 in ascending (n, oy, ox) order.
+func convBiasGrad(dy *Tensor) *Tensor {
+	n, f, ohw := dy.Shape[0], dy.Shape[1], dy.Shape[2]*dy.Shape[3]
+	db := New(f)
+	for fi := range db.Data {
+		var s float32
+		for ni := 0; ni < n; ni++ {
+			for _, g := range dy.Data[(ni*f+fi)*ohw : (ni*f+fi+1)*ohw] {
+				s += g
+			}
+		}
+		db.Data[fi] = s
+	}
+	return db
 }
 
 // ConvTranspose2D computes a NCHW transposed convolution (deconvolution):
@@ -335,55 +349,50 @@ func ConvTranspose2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 	return out, nil
 }
 
-// ConvTranspose2DGrads computes the gradients of ConvTranspose2D.
-func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int) (dx, dw, db *Tensor, err error) {
+// ConvTranspose2DGrads computes the gradients of ConvTranspose2D: dx when
+// needDX, dw when needDW, and db always. A gradient not asked for is nil
+// and costs nothing.
+func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool) (dx, dw, db *Tensor, err error) {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	_, f, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
 	oh, ow := dy.Shape[2], dy.Shape[3]
-	dx = New(n, c, h, wd)
-	dw = New(c, f, kh, kw)
-	db = New(f)
 	hw, ohw, kk := h*wd, oh*ow, kh*kw
 	ya, xa := convAxis{oh, h, kh, stride, pad}, convAxis{ow, wd, kw, stride, pad}
 	var acc [convTile]float32
-
-	// db[fi] sums dy of filter fi over (ni, oy, ox).
-	for fi := 0; fi < f; fi++ {
-		var s float32
-		for ni := 0; ni < n; ni++ {
-			for _, g := range dy.Data[(ni*f+fi)*ohw : (ni*f+fi+1)*ohw] {
-				s += g
-			}
-		}
-		db.Data[fi] = s
-	}
+	db = convBiasGrad(dy)
 
 	// dx[ni, ci, iy, ix] sums g*w over (fi, ky, kx): filter by filter over
 	// the x pixel's terms (dy pixel, tap), a tile of channels sharing each g.
-	tab := newConvTable(ya, xa, perOut)
-	wt := make([][convTile]float32, f*kk)
-	for c0 := 0; c0 < c; c0 += convTile {
-		convLanes(wt, w.Data, c0, c, f, kk, f*kk, kk)
-		for ni := 0; ni < n; ni++ {
-			for p, at := range tab.pos {
-				acc = [convTile]float32{}
-				convSum(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
-				convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
+	if needDX {
+		dx = New(n, c, h, wd)
+		tab := newConvTable(ya, xa, perOut)
+		wt := make([][convTile]float32, f*kk)
+		for c0 := 0; c0 < c; c0 += convTile {
+			convLanes(wt, w.Data, c0, c, f, kk, f*kk, kk)
+			for ni := 0; ni < n; ni++ {
+				for p, at := range tab.pos {
+					acc = [convTile]float32{}
+					convSum(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
+					convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
+				}
 			}
 		}
 	}
 
 	// dw[ci, fi, tap] sums g*x over (ni, iy, ix): sample by sample over the
 	// tap's terms (x pixel, dy pixel), a tile of filters sharing each x.
-	tab = newConvTable(ya, xa, perTap)
-	dyt := make([][convTile]float32, n*ohw)
-	for f0 := 0; f0 < f; f0 += convTile {
-		convLanes(dyt, dy.Data, f0, f, n, ohw, ohw, f*ohw)
-		for ci := 0; ci < c; ci++ {
-			for t, at := range tab.pos {
-				acc = [convTile]float32{}
-				convSum(&acc, tab.class[at.class], x.Data[ci*hw+int(at.s):], c*hw, dyt[at.v:], ohw, n)
-				convStore(dw.Data[(ci*f+f0)*kk:], kk, t, &acc, min(convTile, f-f0))
+	if needDW {
+		dw = New(c, f, kh, kw)
+		tab := newConvTable(ya, xa, perTap)
+		dyt := make([][convTile]float32, n*ohw)
+		for f0 := 0; f0 < f; f0 += convTile {
+			convLanes(dyt, dy.Data, f0, f, n, ohw, ohw, f*ohw)
+			for ci := 0; ci < c; ci++ {
+				for t, at := range tab.pos {
+					acc = [convTile]float32{}
+					convSum(&acc, tab.class[at.class], x.Data[ci*hw+int(at.s):], c*hw, dyt[at.v:], ohw, n)
+					convStore(dw.Data[(ci*f+f0)*kk:], kk, t, &acc, min(convTile, f-f0))
+				}
 			}
 		}
 	}

@@ -167,7 +167,7 @@ func TestConv2DGradsNumerically(t *testing.T) {
 		t.Fatal(err)
 	}
 	dy := Randn(r, 1, y.Shape...)
-	dx, dw, _, err := Conv2DGrads(x, w, dy, stride, pad)
+	dx, dw, _, err := Conv2DGrads(x, w, dy, stride, pad, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestConvTranspose2DGradsNumerically(t *testing.T) {
 		t.Fatal(err)
 	}
 	dy := Randn(r, 1, y.Shape...)
-	dx, dw, _, err := ConvTranspose2DGrads(x, w, dy, 2, 0)
+	dx, dw, _, err := ConvTranspose2DGrads(x, w, dy, 2, 0, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
