@@ -394,20 +394,7 @@ func CharacterizeWith(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOpti
 			return nil, outcome, err
 		}
 		if opts.Cache != nil {
-			if storeErr = opts.Cache.Store(p, cfg); storeErr != nil {
-				storeErr = fmt.Errorf("core: caching %s: %w", w.Abbr(), storeErr)
-				opts.Counters.Add(telemetry.CtrCacheStoreErrors, 1)
-				if tr.Enabled() {
-					tr.Emit(telemetry.Event{
-						Track: telemetry.TrackHost, Phase: telemetry.PhaseInstant,
-						Name: "cache store error", Cat: "cache", TID: worker,
-						Start: telemetry.Now(),
-						Args: map[string]any{
-							"workload": w.Abbr(), "error": storeErr.Error(),
-						},
-					})
-				}
-			}
+			storeErr = storeProfile(p, cfg, opts, tr, worker)
 		}
 	}
 
@@ -432,6 +419,28 @@ func CharacterizeWith(w workloads.Workload, cfg gpu.DeviceConfig, opts StudyOpti
 		opts.Progress(WorkloadProgress{Profile: p, Wall: wall, Cache: outcome, StoreErr: storeErr})
 	}
 	return p, outcome, nil
+}
+
+// storeProfile writes p to opts.Cache. A failed store does not fail the
+// characterization: the error, wrapped with the workload, is counted under
+// telemetry.CtrCacheStoreErrors, traced on the worker's lane, and returned
+// for Progress.
+func storeProfile(p *Profile, cfg gpu.DeviceConfig, opts StudyOptions, tr telemetry.Tracer, worker int) error {
+	err := opts.Cache.Store(p, cfg)
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("core: caching %s: %w", p.Abbr(), err)
+	opts.Counters.Add(telemetry.CtrCacheStoreErrors, 1)
+	if tr.Enabled() {
+		tr.Emit(telemetry.Event{
+			Track: telemetry.TrackHost, Phase: telemetry.PhaseInstant,
+			Name: "cache store error", Cat: "cache", TID: worker,
+			Start: telemetry.Now(),
+			Args:  map[string]any{"workload": p.Abbr(), "error": err.Error()},
+		})
+	}
+	return err
 }
 
 // Add appends an already-characterized profile to the study (used to slice

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -41,6 +40,9 @@ func FuzzProfileRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	for _, e := range malformedEntries(f, p, cfg) {
+		f.Add(e.data)
+	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schema":1,"abbr":"pb-sgemm"}`))
 	f.Add([]byte(`{"schema":99,"abbr":"pb-sgemm","device":"RTX 3080"}`))
@@ -67,12 +69,11 @@ func FuzzProfileRoundTrip(f *testing.F) {
 			}
 			// A hit's identity fields were validated against the probe key;
 			// anything else means the guard in Probe regressed.
-			var e cachedProfile
-			if err := json.Unmarshal(data, &e); err != nil {
-				t.Fatalf("CacheHit from undecodable bytes: %v", err)
-			}
-			if e.Schema != CacheSchemaVersion || e.Abbr != w.Abbr() || e.Device != cfg.Name {
-				t.Fatalf("CacheHit accepted foreign identity %+v", e)
+			r := entryReader{b: data[len(entryMagic):]}
+			schema, abbr, device := r.uvarint(), string(r.bytes()), string(r.bytes())
+			if r.bad || string(data[:len(entryMagic)]) != entryMagic ||
+				schema != CacheSchemaVersion || abbr != w.Abbr() || device != cfg.Name {
+				t.Fatalf("CacheHit accepted foreign identity: schema %d, abbr %q, device %q", schema, abbr, device)
 			}
 			if got.TotalTime <= 0 || len(got.Kernels) == 0 {
 				t.Fatalf("CacheHit with degenerate profile: time %v, %d kernels",

@@ -182,7 +182,7 @@ func TestCorruptCacheEntriesAreCountedNotSwallowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt every entry on disk.
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	entries, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if err != nil || len(entries) != len(ws) {
 		t.Fatalf("found %d cache entries (err=%v), want %d", len(entries), err, len(ws))
 	}

@@ -410,3 +410,24 @@ func TestGoldenResponses(t *testing.T) {
 		})
 	}
 }
+
+// TestDeviceFingerprintsNameCacheEntries — the fingerprints the server
+// keys its LRU and singleflight by must be the ones the profile cache
+// names its entries by, for every device it serves.
+func TestDeviceFingerprintsNameCacheEntries(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := core.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Cache: cache})
+	for dev, fp := range s.devFPs {
+		if rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm&device="+dev, nil); rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d\n%s", dev, rr.Code, rr.Body.String())
+		}
+		entries, err := filepath.Glob(filepath.Join(dir, "pb-sgemm-"+fp+"-*"))
+		if err != nil || len(entries) != 1 {
+			t.Errorf("%s: %d cache entries named by fingerprint %s (err=%v), want 1", dev, len(entries), fp, err)
+		}
+	}
+}
