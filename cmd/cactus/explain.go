@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -29,16 +28,9 @@ func explainCmd(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 	if err := parseFlags(fs, rest[1:]); err != nil {
 		return err
 	}
-	ws := cat.All()
-	if args := fs.Args(); len(args) > 0 {
-		ws = ws[:0]
-		for _, abbr := range args {
-			w, err := cat.Lookup(abbr)
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
-		}
+	ws, err := selectWorkloads(cat, fs.Args())
+	if err != nil {
+		return err
 	}
 
 	var root *telemetry.AttributionNode
@@ -71,18 +63,4 @@ func explainCmd(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		return telemetry.WriteAttributionJSON(out, root)
 	}
 	return telemetry.WriteAttributionText(out, root, *depth)
-}
-
-// writeMetricsFile renders the registry's Prometheus text exposition to
-// path — the -metrics flag, and the artifact CI attaches to the bench gate.
-func writeMetricsFile(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WritePrometheus(f); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
-	}
-	return f.Close()
 }

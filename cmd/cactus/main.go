@@ -262,13 +262,15 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 	}
 	if *metricsFile != "" && cmdErr == nil {
-		if err := writeMetricsFile(*metricsFile, registry); err != nil {
+		if err := writeFile(*metricsFile, registry.WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Fprintf(errOut, "cactus: wrote metrics snapshot to %s\n", *metricsFile)
 	}
 	if rec != nil && cmdErr == nil {
-		if err := writeTraceFile(*traceFile, rec); err != nil {
+		if err := writeFile(*traceFile, func(w io.Writer) error {
+			return telemetry.WriteChrome(w, rec.Events())
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(errOut, "cactus: wrote %d trace events to %s\n", rec.Len(), *traceFile)
@@ -292,13 +294,9 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if len(rest) < 2 {
 			return usagef("run: need at least one workload abbreviation")
 		}
-		var ws []workloads.Workload
-		for _, abbr := range rest[1:] {
-			w, err := cat.Lookup(abbr)
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
+		ws, err := selectWorkloads(cat, rest[1:])
+		if err != nil {
+			return err
 		}
 		st, err := core.NewStudyWith(cfg, opts, ws...)
 		if err != nil {
@@ -365,11 +363,12 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if err != nil {
 			return err
 		}
-		p, err := core.Characterize(w, cfg)
+		st, err := core.NewStudyWith(cfg, opts, w)
 		if err != nil {
 			return err
 		}
-		return core.WriteProfileTable(out, p)
+		liveAttribution.Store(core.Attribute(st))
+		return core.WriteProfileTable(out, st.Profiles[0])
 
 	case "figure":
 		if len(rest) != 2 {
@@ -434,13 +433,9 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if len(rest) < 2 {
 			return usagef("compare: need at least one workload abbreviation")
 		}
-		var ws []workloads.Workload
-		for _, abbr := range rest[1:] {
-			w, err := cat.Lookup(abbr)
-			if err != nil {
-				return err
-			}
-			ws = append(ws, w)
+		ws, err := selectWorkloads(cat, rest[1:])
+		if err != nil {
+			return err
 		}
 		a, err := core.NewStudyWith(gpu.RTX3080(), opts, ws...)
 		if err != nil {
@@ -457,30 +452,16 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		return core.WriteCompareTable(out, cmps)
 
 	case "lint":
-		ws := cat.All()
-		if len(rest) > 1 {
-			ws = ws[:0]
-			for _, abbr := range rest[1:] {
-				w, err := cat.Lookup(abbr)
-				if err != nil {
-					return err
-				}
-				ws = append(ws, w)
-			}
+		ws, err := selectWorkloads(cat, rest[1:])
+		if err != nil {
+			return err
 		}
 		return lintWorkloads(ws, cfg, out, errOut)
 
 	case "audit":
-		ws := cat.All()
-		if len(rest) > 1 {
-			ws = ws[:0]
-			for _, abbr := range rest[1:] {
-				w, err := cat.Lookup(abbr)
-				if err != nil {
-					return err
-				}
-				ws = append(ws, w)
-			}
+		ws, err := selectWorkloads(cat, rest[1:])
+		if err != nil {
+			return err
 		}
 		return auditWorkloads(ws, cfg, out, errOut)
 
@@ -626,27 +607,27 @@ func checkWorkloads(cmd, kind string, ws []workloads.Workload, cfg gpu.DeviceCon
 	return nil
 }
 
-// writeTraceFile dumps a recorded study trace as Chrome trace-event JSON.
-func writeTraceFile(path string, rec *telemetry.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// selectWorkloads resolves abbrs against the catalog, in order; no
+// abbreviations selects the whole catalog.
+func selectWorkloads(cat *workloads.Catalog, abbrs []string) ([]workloads.Workload, error) {
+	if len(abbrs) == 0 {
+		return cat.All(), nil
 	}
-	if err := telemetry.WriteChrome(f, rec.Events()); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
-		return err
+	ws := make([]workloads.Workload, 0, len(abbrs))
+	for _, abbr := range abbrs {
+		w, err := cat.Lookup(abbr)
+		if err != nil {
+			return nil, err
+		}
+		ws = append(ws, w)
 	}
-	return f.Close()
+	return ws, nil
 }
 
-// writeToSink runs write against rest[2] when a file argument is given
-// (propagating the close error — that is when buffered bytes reach disk) or
-// against out otherwise.
-func writeToSink(rest []string, out io.Writer, write func(io.Writer) error) error {
-	if len(rest) < 3 {
-		return write(out)
-	}
-	f, err := os.Create(rest[2])
+// writeFile runs write against a newly created file at path, propagating
+// the close error: that is when buffered bytes reach disk.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -655,6 +636,15 @@ func writeToSink(rest []string, out io.Writer, write func(io.Writer) error) erro
 		return err
 	}
 	return f.Close()
+}
+
+// writeToSink runs write against rest[2] when a file argument is given or
+// against out otherwise.
+func writeToSink(rest []string, out io.Writer, write func(io.Writer) error) error {
+	if len(rest) < 3 {
+		return write(out)
+	}
+	return writeFile(rest[2], write)
 }
 
 // studyFor builds the smallest study each figure needs.

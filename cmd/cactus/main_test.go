@@ -299,6 +299,31 @@ func TestVerboseProgressAndCounters(t *testing.T) {
 	}
 }
 
+// TestProfileUsesStudyOptions — profile must honour the global flags like
+// every study command: -cache serves the second run from the entry the
+// first stored (same table on stdout), and -v reports which it was.
+func TestProfileUsesStudyOptions(t *testing.T) {
+	dir := t.TempDir()
+	profile := func() (string, string) {
+		var out, errOut bytes.Buffer
+		if err := run([]string{"-v", "-cache", dir, "profile", "pb-sgemm"}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), errOut.String()
+	}
+	coldOut, coldErr := profile()
+	warmOut, warmErr := profile()
+	if coldOut != warmOut {
+		t.Errorf("warm profile differs from cold:\n%s\nvs\n%s", warmOut, coldOut)
+	}
+	if !strings.Contains(coldErr, "cactus: pb-sgemm:") || !strings.Contains(coldErr, "cache miss") {
+		t.Errorf("cold -v output lacks the workload's cache-miss line:\n%s", coldErr)
+	}
+	if !strings.Contains(warmErr, "cactus: pb-sgemm:") || !strings.Contains(warmErr, "cache hit") {
+		t.Errorf("warm -v output lacks the workload's cache-hit line:\n%s", warmErr)
+	}
+}
+
 // TestTraceFlagOnStudy — -trace FILE on a study command must write a valid
 // trace containing both tracks.
 func TestTraceFlagOnStudy(t *testing.T) {

@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/memsim"
@@ -46,6 +48,42 @@ type KernelSpec struct {
 	// ready warp stalls on a register dependency (models low ILP). Zero
 	// defaults to a moderate 0.15.
 	DependencyFraction float64
+}
+
+// FixedPrefix marks streams over fixed-size structures (model weights,
+// lookup trees). Replication models larger activations, batches and graphs
+// at reference scale, but such structures only grow with the much smaller
+// channel-count increase, so they scale by sqrt(R) rather than R.
+const FixedPrefix = "w:"
+
+// Replicated builds the spec of one launch of a reduced-scale kernel,
+// extrapolated to reference scale by the replication factor r. It is the
+// one scaling rule every workload family uses, so suites compare at the
+// same scale:
+//   - the mix scales by r;
+//   - the thread count scales by r, in blocks of block threads
+//     (grid = ceil(threads*r/block), at least 1);
+//   - stream bytes scale by r, or by sqrt(r) for FixedPrefix streams,
+//     floored at 1 byte.
+func Replicated(name string, threads, block int, r float64, mix isa.Mix, streams []memsim.Stream, div float64) KernelSpec {
+	scaled := make([]memsim.Stream, len(streams))
+	for i, s := range streams {
+		sr := r
+		if strings.HasPrefix(s.Name, FixedPrefix) {
+			sr = math.Sqrt(r)
+		}
+		s.FootprintBytes = max(uint64(float64(s.FootprintBytes)*sr), 1)
+		s.AccessBytes = max(uint64(float64(s.AccessBytes)*sr), 1)
+		scaled[i] = s
+	}
+	return KernelSpec{
+		Name:               name,
+		Grid:               D1(max((int(float64(threads)*r)+block-1)/block, 1)),
+		Block:              D1(block),
+		Mix:                mix.Scale(r),
+		Streams:            scaled,
+		DivergenceFraction: div,
+	}
 }
 
 // Validate reports spec construction errors.

@@ -123,45 +123,21 @@ const (
 )
 
 func (em *bfsEmitter) launch(name string, threads int, mix isa.Mix, streams []memsim.Stream, trace gpu.TraceFunc, coverage, div float64) {
-	r := em.cfg.replication()
-	if r > 1 {
-		mix = mix.Scale(float64(r))
-		scaled := make([]memsim.Stream, len(streams))
-		for i, s := range streams {
-			s.FootprintBytes *= uint64(r)
-			s.AccessBytes *= uint64(r)
-			scaled[i] = s
-		}
-		streams = scaled
-		threads *= r
-		// The trace replays a 1/r tile of the launch's accesses.
-		coverage /= float64(r)
-	}
-	block := 256
-	grid := (threads + block - 1) / block
-	if grid < 1 {
-		grid = 1
-	}
-	spec := gpu.KernelSpec{
-		Name:               name,
-		Grid:               gpu.D1(grid),
-		Block:              gpu.D1(block),
-		Mix:                mix,
-		Streams:            streams,
-		DivergenceFraction: div,
-	}
+	r := float64(em.cfg.replication())
+	spec := gpu.Replicated(name, threads, 256, r, mix, streams, div)
 	if trace != nil {
+		// The trace replays a 1/r tile of the launch's accesses.
 		spec.Trace = trace
-		spec.TraceCoverage = coverage
+		spec.TraceCoverage = coverage / r
 	}
 	em.sess.MustLaunch(spec)
 }
 
 func (em *bfsEmitter) memset(name string, elems, elemBytes int) {
 	var m isa.Mix
-	m.Add(isa.StoreGlobal, wceil(elems))
-	m.Add(isa.INT, wceil(elems))
-	m.Add(isa.Misc, wceil(elems))
+	m.Add(isa.StoreGlobal, isa.Warps(float64(elems)))
+	m.Add(isa.INT, isa.Warps(float64(elems)))
+	m.Add(isa.Misc, isa.Warps(float64(elems)))
 	bytes := uint64(elems * elemBytes)
 	if bytes == 0 {
 		bytes = 1
@@ -196,10 +172,10 @@ func (em *bfsEmitter) pushIteration(frontier []int32, depth []int32, d int32) (n
 		// Gunrock runs a merge-path partitioning kernel before large
 		// advances to balance ragged degree distributions.
 		var pm isa.Mix
-		pm.Add(isa.INT, wceil(len(frontier)*4))
-		pm.Add(isa.LoadGlobal, wceil(len(frontier)))
-		pm.Add(isa.StoreGlobal, wceil(len(frontier)/32+1))
-		pm.Add(isa.Misc, wceil(len(frontier)))
+		pm.Add(isa.INT, isa.Warps(float64(len(frontier)*4)))
+		pm.Add(isa.LoadGlobal, isa.Warps(float64(len(frontier))))
+		pm.Add(isa.StoreGlobal, isa.Warps(float64(len(frontier)/32+1)))
+		pm.Add(isa.Misc, isa.Warps(float64(len(frontier))))
 		em.launch("advance_lb_partition", len(frontier), pm, []memsim.Stream{
 			{Name: "offsets", FootprintBytes: u64(len(frontier) * 4), AccessBytes: u64(len(frontier) * 4), ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 		}, nil, 0, 0.05)
@@ -213,12 +189,12 @@ func (em *bfsEmitter) pushIteration(frontier []int32, depth []int32, d int32) (n
 		// and writes the surviving flags — the dominant kernel of the
 		// social-network traversal.
 		var um isa.Mix
-		um.Add(isa.INT, wceil(edges*12+len(frontier)*4))
-		um.Add(isa.LoadGlobal, wceil(edges*3+2*len(frontier)))
-		um.Add(isa.StoreGlobal, wceil(edges*2))
-		um.Add(isa.Branch, wceil(edges*2+len(frontier)))
-		um.Add(isa.Misc, wceil(edges*2))
-		em.launch("advance_filter_fused", maxInt(len(frontier), 32), um, []memsim.Stream{
+		um.Add(isa.INT, isa.Warps(float64(edges*12+len(frontier)*4)))
+		um.Add(isa.LoadGlobal, isa.Warps(float64(edges*3+2*len(frontier))))
+		um.Add(isa.StoreGlobal, isa.Warps(float64(edges*2)))
+		um.Add(isa.Branch, isa.Warps(float64(edges*2+len(frontier))))
+		um.Add(isa.Misc, isa.Warps(float64(edges*2)))
+		em.launch("advance_filter_fused", max(len(frontier), 32), um, []memsim.Stream{
 			{Name: "queue-out", FootprintBytes: u64(nc*4 + 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Store: true, Partitioned: true},
 		}, trace, coverage, em.raggedness(frontier))
 		// The fused kernel compacts its output queue with warp-aggregated
@@ -226,21 +202,21 @@ func (em *bfsEmitter) pushIteration(frontier []int32, depth []int32, d int32) (n
 		return next, edges
 	} else {
 		var am isa.Mix
-		am.Add(isa.INT, wceil(edges*6+len(frontier)*4))
-		am.Add(isa.LoadGlobal, wceil(edges+2*len(frontier)))
-		am.Add(isa.StoreGlobal, wceil(edges))
-		am.Add(isa.Branch, wceil(edges+len(frontier)))
-		am.Add(isa.Misc, wceil(edges))
-		em.launch("advance_edge_map", maxInt(len(frontier), 32), am, nil, trace, coverage, em.raggedness(frontier))
+		am.Add(isa.INT, isa.Warps(float64(edges*6+len(frontier)*4)))
+		am.Add(isa.LoadGlobal, isa.Warps(float64(edges+2*len(frontier))))
+		am.Add(isa.StoreGlobal, isa.Warps(float64(edges)))
+		am.Add(isa.Branch, isa.Warps(float64(edges+len(frontier))))
+		am.Add(isa.Misc, isa.Warps(float64(edges)))
+		em.launch("advance_edge_map", max(len(frontier), 32), am, nil, trace, coverage, em.raggedness(frontier))
 
 		// --- filter: visited bitmask test + dedup -------------------------
 		var fm isa.Mix
-		fm.Add(isa.INT, wceil(nc*5))
-		fm.Add(isa.LoadGlobal, wceil(nc*2))
-		fm.Add(isa.StoreGlobal, wceil(nc))
-		fm.Add(isa.Branch, wceil(nc))
-		fm.Add(isa.Misc, wceil(nc))
-		em.launch("filter_visited", maxInt(nc, 32), fm, []memsim.Stream{
+		fm.Add(isa.INT, isa.Warps(float64(nc*5)))
+		fm.Add(isa.LoadGlobal, isa.Warps(float64(nc*2)))
+		fm.Add(isa.StoreGlobal, isa.Warps(float64(nc)))
+		fm.Add(isa.Branch, isa.Warps(float64(nc)))
+		fm.Add(isa.Misc, isa.Warps(float64(nc)))
+		em.launch("filter_visited", max(nc, 32), fm, []memsim.Stream{
 			{Name: "candidates", FootprintBytes: u64(nc*4 + 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 			{Name: "labels", FootprintBytes: u64(em.g.N * 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Random, Partitioned: true},
 			{Name: "flags-out", FootprintBytes: u64(nc*4 + 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Store: true, Partitioned: true},
@@ -278,20 +254,20 @@ func (em *bfsEmitter) pullIteration(depth []int32, d int32) (next []int32, edges
 	}
 
 	var bm isa.Mix
-	bm.Add(isa.INT, wceil(edges*4+unvisited*6))
-	bm.Add(isa.LoadGlobal, wceil(edges+unvisited*2))
-	bm.Add(isa.StoreGlobal, wceil(len(next)))
-	bm.Add(isa.Branch, wceil(edges+unvisited))
-	bm.Add(isa.Misc, wceil(edges))
+	bm.Add(isa.INT, isa.Warps(float64(edges*4+unvisited*6)))
+	bm.Add(isa.LoadGlobal, isa.Warps(float64(edges+unvisited*2)))
+	bm.Add(isa.StoreGlobal, isa.Warps(float64(len(next))))
+	bm.Add(isa.Branch, isa.Warps(float64(edges+unvisited)))
+	bm.Add(isa.Misc, isa.Warps(float64(edges)))
 	trace, coverage := em.pullTrace(depth, d, edges)
-	em.launch("bottom_up_expand", maxInt(unvisited, 32), bm, nil, trace, coverage, 0.35)
+	em.launch("bottom_up_expand", max(unvisited, 32), bm, nil, trace, coverage, 0.35)
 
 	// Convert the produced bitmap back to a queue for the next iteration.
 	var cm isa.Mix
-	cm.Add(isa.INT, wceil(g.N/8))
-	cm.Add(isa.LoadGlobal, wceil(g.N/32+1))
-	cm.Add(isa.StoreGlobal, wceil(len(next)+1))
-	cm.Add(isa.Misc, wceil(g.N/32+1))
+	cm.Add(isa.INT, isa.Warps(float64(g.N/8)))
+	cm.Add(isa.LoadGlobal, isa.Warps(float64(g.N/32+1)))
+	cm.Add(isa.StoreGlobal, isa.Warps(float64(len(next)+1)))
+	cm.Add(isa.Misc, isa.Warps(float64(g.N/32+1)))
 	em.launch("bitmap_to_queue", g.N/32+1, cm, []memsim.Stream{
 		{Name: "bitmap", FootprintBytes: u64(g.N/8 + 1), AccessBytes: u64(g.N/8 + 1), ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 		{Name: "queue-out", FootprintBytes: u64(len(next)*4 + 4), AccessBytes: u64(len(next)*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Store: true, Partitioned: true},
@@ -302,15 +278,15 @@ func (em *bfsEmitter) pullIteration(depth []int32, d int32) (next []int32, edges
 // frontierStats issues the degree-reduction kernel the direction-optimizer
 // runs to size the frontier's unexplored edge volume.
 func (em *bfsEmitter) frontierStats(frontierLen int) {
-	n := maxInt(frontierLen, 1)
+	n := max(frontierLen, 1)
 	var m isa.Mix
-	m.Add(isa.INT, wceil(n*2))
-	m.Add(isa.LoadGlobal, wceil(n))
-	m.Add(isa.LoadShared, wceil(n/2+1))
-	m.Add(isa.StoreShared, wceil(n/2+1))
-	m.Add(isa.Sync, wceil(n/64+1))
-	m.Add(isa.StoreGlobal, wceil(n/256+1))
-	m.Add(isa.Misc, wceil(n))
+	m.Add(isa.INT, isa.Warps(float64(n*2)))
+	m.Add(isa.LoadGlobal, isa.Warps(float64(n)))
+	m.Add(isa.LoadShared, isa.Warps(float64(n/2+1)))
+	m.Add(isa.StoreShared, isa.Warps(float64(n/2+1)))
+	m.Add(isa.Sync, isa.Warps(float64(n/64+1)))
+	m.Add(isa.StoreGlobal, isa.Warps(float64(n/256+1)))
+	m.Add(isa.Misc, isa.Warps(float64(n)))
 	em.launch("frontier_degree_reduce", n, m, []memsim.Stream{
 		{Name: "frontier", FootprintBytes: u64(n * 4), AccessBytes: u64(n * 4), ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 		{Name: "degrees", FootprintBytes: u64(em.g.N * 4), AccessBytes: u64(n * 4), ElemBytes: 4, Pattern: memsim.Random, Partitioned: true},
@@ -324,26 +300,26 @@ func (em *bfsEmitter) scanKernels(n int) {
 		n = 1
 	}
 	var up isa.Mix
-	up.Add(isa.INT, wceil(n*3))
-	up.Add(isa.LoadGlobal, wceil(n))
-	up.Add(isa.LoadShared, wceil(n*2))
-	up.Add(isa.StoreShared, wceil(n*2))
-	up.Add(isa.Sync, wceil(n/64+1))
-	up.Add(isa.StoreGlobal, wceil(n/256+1))
-	up.Add(isa.Misc, wceil(n))
+	up.Add(isa.INT, isa.Warps(float64(n*3)))
+	up.Add(isa.LoadGlobal, isa.Warps(float64(n)))
+	up.Add(isa.LoadShared, isa.Warps(float64(n*2)))
+	up.Add(isa.StoreShared, isa.Warps(float64(n*2)))
+	up.Add(isa.Sync, isa.Warps(float64(n/64+1)))
+	up.Add(isa.StoreGlobal, isa.Warps(float64(n/256+1)))
+	up.Add(isa.Misc, isa.Warps(float64(n)))
 	flags := u64(n*4 + 4)
 	em.launch("scan_block_reduce", n, up, []memsim.Stream{
 		{Name: "flags", FootprintBytes: flags, AccessBytes: flags, ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 	}, nil, 0, 0)
 
 	var down isa.Mix
-	down.Add(isa.INT, wceil(n*4))
-	down.Add(isa.LoadGlobal, wceil(n*2))
-	down.Add(isa.StoreGlobal, wceil(n))
-	down.Add(isa.LoadShared, wceil(n*2))
-	down.Add(isa.StoreShared, wceil(n*2))
-	down.Add(isa.Sync, wceil(n/64+1))
-	down.Add(isa.Misc, wceil(n))
+	down.Add(isa.INT, isa.Warps(float64(n*4)))
+	down.Add(isa.LoadGlobal, isa.Warps(float64(n*2)))
+	down.Add(isa.StoreGlobal, isa.Warps(float64(n)))
+	down.Add(isa.LoadShared, isa.Warps(float64(n*2)))
+	down.Add(isa.StoreShared, isa.Warps(float64(n*2)))
+	down.Add(isa.Sync, isa.Warps(float64(n/64+1)))
+	down.Add(isa.Misc, isa.Warps(float64(n)))
 	em.launch("scan_downsweep_scatter", n, down, []memsim.Stream{
 		{Name: "flags", FootprintBytes: flags, AccessBytes: flags * 2, ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 		{Name: "queue-out", FootprintBytes: flags, AccessBytes: flags, ElemBytes: 4, Pattern: memsim.Coalesced, Store: true, Partitioned: true},
@@ -376,7 +352,7 @@ func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) (gpu.TraceF
 	if sampledEdges == 0 {
 		sampledEdges = 1
 	}
-	coverage := float64(sampledEdges) / float64(maxInt(totalEdges, 1))
+	coverage := float64(sampledEdges) / float64(max(totalEdges, 1))
 	if coverage > 1 {
 		coverage = 1
 	}
@@ -458,24 +434,9 @@ func (em *bfsEmitter) raggedness(frontier []int32) float64 {
 	return 0.6 * r
 }
 
-func wceil(threadInsts int) uint64 {
-	w := threadInsts / 32
-	if w < 1 {
-		w = 1
-	}
-	return uint64(w)
-}
-
 func u64(v int) uint64 {
 	if v < 1 {
 		return 1
 	}
 	return uint64(v)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -214,10 +214,10 @@ func (em *bfsEmitter) refPushIteration(frontier []int32, depth []int32, d int32)
 		// Gunrock runs a merge-path partitioning kernel before large
 		// advances to balance ragged degree distributions.
 		var pm isa.Mix
-		pm.Add(isa.INT, wceil(len(frontier)*4))
-		pm.Add(isa.LoadGlobal, wceil(len(frontier)))
-		pm.Add(isa.StoreGlobal, wceil(len(frontier)/32+1))
-		pm.Add(isa.Misc, wceil(len(frontier)))
+		pm.Add(isa.INT, isa.Warps(float64(len(frontier)*4)))
+		pm.Add(isa.LoadGlobal, isa.Warps(float64(len(frontier))))
+		pm.Add(isa.StoreGlobal, isa.Warps(float64(len(frontier)/32+1)))
+		pm.Add(isa.Misc, isa.Warps(float64(len(frontier))))
 		em.launch("advance_lb_partition", len(frontier), pm, []memsim.Stream{
 			{Name: "offsets", FootprintBytes: u64(len(frontier) * 4), AccessBytes: u64(len(frontier) * 4), ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 		}, nil, 0, 0.05)
@@ -231,12 +231,12 @@ func (em *bfsEmitter) refPushIteration(frontier []int32, depth []int32, d int32)
 		// and writes the surviving flags — the dominant kernel of the
 		// social-network traversal.
 		var um isa.Mix
-		um.Add(isa.INT, wceil(edges*12+len(frontier)*4))
-		um.Add(isa.LoadGlobal, wceil(edges*3+2*len(frontier)))
-		um.Add(isa.StoreGlobal, wceil(edges*2))
-		um.Add(isa.Branch, wceil(edges*2+len(frontier)))
-		um.Add(isa.Misc, wceil(edges*2))
-		em.launch("advance_filter_fused", maxInt(len(frontier), 32), um, []memsim.Stream{
+		um.Add(isa.INT, isa.Warps(float64(edges*12+len(frontier)*4)))
+		um.Add(isa.LoadGlobal, isa.Warps(float64(edges*3+2*len(frontier))))
+		um.Add(isa.StoreGlobal, isa.Warps(float64(edges*2)))
+		um.Add(isa.Branch, isa.Warps(float64(edges*2+len(frontier))))
+		um.Add(isa.Misc, isa.Warps(float64(edges*2)))
+		em.launch("advance_filter_fused", max(len(frontier), 32), um, []memsim.Stream{
 			{Name: "queue-out", FootprintBytes: u64(nc*4 + 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Store: true, Partitioned: true},
 		}, trace, coverage, em.raggedness(frontier))
 		// The fused kernel compacts its output queue with warp-aggregated
@@ -244,21 +244,21 @@ func (em *bfsEmitter) refPushIteration(frontier []int32, depth []int32, d int32)
 		return next, edges
 	} else {
 		var am isa.Mix
-		am.Add(isa.INT, wceil(edges*6+len(frontier)*4))
-		am.Add(isa.LoadGlobal, wceil(edges+2*len(frontier)))
-		am.Add(isa.StoreGlobal, wceil(edges))
-		am.Add(isa.Branch, wceil(edges+len(frontier)))
-		am.Add(isa.Misc, wceil(edges))
-		em.launch("advance_edge_map", maxInt(len(frontier), 32), am, nil, trace, coverage, em.raggedness(frontier))
+		am.Add(isa.INT, isa.Warps(float64(edges*6+len(frontier)*4)))
+		am.Add(isa.LoadGlobal, isa.Warps(float64(edges+2*len(frontier))))
+		am.Add(isa.StoreGlobal, isa.Warps(float64(edges)))
+		am.Add(isa.Branch, isa.Warps(float64(edges+len(frontier))))
+		am.Add(isa.Misc, isa.Warps(float64(edges)))
+		em.launch("advance_edge_map", max(len(frontier), 32), am, nil, trace, coverage, em.raggedness(frontier))
 
 		// --- filter: visited bitmask test + dedup -------------------------
 		var fm isa.Mix
-		fm.Add(isa.INT, wceil(nc*5))
-		fm.Add(isa.LoadGlobal, wceil(nc*2))
-		fm.Add(isa.StoreGlobal, wceil(nc))
-		fm.Add(isa.Branch, wceil(nc))
-		fm.Add(isa.Misc, wceil(nc))
-		em.launch("filter_visited", maxInt(nc, 32), fm, []memsim.Stream{
+		fm.Add(isa.INT, isa.Warps(float64(nc*5)))
+		fm.Add(isa.LoadGlobal, isa.Warps(float64(nc*2)))
+		fm.Add(isa.StoreGlobal, isa.Warps(float64(nc)))
+		fm.Add(isa.Branch, isa.Warps(float64(nc)))
+		fm.Add(isa.Misc, isa.Warps(float64(nc)))
+		em.launch("filter_visited", max(nc, 32), fm, []memsim.Stream{
 			{Name: "candidates", FootprintBytes: u64(nc*4 + 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true},
 			{Name: "labels", FootprintBytes: u64(em.g.N * 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Random, Partitioned: true},
 			{Name: "flags-out", FootprintBytes: u64(nc*4 + 4), AccessBytes: u64(nc*4 + 4), ElemBytes: 4, Pattern: memsim.Coalesced, Store: true, Partitioned: true},

@@ -127,6 +127,12 @@ func (m *Mix) Add(c Class, n uint64) {
 	m[c] += n
 }
 
+// Warps converts a thread-instruction estimate into warp instructions: one
+// per 32 thread instructions, rounded down, and at least 1.
+func Warps(threadInsts float64) uint64 {
+	return uint64(max(threadInsts/32, 1))
+}
+
 // AddMix accumulates another mix into m.
 func (m *Mix) AddMix(o Mix) {
 	for i := range m {

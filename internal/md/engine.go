@@ -115,35 +115,7 @@ func (e *Engine) Run() error {
 
 // launch assembles and issues one kernel.
 func (e *Engine) launch(name string, threads int, mix isa.Mix, streams []memsim.Stream, div float64) {
-	r := e.cfg.Replication
-	scaled := make([]memsim.Stream, len(streams))
-	for i, s := range streams {
-		s.FootprintBytes = uint64(float64(s.FootprintBytes) * r)
-		s.AccessBytes = uint64(float64(s.AccessBytes) * r)
-		scaled[i] = s
-	}
-	block := 128
-	grid := (int(float64(threads)*r) + block - 1) / block
-	if grid < 1 {
-		grid = 1
-	}
-	e.sess.MustLaunch(gpu.KernelSpec{
-		Name:               name,
-		Grid:               gpu.D1(grid),
-		Block:              gpu.D1(block),
-		Mix:                mix.Scale(r),
-		Streams:            scaled,
-		DivergenceFraction: div,
-	})
-}
-
-// warp converts a thread-instruction count estimate into warp instructions.
-func warp(threadInsts float64) uint64 {
-	w := threadInsts / 32
-	if w < 1 {
-		w = 1
-	}
-	return uint64(w)
+	e.sess.MustLaunch(gpu.Replicated(name, threads, 128, e.cfg.Replication, mix, streams, div))
 }
 
 const f4 = 16 // bytes of a float4 (position / force record)
@@ -169,16 +141,16 @@ func (e *Engine) Step(step int) error {
 		e.Rebuilds++
 		pairs := float64(nl.Pairs())
 		binMix, buildMix := isa.Mix{}, isa.Mix{}
-		binMix.Add(isa.INT, warp(n*12))
-		binMix.Add(isa.LoadGlobal, warp(n*2))
-		binMix.Add(isa.StoreGlobal, warp(n))
-		binMix.Add(isa.Misc, warp(n*2))
-		buildMix.Add(isa.FP32, warp(pairs*8))
-		buildMix.Add(isa.INT, warp(pairs*6))
-		buildMix.Add(isa.LoadGlobal, warp(pairs*1.5))
-		buildMix.Add(isa.StoreGlobal, warp(pairs/2))
-		buildMix.Add(isa.Branch, warp(pairs))
-		buildMix.Add(isa.Misc, warp(pairs))
+		binMix.Add(isa.INT, isa.Warps(n*12))
+		binMix.Add(isa.LoadGlobal, isa.Warps(n*2))
+		binMix.Add(isa.StoreGlobal, isa.Warps(n))
+		binMix.Add(isa.Misc, isa.Warps(n*2))
+		buildMix.Add(isa.FP32, isa.Warps(pairs*8))
+		buildMix.Add(isa.INT, isa.Warps(pairs*6))
+		buildMix.Add(isa.LoadGlobal, isa.Warps(pairs*1.5))
+		buildMix.Add(isa.StoreGlobal, isa.Warps(pairs/2))
+		buildMix.Add(isa.Branch, isa.Warps(pairs))
+		buildMix.Add(isa.Misc, isa.Warps(pairs))
 		posBytes := uint64(s.N * f4)
 		listBytes := uint64(nl.Pairs() * 4)
 		binStreams := []memsim.Stream{
@@ -255,13 +227,13 @@ func (e *Engine) emitPairKernels(st ForceStats) {
 		pairsLJ *= cost
 		pairsCoul *= cost
 		var m isa.Mix
-		m.Add(isa.FP32, warp(pairsEval*14+pairsLJ*22+pairsCoul*20))
-		m.Add(isa.SFU, warp(pairsCoul*3+pairsLJ/4))
-		m.Add(isa.INT, warp(pairsEval*5))
-		m.Add(isa.LoadGlobal, warp(pairsEval*1.2))
-		m.Add(isa.StoreGlobal, warp(float64(s.N)*2))
-		m.Add(isa.Branch, warp(pairsEval*1.5))
-		m.Add(isa.Misc, warp(pairsEval))
+		m.Add(isa.FP32, isa.Warps(pairsEval*14+pairsLJ*22+pairsCoul*20))
+		m.Add(isa.SFU, isa.Warps(pairsCoul*3+pairsLJ/4))
+		m.Add(isa.INT, isa.Warps(pairsEval*5))
+		m.Add(isa.LoadGlobal, isa.Warps(pairsEval*1.2))
+		m.Add(isa.StoreGlobal, isa.Warps(float64(s.N)*2))
+		m.Add(isa.Branch, isa.Warps(pairsEval*1.5))
+		m.Add(isa.Misc, isa.Warps(pairsEval))
 		return m
 	}
 
@@ -339,11 +311,11 @@ func (e *Engine) emitPME() error {
 
 	updates := float64(e.pme.Spread(s))
 	var spreadMix isa.Mix
-	spreadMix.Add(isa.FP32, warp(updates*6))
-	spreadMix.Add(isa.INT, warp(updates*3))
-	spreadMix.Add(isa.StoreGlobal, warp(updates))
-	spreadMix.Add(isa.LoadGlobal, warp(float64(s.N)))
-	spreadMix.Add(isa.Misc, warp(updates))
+	spreadMix.Add(isa.FP32, isa.Warps(updates*6))
+	spreadMix.Add(isa.INT, isa.Warps(updates*3))
+	spreadMix.Add(isa.StoreGlobal, isa.Warps(updates))
+	spreadMix.Add(isa.LoadGlobal, isa.Warps(float64(s.N)))
+	spreadMix.Add(isa.Misc, isa.Warps(updates))
 	names := e.kernelNames()
 	e.launch(names.spread, s.N, spreadMix, []memsim.Stream{
 		{Name: "grid-scatter", FootprintBytes: gridBytes, AccessBytes: uint64(updates * 8), ElemBytes: 8, Pattern: memsim.Random, Store: true, Partitioned: true},
@@ -356,14 +328,14 @@ func (e *Engine) emitPME() error {
 	butterflies := 3 * gridCells / 2 * math.Log2(float64(g))
 	fftMix := func() isa.Mix {
 		var m isa.Mix
-		m.Add(isa.FP32, warp(butterflies*10))
-		m.Add(isa.INT, warp(butterflies*4))
-		m.Add(isa.LoadShared, warp(butterflies*2))
-		m.Add(isa.StoreShared, warp(butterflies*2))
-		m.Add(isa.LoadGlobal, warp(gridCells*3))
-		m.Add(isa.StoreGlobal, warp(gridCells*3))
-		m.Add(isa.Sync, warp(gridCells/4))
-		m.Add(isa.Misc, warp(butterflies))
+		m.Add(isa.FP32, isa.Warps(butterflies*10))
+		m.Add(isa.INT, isa.Warps(butterflies*4))
+		m.Add(isa.LoadShared, isa.Warps(butterflies*2))
+		m.Add(isa.StoreShared, isa.Warps(butterflies*2))
+		m.Add(isa.LoadGlobal, isa.Warps(gridCells*3))
+		m.Add(isa.StoreGlobal, isa.Warps(gridCells*3))
+		m.Add(isa.Sync, isa.Warps(gridCells/4))
+		m.Add(isa.Misc, isa.Warps(butterflies))
 		return m
 	}
 	fftStreams := func() []memsim.Stream {
@@ -380,12 +352,12 @@ func (e *Engine) emitPME() error {
 	}
 	e.LastEnergy += energy
 	var solveMix isa.Mix
-	solveMix.Add(isa.FP32, warp(gridCells*9))
-	solveMix.Add(isa.SFU, warp(gridCells)) // exp()
-	solveMix.Add(isa.INT, warp(gridCells*3))
-	solveMix.Add(isa.LoadGlobal, warp(gridCells))
-	solveMix.Add(isa.StoreGlobal, warp(gridCells))
-	solveMix.Add(isa.Misc, warp(gridCells))
+	solveMix.Add(isa.FP32, isa.Warps(gridCells*9))
+	solveMix.Add(isa.SFU, isa.Warps(gridCells)) // exp()
+	solveMix.Add(isa.INT, isa.Warps(gridCells*3))
+	solveMix.Add(isa.LoadGlobal, isa.Warps(gridCells))
+	solveMix.Add(isa.StoreGlobal, isa.Warps(gridCells))
+	solveMix.Add(isa.Misc, isa.Warps(gridCells))
 	e.launch(names.solve, g*g, solveMix, []memsim.Stream{
 		{Name: "grid", FootprintBytes: gridBytes, AccessBytes: gridBytes * 2, ElemBytes: 16, Pattern: memsim.Coalesced, Partitioned: true},
 	}, 0)
@@ -393,11 +365,11 @@ func (e *Engine) emitPME() error {
 
 	reads := float64(e.pme.Gather(s))
 	var gatherMix isa.Mix
-	gatherMix.Add(isa.FP32, warp(reads*4))
-	gatherMix.Add(isa.INT, warp(reads*2))
-	gatherMix.Add(isa.LoadGlobal, warp(reads))
-	gatherMix.Add(isa.StoreGlobal, warp(float64(s.N)))
-	gatherMix.Add(isa.Misc, warp(reads))
+	gatherMix.Add(isa.FP32, isa.Warps(reads*4))
+	gatherMix.Add(isa.INT, isa.Warps(reads*2))
+	gatherMix.Add(isa.LoadGlobal, isa.Warps(reads))
+	gatherMix.Add(isa.StoreGlobal, isa.Warps(float64(s.N)))
+	gatherMix.Add(isa.Misc, isa.Warps(reads))
 	e.launch(names.gather, s.N, gatherMix, []memsim.Stream{
 		{Name: "grid-gather", FootprintBytes: gridBytes, AccessBytes: uint64(reads * 8), ElemBytes: 8, Pattern: memsim.Random, Partitioned: true},
 		{Name: "force-out", FootprintBytes: uint64(s.N * f4), AccessBytes: uint64(s.N * f4), ElemBytes: 16, Pattern: memsim.Coalesced, Store: true, Partitioned: true},
@@ -413,13 +385,13 @@ func (e *Engine) emitBonded(bst BondedStats) {
 	switch e.cfg.Flavor {
 	case GromacsFlavor:
 		var m isa.Mix
-		m.Add(isa.FP32, warp(work))
-		m.Add(isa.SFU, warp(float64(bst.Angles)*2))
-		m.Add(isa.INT, warp(elems*4))
-		m.Add(isa.LoadGlobal, warp(elems*4))
-		m.Add(isa.StoreGlobal, warp(elems*3))
-		m.Add(isa.Branch, warp(elems))
-		m.Add(isa.Misc, warp(elems))
+		m.Add(isa.FP32, isa.Warps(work))
+		m.Add(isa.SFU, isa.Warps(float64(bst.Angles)*2))
+		m.Add(isa.INT, isa.Warps(elems*4))
+		m.Add(isa.LoadGlobal, isa.Warps(elems*4))
+		m.Add(isa.StoreGlobal, isa.Warps(elems*3))
+		m.Add(isa.Branch, isa.Warps(elems))
+		m.Add(isa.Misc, isa.Warps(elems))
 		e.launch(names.bonded, int(elems), m, e.bondedStreams(elems), 0.15)
 	case LammpsFlavor:
 		// LAMMPS launches one kernel per bonded style.
@@ -428,14 +400,14 @@ func (e *Engine) emitBonded(bst BondedStats) {
 				return
 			}
 			var m isa.Mix
-			m.Add(isa.FP32, warp(count*instPer))
+			m.Add(isa.FP32, isa.Warps(count*instPer))
 			if sfu {
-				m.Add(isa.SFU, warp(count*2))
+				m.Add(isa.SFU, isa.Warps(count*2))
 			}
-			m.Add(isa.INT, warp(count*4))
-			m.Add(isa.LoadGlobal, warp(count*4))
-			m.Add(isa.StoreGlobal, warp(count*3))
-			m.Add(isa.Misc, warp(count))
+			m.Add(isa.INT, isa.Warps(count*4))
+			m.Add(isa.LoadGlobal, isa.Warps(count*4))
+			m.Add(isa.StoreGlobal, isa.Warps(count*3))
+			m.Add(isa.Misc, isa.Warps(count))
 			e.launch(name, int(count), m, e.bondedStreams(count), 0.1)
 		}
 		emit("bond_harmonic", float64(bst.Bonds), 30, false)
@@ -471,17 +443,17 @@ func (e *Engine) emitUpdate(constraintIters int) {
 	names := e.kernelNames()
 
 	var upd isa.Mix
-	upd.Add(isa.FP32, warp(n*14))
-	upd.Add(isa.INT, warp(n*4))
-	upd.Add(isa.LoadGlobal, warp(n*3))
-	upd.Add(isa.StoreGlobal, warp(n*2))
-	upd.Add(isa.Misc, warp(n*2))
+	upd.Add(isa.FP32, isa.Warps(n*14))
+	upd.Add(isa.INT, isa.Warps(n*4))
+	upd.Add(isa.LoadGlobal, isa.Warps(n*3))
+	upd.Add(isa.StoreGlobal, isa.Warps(n*2))
+	upd.Add(isa.Misc, isa.Warps(n*2))
 	// Constraint iterations fold into the Gromacs update_constraints kernel.
 	if e.cfg.Flavor == GromacsFlavor && constraintIters > 0 {
 		cwork := float64(constraintIters * len(s.Bonds))
-		upd.Add(isa.FP32, warp(cwork*20))
-		upd.Add(isa.LoadGlobal, warp(cwork*2))
-		upd.Add(isa.Sync, warp(n/8))
+		upd.Add(isa.FP32, isa.Warps(cwork*20))
+		upd.Add(isa.LoadGlobal, isa.Warps(cwork*2))
+		upd.Add(isa.Sync, isa.Warps(n/8))
 	}
 	streams := []memsim.Stream{
 		{Name: "pos", FootprintBytes: posBytes, AccessBytes: posBytes * 2, ElemBytes: 16, Pattern: memsim.Coalesced, Partitioned: true},
@@ -495,10 +467,10 @@ func (e *Engine) emitUpdate(constraintIters int) {
 		// Thermostat, halo exchange pack/unpack, and the per-step
 		// energy/virial reduction are separate LAMMPS kernels.
 		var th isa.Mix
-		th.Add(isa.FP32, warp(n*6))
-		th.Add(isa.LoadGlobal, warp(n))
-		th.Add(isa.StoreGlobal, warp(n))
-		th.Add(isa.Misc, warp(n))
+		th.Add(isa.FP32, isa.Warps(n*6))
+		th.Add(isa.LoadGlobal, isa.Warps(n))
+		th.Add(isa.StoreGlobal, isa.Warps(n))
+		th.Add(isa.Misc, isa.Warps(n))
 		thName := "temp_berendsen"
 		if e.cfg.EwaldAlpha == 0 {
 			thName = "temp_rescale"
@@ -509,10 +481,10 @@ func (e *Engine) emitUpdate(constraintIters int) {
 
 		halo := n * 0.3 // boundary fraction exchanged each step
 		var pack isa.Mix
-		pack.Add(isa.INT, warp(halo*4))
-		pack.Add(isa.LoadGlobal, warp(halo*2))
-		pack.Add(isa.StoreGlobal, warp(halo*2))
-		pack.Add(isa.Misc, warp(halo))
+		pack.Add(isa.INT, isa.Warps(halo*4))
+		pack.Add(isa.LoadGlobal, isa.Warps(halo*2))
+		pack.Add(isa.StoreGlobal, isa.Warps(halo*2))
+		pack.Add(isa.Misc, isa.Warps(halo))
 		haloBytes := uint64(halo * f4)
 		e.launch("comm_pack_forward", int(halo), pack, []memsim.Stream{
 			{Name: "halo-gather", FootprintBytes: posBytes, AccessBytes: haloBytes, ElemBytes: 16, Pattern: memsim.Random, Partitioned: true},
@@ -526,12 +498,12 @@ func (e *Engine) emitUpdate(constraintIters int) {
 		}
 
 		var red isa.Mix
-		red.Add(isa.FP32, warp(n*3))
-		red.Add(isa.LoadGlobal, warp(n))
-		red.Add(isa.LoadShared, warp(n/2))
-		red.Add(isa.StoreShared, warp(n/2))
-		red.Add(isa.Sync, warp(n/16))
-		red.Add(isa.Misc, warp(n))
+		red.Add(isa.FP32, isa.Warps(n*3))
+		red.Add(isa.LoadGlobal, isa.Warps(n))
+		red.Add(isa.LoadShared, isa.Warps(n/2))
+		red.Add(isa.StoreShared, isa.Warps(n/2))
+		red.Add(isa.Sync, isa.Warps(n/16))
+		red.Add(isa.Misc, isa.Warps(n))
 		e.launch("energy_virial_reduce", s.N, red, []memsim.Stream{
 			{Name: "per-atom-e", FootprintBytes: uint64(n * 8), AccessBytes: uint64(n * 8), ElemBytes: 8, Pattern: memsim.Coalesced, Partitioned: true},
 		}, 0)

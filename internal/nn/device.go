@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -44,52 +43,9 @@ func NewDevice(sess *profiler.Session, replication float64, seed int64) *Device 
 // Session returns the underlying profiling session.
 func (d *Device) Session() *profiler.Session { return d.sess }
 
-// weightPrefix marks parameter streams: replication models larger
-// activations/batches at paper scale, but model weights only grow with the
-// (much smaller) channel-count increase, so weight streams scale by sqrt(R)
-// rather than R.
-const weightPrefix = "w:"
-
 // emit launches one kernel scaled by the replication factor.
 func (d *Device) emit(name string, threads int, mix isa.Mix, streams []memsim.Stream, div float64) {
-	r := d.Replication
-	scaled := make([]memsim.Stream, len(streams))
-	for i, s := range streams {
-		sr := r
-		if strings.HasPrefix(s.Name, weightPrefix) {
-			sr = math.Sqrt(r)
-		}
-		s.FootprintBytes = uint64(float64(s.FootprintBytes) * sr)
-		s.AccessBytes = uint64(float64(s.AccessBytes) * sr)
-		if s.FootprintBytes == 0 {
-			s.FootprintBytes = 1
-		}
-		if s.AccessBytes == 0 {
-			s.AccessBytes = 1
-		}
-		scaled[i] = s
-	}
-	block := 256
-	grid := (int(float64(threads)*r) + block - 1) / block
-	if grid < 1 {
-		grid = 1
-	}
-	d.sess.MustLaunch(gpu.KernelSpec{
-		Name:               name,
-		Grid:               gpu.D1(grid),
-		Block:              gpu.D1(block),
-		Mix:                mix.Scale(r),
-		Streams:            scaled,
-		DivergenceFraction: div,
-	})
-}
-
-func w32(threadInsts float64) uint64 {
-	w := threadInsts / 32
-	if w < 1 {
-		w = 1
-	}
-	return uint64(w)
+	d.sess.MustLaunch(gpu.Replicated(name, threads, 256, d.Replication, mix, streams, div))
 }
 
 // bucket rounds n to the nearest power of two for kernel-name shape classes
@@ -137,21 +93,21 @@ func (d *Device) emitGEMM(m, n, k int, transA, transB bool) {
 	name := fmt.Sprintf("ampere_sgemm_%dx%dx%d_%s", bucket(min(m, 128)), bucket(min(n, 128)), bucket(min(k, 128)), layout)
 	flops := 2 * float64(m) * float64(n) * float64(k)
 	var mix isa.Mix
-	mix.Add(isa.FP32, w32(flops/2)) // FFMA counts as one warp instruction
-	mix.Add(isa.INT, w32(flops/16))
-	mix.Add(isa.LoadShared, w32(flops/8))
-	mix.Add(isa.StoreShared, w32(flops/32))
-	mix.Add(isa.LoadGlobal, w32(float64(m*k+k*n)/4))
-	mix.Add(isa.StoreGlobal, w32(float64(m*n)/4))
-	mix.Add(isa.Sync, w32(float64(m*n)/256+1))
-	mix.Add(isa.Misc, w32(flops/32))
+	mix.Add(isa.FP32, isa.Warps(flops/2)) // FFMA counts as one warp instruction
+	mix.Add(isa.INT, isa.Warps(flops/16))
+	mix.Add(isa.LoadShared, isa.Warps(flops/8))
+	mix.Add(isa.StoreShared, isa.Warps(flops/32))
+	mix.Add(isa.LoadGlobal, isa.Warps(float64(m*k+k*n)/4))
+	mix.Add(isa.StoreGlobal, isa.Warps(float64(m*n)/4))
+	mix.Add(isa.Sync, isa.Warps(float64(m*n)/256+1))
+	mix.Add(isa.Misc, isa.Warps(flops/32))
 	// Tiled GEMM re-reads A and B ~sqrt(tile) times through the caches.
 	// B is usually the parameter side of a layer GEMM, so it scales as a
 	// weight stream under replication.
 	reuse := 8.0
 	streams := []memsim.Stream{
 		readStream("A", uint64(m*k*4), reuse),
-		readStream(weightPrefix+"B", uint64(k*n*4), reuse),
+		readStream(gpu.FixedPrefix+"B", uint64(k*n*4), reuse),
 		writeStream("C", uint64(m*n*4)),
 	}
 	d.emit(name, m*n/4+1, mix, streams, 0)
@@ -165,17 +121,17 @@ func (d *Device) emitConv(kind string, n, c, f, oh, ow, kh, kw int, xBytes, wByt
 	name := fmt.Sprintf("implicit_gemm_%s_c%d_f%d_k%d_b%d", kind, c, f, kh, bucket(n))
 	macs := float64(n*f*oh*ow) * float64(c*kh*kw)
 	var mix isa.Mix
-	mix.Add(isa.FP32, w32(macs))
-	mix.Add(isa.INT, w32(macs/4))
-	mix.Add(isa.LoadShared, w32(macs/4))
-	mix.Add(isa.StoreShared, w32(macs/16))
-	mix.Add(isa.LoadGlobal, w32(float64(xBytes+wBytes)/16))
-	mix.Add(isa.StoreGlobal, w32(float64(yBytes)/16))
-	mix.Add(isa.Sync, w32(macs/2048+1))
-	mix.Add(isa.Misc, w32(macs/16))
+	mix.Add(isa.FP32, isa.Warps(macs))
+	mix.Add(isa.INT, isa.Warps(macs/4))
+	mix.Add(isa.LoadShared, isa.Warps(macs/4))
+	mix.Add(isa.StoreShared, isa.Warps(macs/16))
+	mix.Add(isa.LoadGlobal, isa.Warps(float64(xBytes+wBytes)/16))
+	mix.Add(isa.StoreGlobal, isa.Warps(float64(yBytes)/16))
+	mix.Add(isa.Sync, isa.Warps(macs/2048+1))
+	mix.Add(isa.Misc, isa.Warps(macs/16))
 	streams := []memsim.Stream{
 		readStream("x", xBytes, 4),
-		readStream(weightPrefix+"w", wBytes, 8),
+		readStream(gpu.FixedPrefix+"w", wBytes, 8),
 		writeStream("y", yBytes),
 	}
 	d.emit(name, n*f*oh*ow, mix, streams, 0)
@@ -187,11 +143,11 @@ func (d *Device) emitConv(kind string, n, c, f, oh, ow, kh, kw int, xBytes, wByt
 func (d *Device) emitElementwise(name string, elems int, opCost float64, inputs, outputs int) {
 	e := float64(elems)
 	var mix isa.Mix
-	mix.Add(isa.FP32, w32(e*opCost))
-	mix.Add(isa.INT, w32(e))
-	mix.Add(isa.LoadGlobal, w32(e*float64(inputs)))
-	mix.Add(isa.StoreGlobal, w32(e*float64(outputs)))
-	mix.Add(isa.Misc, w32(e))
+	mix.Add(isa.FP32, isa.Warps(e*opCost))
+	mix.Add(isa.INT, isa.Warps(e))
+	mix.Add(isa.LoadGlobal, isa.Warps(e*float64(inputs)))
+	mix.Add(isa.StoreGlobal, isa.Warps(e*float64(outputs)))
+	mix.Add(isa.Misc, isa.Warps(e))
 	bytes := uint64(elems * 4)
 	var streams []memsim.Stream
 	for i := 0; i < inputs; i++ {
@@ -208,12 +164,12 @@ func (d *Device) emitElementwise(name string, elems int, opCost float64, inputs,
 func (d *Device) emitSFUElementwise(name string, elems int, sfuPerElem float64, inputs, outputs int) {
 	e := float64(elems)
 	var mix isa.Mix
-	mix.Add(isa.FP32, w32(e*3))
-	mix.Add(isa.SFU, w32(e*sfuPerElem))
-	mix.Add(isa.INT, w32(e))
-	mix.Add(isa.LoadGlobal, w32(e*float64(inputs)))
-	mix.Add(isa.StoreGlobal, w32(e*float64(outputs)))
-	mix.Add(isa.Misc, w32(e))
+	mix.Add(isa.FP32, isa.Warps(e*3))
+	mix.Add(isa.SFU, isa.Warps(e*sfuPerElem))
+	mix.Add(isa.INT, isa.Warps(e))
+	mix.Add(isa.LoadGlobal, isa.Warps(e*float64(inputs)))
+	mix.Add(isa.StoreGlobal, isa.Warps(e*float64(outputs)))
+	mix.Add(isa.Misc, isa.Warps(e))
 	bytes := uint64(elems * 4)
 	var streams []memsim.Stream
 	for i := 0; i < inputs; i++ {
@@ -257,20 +213,13 @@ func (d *Device) emitParamOp(name string, elems int, opCost, sfu float64, inputs
 func (d *Device) emitReduce(name string, elems int) {
 	e := float64(elems)
 	var mix isa.Mix
-	mix.Add(isa.FP32, w32(e))
-	mix.Add(isa.INT, w32(e))
-	mix.Add(isa.LoadGlobal, w32(e))
-	mix.Add(isa.LoadShared, w32(e/2+1))
-	mix.Add(isa.StoreShared, w32(e/2+1))
-	mix.Add(isa.Sync, w32(e/64+1))
-	mix.Add(isa.StoreGlobal, w32(e/256+1))
-	mix.Add(isa.Misc, w32(e))
+	mix.Add(isa.FP32, isa.Warps(e))
+	mix.Add(isa.INT, isa.Warps(e))
+	mix.Add(isa.LoadGlobal, isa.Warps(e))
+	mix.Add(isa.LoadShared, isa.Warps(e/2+1))
+	mix.Add(isa.StoreShared, isa.Warps(e/2+1))
+	mix.Add(isa.Sync, isa.Warps(e/64+1))
+	mix.Add(isa.StoreGlobal, isa.Warps(e/256+1))
+	mix.Add(isa.Misc, isa.Warps(e))
 	d.emit(name, elems, mix, []memsim.Stream{readStream("in", uint64(elems*4), 1)}, 0)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -163,6 +163,31 @@ func (s *Server) api(h func(*http.Request) (contentType string, body []byte, aer
 	}
 }
 
+// renderFunc renders one (workload, device) query's response body.
+type renderFunc func(s *Server, r *http.Request, q query) (contentType string, body []byte, aerr *apiError)
+
+// renderers maps each single-workload query kind to its renderer. Each kind
+// is served as GET /api/v1/<kind> and as a batch query kind.
+var renderers = map[string]renderFunc{
+	"profile":  (*Server).renderProfile,
+	"roofline": (*Server).renderRoofline,
+	"explain":  (*Server).renderExplain,
+}
+
+// handleQuery answers a single-workload GET query with render.
+func (s *Server) handleQuery(render renderFunc) func(*http.Request) (string, []byte, *apiError) {
+	return func(r *http.Request) (string, []byte, *apiError) {
+		if aerr := requireMethod(r, http.MethodGet); aerr != nil {
+			return "", nil, aerr
+		}
+		q, aerr := parseQuery(r.URL.Query(), s.cat, s.devices, s.deviceNames(), true)
+		if aerr != nil {
+			return "", nil, aerr
+		}
+		return render(s, r, q)
+	}
+}
+
 // requireMethod returns a 405 apiError unless the request uses method.
 func requireMethod(r *http.Request, method string) *apiError {
 	if r.Method != method {
@@ -177,10 +202,10 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/api/v1/workloads", s.handleWorkloads)
-	mux.HandleFunc("/api/v1/profile", s.api(s.handleProfile))
-	mux.HandleFunc("/api/v1/roofline", s.api(s.handleRoofline))
+	for kind, render := range renderers {
+		mux.HandleFunc("/api/v1/"+kind, s.api(s.handleQuery(render)))
+	}
 	mux.HandleFunc("/api/v1/compare", s.api(s.handleCompare))
-	mux.HandleFunc("/api/v1/explain", s.api(s.handleExplain))
 	mux.HandleFunc("/api/v1/batch", s.api(s.handleBatch))
 	return mux
 }
@@ -318,17 +343,6 @@ func (s *Server) renderProfile(r *http.Request, q query) (string, []byte, *apiEr
 	return marshalBody(profileResponse(p, q.device))
 }
 
-func (s *Server) handleProfile(r *http.Request) (string, []byte, *apiError) {
-	if aerr := requireMethod(r, http.MethodGet); aerr != nil {
-		return "", nil, aerr
-	}
-	q, aerr := parseQuery(r.URL.Query(), s.cat, s.devices, s.deviceNames(), true)
-	if aerr != nil {
-		return "", nil, aerr
-	}
-	return s.renderProfile(r, q)
-}
-
 // pointJSON is one roofline point with its paper classifications.
 type pointJSON struct {
 	Label     string  `json:"label"`
@@ -379,17 +393,6 @@ func (s *Server) renderRoofline(r *http.Request, q query) (string, []byte, *apiE
 		out.Kernels = append(out.Kernels, rooflinePoint(m, pt))
 	}
 	return marshalBody(out)
-}
-
-func (s *Server) handleRoofline(r *http.Request) (string, []byte, *apiError) {
-	if aerr := requireMethod(r, http.MethodGet); aerr != nil {
-		return "", nil, aerr
-	}
-	q, aerr := parseQuery(r.URL.Query(), s.cat, s.devices, s.deviceNames(), true)
-	if aerr != nil {
-		return "", nil, aerr
-	}
-	return s.renderRoofline(r, q)
 }
 
 // comparePointJSON is one device's aggregate placement in a comparison.
@@ -505,17 +508,6 @@ func (s *Server) renderExplain(r *http.Request, q query) (string, []byte, *apiEr
 	return "application/json", buf.Bytes(), nil
 }
 
-func (s *Server) handleExplain(r *http.Request) (string, []byte, *apiError) {
-	if aerr := requireMethod(r, http.MethodGet); aerr != nil {
-		return "", nil, aerr
-	}
-	q, aerr := parseQuery(r.URL.Query(), s.cat, s.devices, s.deviceNames(), true)
-	if aerr != nil {
-		return "", nil, aerr
-	}
-	return s.renderExplain(r, q)
-}
-
 // batchQuery is one query inside a POST /api/v1/batch request.
 type batchQuery struct {
 	Kind     string `json:"kind"` // profile | roofline | explain
@@ -595,14 +587,9 @@ func (s *Server) batchOne(r *http.Request, bq batchQuery) batchResult {
 	if aerr == nil {
 		var body []byte
 		var contentType string
-		switch bq.Kind {
-		case "profile":
-			contentType, body, aerr = s.renderProfile(r, q)
-		case "roofline":
-			contentType, body, aerr = s.renderRoofline(r, q)
-		case "explain":
-			contentType, body, aerr = s.renderExplain(r, q)
-		default:
+		if render, ok := renderers[bq.Kind]; ok {
+			contentType, body, aerr = render(s, r, q)
+		} else {
 			aerr = apiErrorf(http.StatusBadRequest,
 				"unknown kind %q (profile, roofline, explain)", bq.Kind)
 		}

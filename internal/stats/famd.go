@@ -163,10 +163,3 @@ func (r *FAMDResult) CumulativeVariance(k int) float64 {
 	}
 	return s
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/suites"
 	"repro/internal/workloads"
@@ -67,7 +68,7 @@ func bplustree() *suites.Bench {
 			Add(isa.Branch, work/2).
 			Add(isa.StoreGlobal, queries)
 		e.Launch("findK", queries, &m, []suites.Stream{
-			suites.Gather(suites.FixedPrefix+"knodes", uint64(n*8), uint64(work/8)),
+			suites.Gather(gpu.FixedPrefix+"knodes", uint64(n*8), uint64(work/8)),
 			suites.Write("ans", queries*4),
 		}, 0.2)
 		var m2 suites.Mix
@@ -77,7 +78,7 @@ func bplustree() *suites.Bench {
 			Add(isa.Branch, work/2).
 			Add(isa.StoreGlobal, queries*2)
 		e.Launch("findRangeK", queries, &m2, []suites.Stream{
-			suites.Gather(suites.FixedPrefix+"knodes", uint64(n*8), uint64(work/8)),
+			suites.Gather(gpu.FixedPrefix+"knodes", uint64(n*8), uint64(work/8)),
 			suites.Write("recstart", queries*8),
 		}, 0.2)
 		_ = found

@@ -8,8 +8,6 @@ package suites
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -72,11 +70,7 @@ type Mix struct{ m isa.Mix }
 
 // Add accumulates threadInsts thread instructions of class c.
 func (x *Mix) Add(c isa.Class, threadInsts float64) *Mix {
-	w := threadInsts / 32
-	if w < 1 {
-		w = 1
-	}
-	x.m.Add(c, uint64(w))
+	x.m.Add(c, isa.Warps(threadInsts))
 	return x
 }
 
@@ -124,34 +118,7 @@ func max1(v uint64) uint64 {
 	return v
 }
 
-// FixedPrefix marks streams over fixed-size structures (model weights,
-// lookup trees): under replication they grow ~sqrt(R) rather than R.
-const FixedPrefix = "w:"
-
 // Launch issues one kernel with the given thread count, mix and streams.
 func (e *Emitter) Launch(name string, threads int, mix *Mix, streams []Stream, div float64) {
-	r := e.repl
-	scaled := make([]memsim.Stream, len(streams))
-	for i, s := range streams {
-		sr := r
-		if strings.HasPrefix(s.Name, FixedPrefix) {
-			sr = math.Sqrt(r)
-		}
-		s.FootprintBytes = uint64(float64(s.FootprintBytes) * sr)
-		s.AccessBytes = uint64(float64(s.AccessBytes) * sr)
-		scaled[i] = s
-	}
-	block := 256
-	grid := (int(float64(threads)*r) + block - 1) / block
-	if grid < 1 {
-		grid = 1
-	}
-	e.sess.MustLaunch(gpu.KernelSpec{
-		Name:               name,
-		Grid:               gpu.D1(grid),
-		Block:              gpu.D1(block),
-		Mix:                mix.m.Scale(r),
-		Streams:            scaled,
-		DivergenceFraction: div,
-	})
+	e.sess.MustLaunch(gpu.Replicated(name, threads, 256, e.repl, mix.m, streams, div))
 }

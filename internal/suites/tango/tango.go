@@ -9,6 +9,7 @@ package tango
 import (
 	"math/rand"
 
+	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/suites"
 	"repro/internal/tensor"
@@ -93,7 +94,7 @@ func runNet(e *suites.Emitter, r *rand.Rand, layers []layerSpec) error {
 		Add(isa.Sync, convWork/2048)
 	e.Launch("conv2d_gpu", int(convWork/256), &cm, []suites.Stream{
 		suites.Read("act", uint64(convX), 2),
-		suites.Read(suites.FixedPrefix+"filters", uint64(convW), 8),
+		suites.Read(gpu.FixedPrefix+"filters", uint64(convW), 8),
 		suites.Write("out", uint64(convY)),
 	}, 0.05)
 
@@ -106,7 +107,7 @@ func runNet(e *suites.Emitter, r *rand.Rand, layers []layerSpec) error {
 			Add(isa.LoadGlobal, fcWork/2).
 			Add(isa.StoreGlobal, fcX/4)
 		e.Launch("fc_gpu", int(fcWork/512), &fm, []suites.Stream{
-			suites.Read(suites.FixedPrefix+"weights", uint64(fcW), 1),
+			suites.Read(gpu.FixedPrefix+"weights", uint64(fcW), 1),
 			suites.Read("act", uint64(fcX), 4),
 			suites.Write("out", uint64(fcX)),
 		}, 0)
