@@ -36,8 +36,8 @@ func explainCmd(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 	var root *telemetry.AttributionNode
 	if *launches {
 		children := make([]*telemetry.AttributionNode, 0, len(ws))
-		for _, w := range ws {
-			sess, err := core.RunWorkload(w, cfg, nil, nil, 0)
+		for i, w := range ws {
+			sess, err := core.RunWorkload(w, cfg, opts.Tracer, opts.Counters, i)
 			if err != nil {
 				return err
 			}

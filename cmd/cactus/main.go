@@ -319,7 +319,7 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if err != nil {
 			return err
 		}
-		sess, err := core.RunWorkload(w, cfg, nil, nil, 0)
+		sess, err := core.RunWorkload(w, cfg, opts.Tracer, opts.Counters, 0)
 		if err != nil {
 			return err
 		}
@@ -463,7 +463,7 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		if err != nil {
 			return err
 		}
-		return auditWorkloads(ws, cfg, out, errOut)
+		return auditWorkloads(ws, cfg, opts, out, errOut)
 
 	case "explain":
 		return explainCmd(rest, cat, cfg, opts, out, errOut)
@@ -537,9 +537,13 @@ func lintWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io
 // auditWorkloads replays each workload on the real timing model and audits
 // every launch result for metric soundness (gpu.CheckResult), plus the
 // session-level identity that per-kernel times sum to the session total.
-func auditWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer) error {
+// The runs feed opts' tracer and counters, each workload on its own
+// modeled-track lane.
+func auditWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, opts core.StudyOptions, out, errOut io.Writer) error {
+	lane := 0
 	return checkWorkloads("audit", "metric-soundness", ws, cfg, out, errOut, func(w workloads.Workload) (int, []issue, error) {
-		sess, err := core.RunWorkload(w, cfg, nil, nil, 0)
+		sess, err := core.RunWorkload(w, cfg, opts.Tracer, opts.Counters, lane)
+		lane++
 		if err != nil {
 			return 0, nil, err
 		}

@@ -410,3 +410,65 @@ cactus/BAD: kernel huge: occupancy: zero theoretical occupancy: warps demand mea
 		t.Errorf("summary = %q, want %q", got, want)
 	}
 }
+
+// oneShotRuns are the commands that run their workloads outside a study:
+// export, audit and explain -launches.
+var oneShotRuns = [][]string{
+	{"export", "pb-sgemm"},
+	{"audit", "pb-sgemm"},
+	{"explain", "-launches", "pb-sgemm"},
+}
+
+// checkOneShotObserved runs args under -v and -trace and checks that the
+// run reached both sinks: the trace holds events and the counters saw the
+// launches.
+func checkOneShotObserved(t *testing.T, args ...string) {
+	t.Helper()
+	file := filepath.Join(t.TempDir(), "t.json")
+	var errOut bytes.Buffer
+	if err := run(append([]string{"-v", "-trace", file, "-no-cache"}, args...), io.Discard, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := telemetry.ReadChrome(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("-trace output is not valid Chrome trace JSON: %v", err)
+	}
+	if len(tr.TraceEvents) == 0 {
+		t.Errorf("%v: -trace wrote no events", args)
+	}
+	if !strings.Contains(errOut.String(), "gpu.launches") {
+		t.Errorf("%v: -v counters saw no launches:\n%s", args, errOut.String())
+	}
+}
+
+func TestExportHonoursObservability(t *testing.T) { checkOneShotObserved(t, oneShotRuns[0]...) }
+
+func TestAuditHonoursObservability(t *testing.T) { checkOneShotObserved(t, oneShotRuns[1]...) }
+
+func TestExplainLaunchesHonoursObservability(t *testing.T) {
+	checkOneShotObserved(t, oneShotRuns[2]...)
+}
+
+// TestOneShotOutputUnaffectedByObservability — the one-shot commands'
+// stdout (an exported trace, audit violations, the launch-level tree) is
+// the same bytes with -trace, -v and -metrics on as with them off.
+func TestOneShotOutputUnaffectedByObservability(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range oneShotRuns {
+		var plain, observed bytes.Buffer
+		if err := run(append([]string{"-no-cache"}, args...), &plain, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		observe := []string{"-no-cache", "-v", "-trace", filepath.Join(dir, "t.json"), "-metrics", filepath.Join(dir, "m.txt")}
+		if err := run(append(observe, args...), &observed, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if plain.String() != observed.String() {
+			t.Errorf("%v: stdout differs with observability enabled (%d vs %d bytes)", args, plain.Len(), observed.Len())
+		}
+	}
+}

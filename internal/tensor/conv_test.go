@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,12 +29,13 @@ func (cc convCase) String() string {
 		cc.n, cc.c, cc.f, cc.h, cc.w, cc.kh, cc.kw, cc.stride, cc.pad, cc.special)
 }
 
-// randConvCase draws a shape with stride 1-3, pad 0-2, kernels 1-5 and
+// randConvCase draws a shape with stride 1-3, pad 0-2, kernels 1-5,
 // channel/filter counts up to 17, past several of the kernels' 4-wide
-// tiles, so full and partly padded tiles both run.
+// tiles, so full and partly padded tiles both run, and 1-3 samples, so
+// the kernels' pairs of blocks run with and without an odd last one.
 func randConvCase(r *rand.Rand) convCase {
 	cc := convCase{
-		n: 1 + r.Intn(2), c: 1 + r.Intn(17), f: 1 + r.Intn(17),
+		n: 1 + r.Intn(3), c: 1 + r.Intn(17), f: 1 + r.Intn(17),
 		kh: 1 + r.Intn(5), kw: 1 + r.Intn(5),
 		stride: 1 + r.Intn(3), pad: r.Intn(3), special: r.Intn(3),
 	}
@@ -195,6 +197,88 @@ func TestConvBiasGrad(t *testing.T) {
 	}
 }
 
+// TestConvSkipFallbacks holds the kernels to the reference nests on fixed
+// cases where skipping a zero term is visible, so only the skipping sum
+// matches: a zero dy against ±Inf and against NaN weights (dx), a zero dy
+// against ±Inf inputs (dw), and a -0 bias over an all-zero input
+// (ConvTranspose2D). Three samples run a pair of blocks and an odd one.
+func TestConvSkipFallbacks(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), math.Float32frombits(0x7fc00001)
+	negZero := float32(math.Copysign(0, -1))
+	cc := convCase{n: 3, c: 6, f: 5, h: 5, w: 5, kh: 3, kw: 3, stride: 1, pad: 1}
+	at := func(t *Tensor, i, j, k, l int) *float32 {
+		return &t.Data[((i*t.Shape[1]+j)*t.Shape[2]+k)*t.Shape[3]+l]
+	}
+	zero := func(t *Tensor, i, j int) { // clears plane (i, j)
+		hw := t.Shape[2] * t.Shape[3]
+		clear(t.Data[(i*t.Shape[1]+j)*hw:][:hw])
+	}
+	grads := func(name string, x, w, dy *Tensor) {
+		t.Run(name, func(t *testing.T) {
+			wdx, wdw, wdb, _ := refConv2DGrads(x, w, dy, cc.stride, cc.pad)
+			dx, dw, db, err := Conv2DGrads(x, w, dy, cc.stride, cc.pad, true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "dx", cc, dx, wdx)
+			sameBits(t, "dw", cc, dw, wdw)
+			sameBits(t, "db", cc, db, wdb)
+			// Every non-finite operand meets only zero dy, so the skipping
+			// sums are finite, and adding those terms would make them NaN.
+			for _, g := range []*Tensor{dx, dw} {
+				if slices.ContainsFunc(g.Data, func(v float32) bool { return v != v }) {
+					t.Fatal("NaN gradient, want every non-finite term skipped")
+				}
+			}
+		})
+	}
+	r := rand.New(rand.NewSource(23))
+	fresh := func() (x, w, dy *Tensor) {
+		return Randn(r, 1, cc.n, cc.c, cc.h, cc.w), Randn(r, 1, cc.f, cc.c, cc.kh, cc.kw), Randn(r, 1, cc.n, cc.f, cc.h, cc.w)
+	}
+
+	x, w, dy := fresh()
+	*at(w, 1, 2, 1, 1), *at(w, 1, 4, 0, 2) = inf, -inf
+	for ni := 0; ni < cc.n; ni++ {
+		zero(dy, ni, 1)
+	}
+	grads("dx_zero_dy_at_inf_w", x, w, dy)
+
+	x, w, dy = fresh()
+	*at(w, 3, 0, 2, 2) = nan
+	for ni := 0; ni < cc.n; ni++ {
+		zero(dy, ni, 3)
+	}
+	grads("dx_zero_dy_at_nan_w", x, w, dy)
+
+	x, w, dy = fresh()
+	*at(x, 1, 2, 2, 2), *at(x, 2, 5, 0, 4) = inf, -inf
+	for fi := 0; fi < cc.f; fi++ {
+		zero(dy, 1, fi)
+		zero(dy, 2, fi)
+	}
+	grads("dw_zero_dy_at_inf_x", x, w, dy)
+
+	// ConvTranspose2D: y starts at the bias and skips zero x, so filter 2
+	// of an all-zero input stays at its -0 bias; adding 0·w would make it
+	// +0 wherever w > 0.
+	t.Run("convT_neg_zero_bias_zero_x", func(t *testing.T) {
+		x := New(cc.n, cc.c, cc.h, cc.w)
+		w := Randn(r, 1, cc.c, cc.f, cc.kh, cc.kw)
+		b := Randn(r, 1, cc.f)
+		b.Data[2] = negZero
+		want, _ := refConvTranspose2D(x, w, b, cc.stride, cc.pad)
+		got, err := ConvTranspose2D(x, w, b, cc.stride, cc.pad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "y", cc, got, want)
+		if y := *at(got, 2, 2, 0, 0); math.Float32bits(y) != math.Float32bits(negZero) {
+			t.Fatalf("y[2, 2, 0, 0] = %g, want the -0 bias", y)
+		}
+	})
+}
+
 // TestConv2DBitIdentical holds Conv2D and Conv2DGrads bit-identical to the
 // reference nests on random shapes and on the study's own, including
 // signed zeros, denormals and infinities in x, w, b and dy.
@@ -262,8 +346,10 @@ var convBenchSink *Tensor
 
 // benchConv runs op once per iteration for every shape, on N(0,1) inputs:
 // x (n, c, size, size), the weights, and a dy shaped like the layer's
-// output. A transposed layer's weights are (c, f, k, k).
-func benchConv(b *testing.B, shapes []convShape, transposed bool, op func(s convShape, x, w, dy *Tensor) (*Tensor, error)) {
+// output with about the fraction zero of its values set to 0, as a ReLU
+// zeroes the gradient of its inactive units. A transposed layer's weights
+// are (c, f, k, k).
+func benchConv(b *testing.B, shapes []convShape, transposed bool, zero float64, op func(s convShape, x, w, dy *Tensor) (*Tensor, error)) {
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
 			wShape, out := []int{s.f, s.c, s.k, s.k}, ConvShape(s.size, s.k, s.stride, s.pad)
@@ -274,6 +360,11 @@ func benchConv(b *testing.B, shapes []convShape, transposed bool, op func(s conv
 			x := Randn(r, 1, s.n, s.c, s.size, s.size)
 			w := Randn(r, 0.1, wShape...)
 			dy := Randn(r, 1, s.n, s.f, out, out)
+			for i := range dy.Data {
+				if r.Float64() < zero {
+					dy.Data[i] = 0
+				}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				y, err := op(s, x, w, dy)
@@ -287,30 +378,37 @@ func benchConv(b *testing.B, shapes []convShape, transposed bool, op func(s conv
 }
 
 func BenchmarkConv2D(b *testing.B) {
-	benchConv(b, convBenchShapes, false, func(s convShape, x, w, _ *Tensor) (*Tensor, error) {
+	benchConv(b, convBenchShapes, false, 0, func(s convShape, x, w, _ *Tensor) (*Tensor, error) {
 		return Conv2D(x, w, nil, s.stride, s.pad)
 	})
 }
 
 // BenchmarkConv2DGrads times the input and the weight gradient apart, as
-// a layer whose weights or input need no gradient computes one alone.
+// a layer whose weights or input need no gradient computes one alone,
+// each on a dense dy and on one with 60% zeros, the sparsity range
+// (41-86%) of the ReLU layers' gradients in the study.
 func BenchmarkConv2DGrads(b *testing.B) {
-	b.Run("dx", func(b *testing.B) {
-		benchConv(b, convBenchShapes, false, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
-			dx, _, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad, true, false)
-			return dx, err
+	for _, d := range []struct {
+		suffix string
+		zero   float64
+	}{{"", 0}, {"_relu60", 0.6}} {
+		b.Run("dx"+d.suffix, func(b *testing.B) {
+			benchConv(b, convBenchShapes, false, d.zero, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+				dx, _, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad, true, false)
+				return dx, err
+			})
 		})
-	})
-	b.Run("dw", func(b *testing.B) {
-		benchConv(b, convBenchShapes, false, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
-			_, dw, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad, false, true)
-			return dw, err
+		b.Run("dw"+d.suffix, func(b *testing.B) {
+			benchConv(b, convBenchShapes, false, d.zero, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+				_, dw, _, err := Conv2DGrads(x, w, dy, s.stride, s.pad, false, true)
+				return dw, err
+			})
 		})
-	})
+	}
 }
 
 func BenchmarkConvTranspose2D(b *testing.B) {
-	benchConv(b, convTBenchShapes, true, func(s convShape, x, w, _ *Tensor) (*Tensor, error) {
+	benchConv(b, convTBenchShapes, true, 0, func(s convShape, x, w, _ *Tensor) (*Tensor, error) {
 		return ConvTranspose2D(x, w, nil, s.stride, s.pad)
 	})
 }
@@ -319,13 +417,13 @@ func BenchmarkConvTranspose2D(b *testing.B) {
 // of the transposed convolution apart.
 func BenchmarkConvTranspose2DGrads(b *testing.B) {
 	b.Run("dx", func(b *testing.B) {
-		benchConv(b, convTBenchShapes, true, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+		benchConv(b, convTBenchShapes, true, 0, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
 			dx, _, _, err := ConvTranspose2DGrads(x, w, dy, s.stride, s.pad, true, false)
 			return dx, err
 		})
 	})
 	b.Run("dw", func(b *testing.B) {
-		benchConv(b, convTBenchShapes, true, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
+		benchConv(b, convTBenchShapes, true, 0, func(s convShape, x, w, dy *Tensor) (*Tensor, error) {
 			_, dw, _, err := ConvTranspose2DGrads(x, w, dy, s.stride, s.pad, false, true)
 			return dw, err
 		})

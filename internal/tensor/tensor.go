@@ -27,9 +27,24 @@
 //     value as it is.
 //
 // The skips are part of the contract: they decide the sign of a zero sum
-// and whether 0·Inf turns it into NaN. The kernels tile, reorder their
-// loops and repack operands freely within this order, and are tested bit
-// for bit against the naive nests.
+// and whether 0·Inf turns it into NaN. The kernels nonetheless add every
+// term, and meet the skips by construction wherever that is exact:
+//
+//   - A skipped term is 0·v. For a finite v it is ±0, and adding ±0 leaves
+//     every sum but -0 as it is. A sum that starts at +0, or at a bias
+//     other than -0, never becomes -0: x + y is -0 only when both are.
+//   - For an infinite or NaN v, 0·v is NaN, and a sum that adds a NaN
+//     stays NaN.
+//   - So a sum that adds every term equals the skipping sum unless it
+//     comes out NaN or starts at a -0 bias. The kernels redo those
+//     sums with the skips: each NaN sum, and every sum of a ConvTranspose2D
+//     filter tile with a -0 bias.
+//   - A product that is not NaN has the same bits in either operand order,
+//     so the kernels multiply in whichever order suits them outside these
+//     redone sums.
+//
+// The kernels tile, reorder their loops and repack operands freely within
+// this order, and are tested bit for bit against the naive nests.
 package tensor
 
 import (
@@ -57,18 +72,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
 
-// FromData wraps data with a shape; the length must match.
-func FromData(data []float32, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("tensor: %d elements for shape %v", len(data), shape)
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}, nil
-}
-
 // Randn fills a new tensor with N(0, std) samples.
 func Randn(r *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -92,9 +95,6 @@ func (t *Tensor) Numel() int { return len(t.Data) }
 
 // Bytes returns the size in bytes (4 per element).
 func (t *Tensor) Bytes() uint64 { return uint64(len(t.Data)) * 4 }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
@@ -213,26 +213,19 @@ func Conv2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: conv2d empty output for input %dx%d kernel %dx%d", h, wd, kh, kw)
 	}
 	out := New(n, f, oh, ow)
-	hw, ohw, kk := h*wd, oh*ow, kh*kw
+	hw, kk := h*wd, kh*kw
 	// Output-stationary over a tile of filters: y[fi, p] starts from the
 	// bias and adds w*x over (ci, ky, kx), i.e. channel by channel over
 	// the output pixel's terms (x pixel, tap).
 	tab := newConvTable(convAxis{h, oh, kh, stride, pad}, convAxis{wd, ow, kw, stride, pad}, perOut)
 	wt := make([][convTile]float32, c*kk)
-	var bias, acc [convTile]float32
 	for f0 := 0; f0 < f; f0 += convTile {
-		lanes := min(convTile, f-f0)
 		convLanes(wt, w.Data, f0, f, 1, c*kk, c*kk, 0)
+		var bias [convTile]float32
 		if b != nil {
-			copy(bias[:], b.Data[f0:f0+lanes])
+			copy(bias[:], b.Data[f0:])
 		}
-		for ni := 0; ni < n; ni++ {
-			for p, at := range tab.pos {
-				acc = bias
-				convSum(&acc, tab.class[at.class], x.Data[ni*c*hw+int(at.s):], hw, wt[at.v:], kk, c)
-				convStore(out.Data[(ni*f+f0)*ohw:], ohw, p, &acc, lanes)
-			}
-		}
+		convSums(tab, bias, x.Data, c*hw, hw, wt, kk, c, false, out.Data, f, f0)
 	}
 	return out, nil
 }
@@ -246,7 +239,6 @@ func Conv2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool) (dx, dw
 	oh, ow := dy.Shape[2], dy.Shape[3]
 	hw, ohw, kk := h*wd, oh*ow, kh*kw
 	ya, xa := convAxis{h, oh, kh, stride, pad}, convAxis{wd, ow, kw, stride, pad}
-	var acc [convTile]float32
 	db = convBiasGrad(dy)
 
 	// dw[fi, ci, tap] sums g*x over (ni, oy, ox): sample by sample over the
@@ -257,13 +249,7 @@ func Conv2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool) (dx, dw
 		xt := make([][convTile]float32, n*hw)
 		for c0 := 0; c0 < c; c0 += convTile {
 			convLanes(xt, x.Data, c0, c, n, hw, hw, c*hw)
-			for fi := 0; fi < f; fi++ {
-				for t, at := range tab.pos {
-					acc = [convTile]float32{}
-					convSumNonzero(&acc, tab.class[at.class], dy.Data[fi*ohw+int(at.s):], f*ohw, xt[at.v:], hw, n)
-					convStore(dw.Data[(fi*c+c0)*kk:], kk, t, &acc, min(convTile, c-c0))
-				}
-			}
+			convSums(tab, [convTile]float32{}, dy.Data, ohw, f*ohw, xt, hw, n, true, dw.Data, c, c0)
 		}
 	}
 
@@ -276,13 +262,7 @@ func Conv2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool) (dx, dw
 		wt := make([][convTile]float32, f*kk)
 		for c0 := 0; c0 < c; c0 += convTile {
 			convLanes(wt, w.Data, c0, c, f, kk, kk, c*kk)
-			for ni := 0; ni < n; ni++ {
-				for p, at := range tab.pos {
-					acc = [convTile]float32{}
-					convSumNonzero(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
-					convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
-				}
-			}
+			convSums(tab, [convTile]float32{}, dy.Data, f*ohw, ohw, wt, kk, f, true, dx.Data, c, c0)
 		}
 	}
 	return dx, dw, db, nil
@@ -323,7 +303,7 @@ func ConvTranspose2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: convT empty output")
 	}
 	out := New(n, f, oh, ow)
-	hw, ohw, kk := h*wd, oh*ow, kh*kw
+	hw, kk := h*wd, kh*kw
 	// The transposed convolution is the input gradient of a convolution
 	// from the (oh, ow) plane, its input, to the (h, w) plane, its output.
 	// y[fi, p] starts from the bias and adds x*w over (ci, iy, ix),
@@ -331,20 +311,13 @@ func ConvTranspose2D(x, w, b *Tensor, stride, pad int) (*Tensor, error) {
 	// (x pixel, tap), a tile of filters sharing each x.
 	tab := newConvTable(convAxis{oh, h, kh, stride, pad}, convAxis{ow, wd, kw, stride, pad}, perIn)
 	wt := make([][convTile]float32, c*kk)
-	var bias, acc [convTile]float32
 	for f0 := 0; f0 < f; f0 += convTile {
-		lanes := min(convTile, f-f0)
 		convLanes(wt, w.Data, f0, f, c, kk, kk, f*kk)
+		var bias [convTile]float32
 		if b != nil {
-			copy(bias[:], b.Data[f0:f0+lanes])
+			copy(bias[:], b.Data[f0:])
 		}
-		for ni := 0; ni < n; ni++ {
-			for p, at := range tab.pos {
-				acc = bias
-				convSumNonzero(&acc, tab.class[at.class], x.Data[ni*c*hw+int(at.s):], hw, wt[at.v:], kk, c)
-				convStore(out.Data[(ni*f+f0)*ohw:], ohw, p, &acc, lanes)
-			}
-		}
+		convSums(tab, bias, x.Data, c*hw, hw, wt, kk, c, true, out.Data, f, f0)
 	}
 	return out, nil
 }
@@ -358,7 +331,6 @@ func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool
 	oh, ow := dy.Shape[2], dy.Shape[3]
 	hw, ohw, kk := h*wd, oh*ow, kh*kw
 	ya, xa := convAxis{oh, h, kh, stride, pad}, convAxis{ow, wd, kw, stride, pad}
-	var acc [convTile]float32
 	db = convBiasGrad(dy)
 
 	// dx[ni, ci, iy, ix] sums g*w over (fi, ky, kx): filter by filter over
@@ -369,13 +341,7 @@ func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool
 		wt := make([][convTile]float32, f*kk)
 		for c0 := 0; c0 < c; c0 += convTile {
 			convLanes(wt, w.Data, c0, c, f, kk, f*kk, kk)
-			for ni := 0; ni < n; ni++ {
-				for p, at := range tab.pos {
-					acc = [convTile]float32{}
-					convSum(&acc, tab.class[at.class], dy.Data[ni*f*ohw+int(at.s):], ohw, wt[at.v:], kk, f)
-					convStore(dx.Data[(ni*c+c0)*hw:], hw, p, &acc, min(convTile, c-c0))
-				}
-			}
+			convSums(tab, [convTile]float32{}, dy.Data, f*ohw, ohw, wt, kk, f, false, dx.Data, c, c0)
 		}
 	}
 
@@ -387,13 +353,7 @@ func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool
 		dyt := make([][convTile]float32, n*ohw)
 		for f0 := 0; f0 < f; f0 += convTile {
 			convLanes(dyt, dy.Data, f0, f, n, ohw, ohw, f*ohw)
-			for ci := 0; ci < c; ci++ {
-				for t, at := range tab.pos {
-					acc = [convTile]float32{}
-					convSum(&acc, tab.class[at.class], x.Data[ci*hw+int(at.s):], c*hw, dyt[at.v:], ohw, n)
-					convStore(dw.Data[(ci*f+f0)*kk:], kk, t, &acc, min(convTile, f-f0))
-				}
-			}
+			convSums(tab, [convTile]float32{}, x.Data, hw, c*hw, dyt, ohw, n, false, dw.Data, f, f0)
 		}
 	}
 	return dx, dw, db, nil
@@ -401,9 +361,8 @@ func ConvTranspose2DGrads(x, w, dy *Tensor, stride, pad int, needDX, needDW bool
 
 // convTile is the register-tile width of the convolution kernels: each
 // sum runs for 4 filters or 4 channels at once, the lanes of one
-// accumulator set sharing every load of the other operand (and, in the
-// gradients, its zero test). A count that is not a multiple of 4 runs in
-// zero-padded lanes that are never stored.
+// accumulator set sharing every load of the other operand. A count that
+// is not a multiple of 4 runs in zero-padded lanes that are never stored.
 const convTile = 4
 
 // convAxis is one spatial axis of a convolution: output positions
@@ -571,10 +530,66 @@ func convLanes(dst [][convTile]float32, data []float32, r0, rows, outer, inner, 
 	}
 }
 
-// convStore writes the first lanes of acc to dst[j*stride+p].
-func convStore(dst []float32, stride, p int, acc *[convTile]float32, lanes int) {
+// convSums computes the sums of tab for every block of the scalar
+// operand, block b's sums reading s[b*ds:], and stores lane j of block
+// b's sum for position p at out[(b*rows+r0+j)*len(tab.pos)+p]: out is a
+// (blocks, rows, positions) array whose rows r0..r0+3 the lanes fill.
+//
+// A sum starts at init and adds all its terms: two blocks at a time
+// through convSum2, which shares every lane load between the pair, and
+// an odd last block alone through convSum. skip says the contract skips
+// terms whose scalar is zero. Adding such a term anyway changes a sum only
+// if the sum turns NaN or starts at -0 (see the package doc), so those
+// sums are then redone through convSumNonzero.
+func convSums(tab convTable, init [convTile]float32, s []float32, ds, ss int, v [][convTile]float32, vs, nb int, skip bool, out []float32, rows, r0 int) {
+	np := len(tab.pos)
+	blocks, lanes := len(out)/(rows*np), min(convTile, rows-r0)
+	nan := false
+	for b := 0; b < blocks; b += 2 {
+		o := (b*rows + r0) * np
+		for p, at := range tab.pos {
+			terms, sb, vb := tab.class[at.class], s[b*ds+int(at.s):], v[at.v:]
+			acc := init
+			if b+1 < blocks {
+				acc2 := init
+				convSum2(&acc, &acc2, terms, sb, ds, ss, vb, vs, nb)
+				convStore(out[o+rows*np+p:], np, &acc2, lanes)
+				nan = nan || skip && mayHaveNaN(&acc2)
+			} else {
+				convSum(&acc, terms, sb, ss, vb, vs, nb)
+			}
+			convStore(out[o+p:], np, &acc, lanes)
+			nan = nan || skip && mayHaveNaN(&acc)
+		}
+	}
+	if !skip {
+		return
+	}
+	all := slices.ContainsFunc(init[:], isNegZero)
+	if !nan && !all {
+		return
+	}
+	for b := 0; b < blocks; b++ {
+		o := (b*rows + r0) * np
+		for p, at := range tab.pos {
+			redo := all
+			for j := 0; j < lanes; j++ {
+				y := out[o+j*np+p]
+				redo = redo || y != y
+			}
+			if redo {
+				acc := init
+				convSumNonzero(&acc, tab.class[at.class], s[b*ds+int(at.s):], ss, v[at.v:], vs, nb)
+				convStore(out[o+p:], np, &acc, lanes)
+			}
+		}
+	}
+}
+
+// convStore writes the first lanes of acc to dst[j*stride].
+func convStore(dst []float32, stride int, acc *[convTile]float32, lanes int) {
 	for j := 0; j < lanes; j++ {
-		dst[j*stride+p] = acc[j]
+		dst[j*stride] = acc[j]
 	}
 }
 
@@ -596,10 +611,39 @@ func convSum(acc *[convTile]float32, terms []convTerm, s []float32, ss int, v []
 	*acc = [convTile]float32{a0, a1, a2, a3}
 }
 
+// convSum2 is convSum for two sums over the same lanes at once: acc's
+// scalars at s and acc2's at s[ds:]. Each lane value is loaded once for
+// both. The second scalar is read after two lanes of the first sum: the
+// bounds check splits the loop body there, and with the products of each
+// part added before the next begins, all eight sums stay in registers.
+func convSum2(acc, acc2 *[convTile]float32, terms []convTerm, s []float32, ds, ss int, v [][convTile]float32, vs, nb int) {
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	b0, b1, b2, b3 := acc2[0], acc2[1], acc2[2], acc2[3]
+	for so, vo := 0, 0; so < nb*ss; so, vo = so+ss, vo+vs {
+		for _, t := range terms {
+			i := so + int(t.s)
+			q := &v[vo+int(t.v)]
+			sa := s[i]
+			a0 += q[0] * sa
+			a1 += q[1] * sa
+			sb := s[i+ds]
+			b0 += q[0] * sb
+			b1 += q[1] * sb
+			a2 += q[2] * sa
+			a3 += q[3] * sa
+			b2 += q[2] * sb
+			b3 += q[3] * sb
+		}
+	}
+	*acc = [convTile]float32{a0, a1, a2, a3}
+	*acc2 = [convTile]float32{b0, b1, b2, b3}
+}
+
 // convSumNonzero is convSum skipping every term whose scalar is zero, as
 // the naive nests skip a zero dy (or a zero x in the transposed
 // convolution). The skip is visible: adding 0*v would turn a sum of -0
-// into +0 and, for an infinite v, into NaN.
+// into +0 and, for an infinite or NaN v, into NaN. convSums runs it only
+// for the sums where that happens.
 func convSumNonzero(acc *[convTile]float32, terms []convTerm, s []float32, ss int, v [][convTile]float32, vs, nb int) {
 	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
 	for so, vo := 0, 0; so < nb*ss; so, vo = so+ss, vo+vs {
@@ -617,6 +661,16 @@ func convSumNonzero(acc *[convTile]float32, terms []convTerm, s []float32, ss in
 	}
 	*acc = [convTile]float32{a0, a1, a2, a3}
 }
+
+// mayHaveNaN reports whether a lane of a may be NaN. The lanes' sum is
+// NaN if one is; it is also NaN when +Inf meets -Inf on the way, a false
+// alarm that convSums's lane-by-lane recheck clears.
+func mayHaveNaN(a *[convTile]float32) bool {
+	x := (a[0] + a[1]) + (a[2] + a[3])
+	return x != x
+}
+
+func isNegZero(v float32) bool { return v == 0 && math.Signbit(float64(v)) }
 
 // MaxPool2D computes 2x2-style max pooling with the given window and stride,
 // returning the output and the argmax indices (into the input) for backward.
@@ -682,18 +736,4 @@ func Softmax(x *Tensor) (*Tensor, error) {
 		}
 	}
 	return out, nil
-}
-
-// Gram computes the CxC Gram matrix of a (C, HW) feature map, the style
-// statistic of the Neural Style workload.
-func Gram(features *Tensor) (*Tensor, error) {
-	g, err := MatMul(features, features, false, true)
-	if err != nil {
-		return nil, err
-	}
-	norm := float32(features.Shape[0] * features.Shape[1])
-	for i := range g.Data {
-		g.Data[i] /= norm
-	}
-	return g, nil
 }
