@@ -78,8 +78,10 @@ type Engine struct {
 	sys  *System
 	sess *profiler.Session
 	pme  *PME
-	nl   *NeighborList
 	ref  []Vec3
+	// nl and cells keep their buffers from one rebuild to the next.
+	nl    NeighborList
+	cells cellList
 
 	// LastEnergy is the most recent total potential energy (diagnostics).
 	LastEnergy float64
@@ -127,16 +129,15 @@ func (e *Engine) Step(step int) error {
 	n := float64(s.N)
 
 	// --- Neighbor list maintenance ---------------------------------------
-	needRebuild := e.nl == nil || step%cfg.RebuildEvery == 0
+	needRebuild := e.Rebuilds == 0 || step%cfg.RebuildEvery == 0
 	if !needRebuild && MaxDisplacement(s, e.ref) > cfg.Skin/2 {
 		needRebuild = true
 	}
 	if needRebuild {
-		nl, err := BuildNeighborList(s, cfg.Cutoff, cfg.Skin)
-		if err != nil {
+		nl := &e.nl
+		if err := nl.build(s, cfg.Cutoff, cfg.Skin, &e.cells); err != nil {
 			return err
 		}
-		e.nl = nl
 		e.ref = append(e.ref[:0], s.Pos...)
 		e.Rebuilds++
 		pairs := float64(nl.Pairs())
@@ -175,7 +176,7 @@ func (e *Engine) Step(step int) error {
 
 	// --- Pair forces ------------------------------------------------------
 	clearForces(s)
-	st := ComputePairForces(s, e.nl, cfg.Cutoff, cfg.EwaldAlpha)
+	st := ComputePairForces(s, &e.nl, cfg.Cutoff, cfg.EwaldAlpha)
 	e.LastEnergy = st.Energy
 	e.emitPairKernels(st)
 

@@ -22,61 +22,117 @@ func clearForces(s *System) {
 // Ewald Coulomb forces over the neighbor list, accumulating into s.Force.
 // Lorentz-Berthelot mixing combines per-type LJ parameters. ewaldAlpha <= 0
 // disables electrostatics (the colloid path).
+//
+// Pairs are taken in list order. A first pass computes each pair's
+// minimum-image displacement and keeps, in a block of pairBlockLen, the
+// pairs inside the cutoff at a nonzero distance; the physics then runs
+// over each full block, so the cutoff test never branches.
 func ComputePairForces(s *System, nl *NeighborList, cutoff, ewaldAlpha float64) ForceStats {
 	var st ForceStats
 	rc2 := cutoff * cutoff
-	for i := 0; i < s.N; i++ {
-		ti := &s.Types[s.Type[i]]
-		qi := s.Charge[i]
-		for _, j32 := range nl.NeighborsOf(i) {
-			j := int(j32)
-			st.PairsEvaluated++
-			d := s.minimumImage(s.Pos[i], s.Pos[j])
-			r2 := d.Dot(d)
-			if r2 >= rc2 || r2 == 0 {
-				continue
-			}
-			st.PairsInteracting++
-			tj := &s.Types[s.Type[j]]
-			eps := math.Sqrt(ti.Epsilon * tj.Epsilon)
-			sig := (ti.Sigma + tj.Sigma) / 2
-			sr2 := sig * sig / r2
-			sr6 := sr2 * sr2 * sr2
-			sr12 := sr6 * sr6
-			// F = 24 eps (2 sr12 - sr6) / r^2 * dvec. The magnitude is
-			// capped so overlapping initial configurations equilibrate
-			// instead of blowing up (standard soft-start practice).
-			fmag := 24 * eps * (2*sr12 - sr6) / r2
-			const fcap = 1e4
-			if fmag > fcap {
-				fmag = fcap
-			} else if fmag < -fcap {
-				fmag = -fcap
-			}
-			e := 4 * eps * (sr12 - sr6)
-			if e > fcap {
-				e = fcap
-			}
-			st.Energy += e
-
-			if ewaldAlpha > 0 {
-				qj := s.Charge[j]
-				if qi != 0 && qj != 0 {
-					st.CoulombPairs++
-					r := math.Sqrt(r2)
-					ar := ewaldAlpha * r
-					erfc := math.Erfc(ar)
-					e := qi * qj / r * erfc
-					st.Energy += e
-					fmag += (e + qi*qj*2*ewaldAlpha/math.Sqrt(math.Pi)*math.Exp(-ar*ar)) / r2
-				}
-			}
-			f := d.Scale(fmag)
-			s.Force[i] = s.Force[i].Add(f)
-			s.Force[j] = s.Force[j].Sub(f)
+	nt := len(s.Types)
+	mix := make([]ljMix, nt*nt)
+	for a := range s.Types {
+		for b := range s.Types {
+			ta, tb := &s.Types[a], &s.Types[b]
+			mix[a*nt+b] = ljMix{eps: math.Sqrt(ta.Epsilon * tb.Epsilon), sig: (ta.Sigma + tb.Sigma) / 2}
 		}
 	}
+	boxBits, half := math.Float64bits(s.Box), s.Box/2
+	var blk pairBlock
+	for i := 0; i < s.N; i++ {
+		pi := s.Pos[i]
+		neigh := nl.NeighborsOf(i)
+		st.PairsEvaluated += len(neigh)
+		for _, j := range neigh {
+			pj := &s.Pos[j]
+			d := Vec3{imageBits(pi[0]-pj[0], boxBits, half), imageBits(pi[1]-pj[1], boxBits, half), imageBits(pi[2]-pj[2], boxBits, half)}
+			r2 := d.Dot(d)
+			k := blk.n & (pairBlockLen - 1)
+			blk.i[k], blk.j[k], blk.d[k], blk.r2[k] = int32(i), j, d, r2
+			// Keep the pair unless r2 >= rc2 or r2 == 0, as the one-pass
+			// loop does; | keeps both tests free of a branch.
+			blk.n += 1 - (b2i(r2 >= rc2) | b2i(r2 == 0))
+			if blk.n == pairBlockLen {
+				blk.forces(s, &st, mix, ewaldAlpha)
+			}
+		}
+	}
+	blk.forces(s, &st, mix, ewaldAlpha)
 	return st
+}
+
+// ljMix holds the mixed LJ parameters of one ordered pair of types.
+type ljMix struct{ eps, sig float64 }
+
+// pairBlockLen is the capacity of a pairBlock, a power of two.
+const pairBlockLen = 256
+
+// pairBlock holds up to pairBlockLen interacting pairs, in list order,
+// with their minimum-image displacement and squared distance.
+type pairBlock struct {
+	n    int
+	i, j [pairBlockLen]int32
+	d    [pairBlockLen]Vec3
+	r2   [pairBlockLen]float64
+}
+
+// forces adds the forces and energies of b's pairs, in order, and empties
+// b.
+func (b *pairBlock) forces(s *System, st *ForceStats, mix []ljMix, ewaldAlpha float64) {
+	nt := len(s.Types)
+	st.PairsInteracting += b.n
+	for k := 0; k < b.n; k++ {
+		i, j := int(b.i[k]), int(b.j[k])
+		r2 := b.r2[k]
+		m := &mix[s.Type[i]*nt+s.Type[j]]
+		eps, sig := m.eps, m.sig
+		sr2 := sig * sig / r2
+		sr6 := sr2 * sr2 * sr2
+		sr12 := sr6 * sr6
+		// F = 24 eps (2 sr12 - sr6) / r^2 * dvec. The magnitude is
+		// capped so overlapping initial configurations equilibrate
+		// instead of blowing up (standard soft-start practice).
+		fmag := 24 * eps * (2*sr12 - sr6) / r2
+		const fcap = 1e4
+		if fmag > fcap {
+			fmag = fcap
+		} else if fmag < -fcap {
+			fmag = -fcap
+		}
+		e := 4 * eps * (sr12 - sr6)
+		if e > fcap {
+			e = fcap
+		}
+		st.Energy += e
+
+		if ewaldAlpha > 0 {
+			qi, qj := s.Charge[i], s.Charge[j]
+			if qi != 0 && qj != 0 {
+				st.CoulombPairs++
+				r := math.Sqrt(r2)
+				ar := ewaldAlpha * r
+				erfc := math.Erfc(ar)
+				e := qi * qj / r * erfc
+				st.Energy += e
+				fmag += (e + qi*qj*2*ewaldAlpha/math.Sqrt(math.Pi)*math.Exp(-ar*ar)) / r2
+			}
+		}
+		f := b.d[k].Scale(fmag)
+		s.Force[i] = s.Force[i].Add(f)
+		s.Force[j] = s.Force[j].Sub(f)
+	}
+	b.n = 0
+}
+
+// imageBits is image without a branch, for a box edge box >= 0 given by
+// its bits boxBits, and half = box/2. It selects by their bits d or d
+// minus box signed like d, so d's sign of zero survives; d - (-box) has
+// the bits of d + box. It is written to stay within the inlining budget.
+func imageBits(d float64, boxBits uint64, half float64) float64 {
+	db := math.Float64bits(d)
+	m := -uint64(b2i(math.Abs(d) > half))
+	return math.Float64frombits(db&^m | math.Float64bits(d-math.Float64frombits(boxBits|db&(1<<63)))&m)
 }
 
 // BondedStats counts bonded-force work.

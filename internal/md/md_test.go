@@ -1,8 +1,10 @@
 package md
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -125,7 +127,7 @@ func TestNeighborListFindsAllPairs(t *testing.T) {
 
 func TestCellListErrors(t *testing.T) {
 	s, _ := NewColloid(1, 10, 1)
-	if _, err := BuildCellList(s, 0); err == nil {
+	if err := new(cellList).bin(s, 0); err == nil {
 		t.Error("zero cell size should fail")
 	}
 }
@@ -558,44 +560,178 @@ func sameNeighborList(t *testing.T, what string, s *System, cutoff, skin float64
 	}
 }
 
-// TestNeighborListMatchesReference holds the per-axis reject to the full
-// distance test's list on the study's three systems, through their first
-// steps of dynamics (the box breathes under GMS's barostat), and on boxes
-// of one and two cells per edge.
+// eachStep runs w on a device-less session and calls check with the engine
+// before every step.
+func eachStep(t *testing.T, w *Workload, check func(sys *System, eng *Engine)) {
+	t.Helper()
+	sys, err := w.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := w.Config()
+	eng, err := NewEngine(cfg, sys, profiler.NewSession(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < cfg.Steps; step++ {
+		check(sys, eng)
+		if err := eng.Step(step); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNeighborListMatchesReference holds the neighbor search to the full
+// distance test's list on the study's three systems at every step of their
+// runs (the box breathes under GMS's barostat), and on boxes of one and
+// two cells per edge.
 func TestNeighborListMatchesReference(t *testing.T) {
 	for _, w := range []*Workload{Gromacs(), LammpsRhodopsin(), LammpsColloid()} {
-		sys, err := w.build()
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := w.Config()
-		cfg.Replication = 1
-		eng, err := NewEngine(cfg, sys, newSession(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 6; step++ {
+		eachStep(t, w, func(sys *System, _ *Engine) {
 			sameNeighborList(t, w.Abbr(), sys, cfg.Cutoff, cfg.Skin)
-			if err := eng.Step(step); err != nil {
-				t.Fatal(err)
-			}
-		}
+		})
 	}
 	s, err := NewColloid(8, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cells := range []float64{1.2, 2.5} {
-		if cl, _ := BuildCellList(s, s.Box/cells); cl.Side >= 3 {
-			t.Fatalf("box of %d cells per edge", cl.Side)
+		var cl cellList
+		if err := cl.bin(s, s.Box/cells); err != nil || cl.side >= 3 {
+			t.Fatalf("box of %d cells per edge (%v)", cl.side, err)
 		}
 		sameNeighborList(t, "small box", s, s.Box/cells-0.1, 0.1)
 	}
 }
 
+// TestNeighborListMatchesReferenceRandom compares the search with the
+// reference on seeded random systems of 3 to 8 cells per edge, with the
+// list cutoff equal to or below the cell edge. Coordinates crowd the cell
+// boundaries (k·edge and one ulp either side), the box edge
+// (math.Nextafter(Box, 0), whose cell quotient can round up to the cell
+// count) and the cutoff distance from another particle, directly and
+// through the periodic wrap; one in 40 lies outside the box.
+func TestNeighborListMatchesReferenceRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	ulp := func(v float64) float64 {
+		switch r.Intn(3) {
+		case 0:
+			return math.Nextafter(v, math.Inf(-1))
+		case 1:
+			return math.Nextafter(v, math.Inf(1))
+		}
+		return v
+	}
+	offGrid := 0
+	for trial := 0; trial < 1500; trial++ {
+		side := 3 + r.Intn(6)
+		box := 4 + 16*r.Float64()
+		rc := box / float64(side)
+		if r.Intn(2) == 0 {
+			rc *= 0.5 + 0.5*r.Float64()
+		}
+		s := newSystem(20+r.Intn(100), box)
+		var cl cellList
+		if err := cl.bin(s, rc); err != nil {
+			t.Fatal(err)
+		}
+		coord := func() float64 {
+			var v float64
+			switch k := r.Intn(40); {
+			case k == 0:
+				// Outside the box, as a caller other than the engine may
+				// pass.
+				return box * (2*r.Float64() - 0.5)
+			case k < 14:
+				v = r.Float64() * box
+			case k < 27:
+				v = ulp(float64(r.Intn(cl.side+1)) * cl.size)
+			default:
+				v = math.Nextafter(box, 0)
+			}
+			return math.Max(0, math.Min(v, math.Nextafter(box, 0)))
+		}
+		for i := range s.Pos {
+			if i > 0 && r.Intn(4) == 0 {
+				// The cutoff away from an earlier particle along one axis.
+				p := s.Pos[r.Intn(i)]
+				k := r.Intn(3)
+				p[k] = ulp(p[k] + rc*float64(2*r.Intn(2)-1))
+				s.Pos[i] = s.wrap(p)
+			} else {
+				s.Pos[i] = Vec3{coord(), coord(), coord()}
+			}
+			for _, v := range s.Pos[i] {
+				if int(v/cl.size) == cl.side {
+					offGrid++
+				}
+			}
+		}
+		sameNeighborList(t, fmt.Sprintf("trial %d (%d cells per edge, rc %g, edge %g)", trial, cl.side, rc, cl.size), s, rc, 0)
+	}
+	if offGrid == 0 {
+		t.Fatal("no coordinate binned across the box edge")
+	}
+}
+
+// TestImageBitsMatchesImage holds the branch-free minimum image to image,
+// bit for bit, at signed zeros, infinities, NaN, both half-edges and an ulp
+// either side of them, the box edge and random displacements.
+func TestImageBitsMatchesImage(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, box := range []float64{13.07, 1, 3 * math.SmallestNonzeroFloat64, 0, math.Inf(1), math.NaN()} {
+		s := &System{Box: box}
+		half := box / 2
+		ds := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), box, -box}
+		for _, h := range []float64{half, -half} {
+			ds = append(ds, h, math.Nextafter(h, math.Inf(1)), math.Nextafter(h, math.Inf(-1)))
+		}
+		for k := 0; k < 1000; k++ {
+			ds = append(ds, (2*r.Float64()-1)*box)
+		}
+		for _, d := range ds {
+			if got, want := imageBits(d, math.Float64bits(box), half), s.image(d); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("box %g: imageBits(%g) = %g, image %g", box, d, got, want)
+			}
+		}
+	}
+}
+
+// TestPairForcesMatchReference holds ComputePairForces to the previous
+// one-pass loop on the study's three systems: the statistics, the energy
+// and every bit of every force, at every step of their runs after the
+// first, over the list the engine holds going into the step.
+func TestPairForcesMatchReference(t *testing.T) {
+	for _, w := range []*Workload{Gromacs(), LammpsRhodopsin(), LammpsColloid()} {
+		cfg := w.Config()
+		eachStep(t, w, func(sys *System, eng *Engine) {
+			if eng.Rebuilds == 0 {
+				return
+			}
+			clearForces(sys)
+			got := ComputePairForces(sys, &eng.nl, cfg.Cutoff, cfg.EwaldAlpha)
+			gotForce := slices.Clone(sys.Force)
+			clearForces(sys)
+			want := refComputePairForces(sys, &eng.nl, cfg.Cutoff, cfg.EwaldAlpha)
+			if got.PairsEvaluated != want.PairsEvaluated || got.PairsInteracting != want.PairsInteracting ||
+				got.CoulombPairs != want.CoulombPairs || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+				t.Fatalf("%s: stats %+v, reference %+v", w.Abbr(), got, want)
+			}
+			for i := range gotForce {
+				for k := 0; k < 3; k++ {
+					if math.Float64bits(gotForce[i][k]) != math.Float64bits(sys.Force[i][k]) {
+						t.Fatalf("%s: force %d = %v, reference %v", w.Abbr(), i, gotForce[i], sys.Force[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestNeighborListMatchesReferenceOnLattice puts particles on a lattice
 // whose spacings hit the cutoff and half the box exactly, the boundaries
-// of both the reject and the minimum-image wrap.
+// of both the cutoff test and the minimum-image wrap.
 func TestNeighborListMatchesReferenceOnLattice(t *testing.T) {
 	const k, box = 8, 16.0
 	s := newSystem(k*k*k, box)
@@ -657,6 +793,32 @@ func BenchmarkComputePairForces(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clearForces(bs.sys)
 				ComputePairForces(bs.sys, nl, bs.cfg.Cutoff, bs.cfg.EwaldAlpha)
+			}
+		})
+	}
+}
+
+// BenchmarkEngineRun times Engine.Run of each MD workload on a device-less
+// session: the functional MD compute alone, without the device model. The
+// system is built outside the timer.
+func BenchmarkEngineRun(b *testing.B) {
+	for _, w := range []*Workload{Gromacs(), LammpsRhodopsin(), LammpsColloid()} {
+		b.Run(w.Abbr(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys, err := w.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng, err := NewEngine(w.Config(), sys, profiler.NewSession(nil))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

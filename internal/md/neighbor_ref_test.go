@@ -1,8 +1,53 @@
 package md
 
+import "fmt"
+
 // This file keeps the previous neighbor search verbatim, renamed with a
 // ref prefix. The differential tests hold BuildNeighborList to exactly its
 // output.
+
+// refCellList is the previous CellList.
+type refCellList struct {
+	Side  int // cells per box edge
+	Cells [][]int
+	size  float64
+}
+
+// refBuildCellList is the previous BuildCellList.
+func refBuildCellList(s *System, cellSize float64) (*refCellList, error) {
+	if cellSize <= 0 {
+		return nil, fmt.Errorf("md: non-positive cell size %g", cellSize)
+	}
+	side := int(s.Box / cellSize)
+	if side < 1 {
+		side = 1
+	}
+	if side > 64 {
+		side = 64
+	}
+	cl := &refCellList{Side: side, Cells: make([][]int, side*side*side), size: s.Box / float64(side)}
+	for i := 0; i < s.N; i++ {
+		c := cl.cellOf(s, s.Pos[i])
+		cl.Cells[c] = append(cl.Cells[c], i)
+	}
+	return cl, nil
+}
+
+func (cl *refCellList) cellOf(s *System, p Vec3) int {
+	ix := int(p[0]/cl.size) % cl.Side
+	iy := int(p[1]/cl.size) % cl.Side
+	iz := int(p[2]/cl.size) % cl.Side
+	if ix < 0 {
+		ix += cl.Side
+	}
+	if iy < 0 {
+		iy += cl.Side
+	}
+	if iz < 0 {
+		iz += cl.Side
+	}
+	return (ix*cl.Side+iy)*cl.Side + iz
+}
 
 // refMinimumImage is the previous minimumImage.
 func (s *System) refMinimumImage(a, b Vec3) Vec3 {
@@ -21,7 +66,7 @@ func (s *System) refMinimumImage(a, b Vec3) Vec3 {
 // minimum-image distance test on every candidate.
 func refBuildNeighborList(s *System, cutoff, skin float64) (*NeighborList, error) {
 	rc := cutoff + skin
-	cl, err := BuildCellList(s, rc)
+	cl, err := refBuildCellList(s, rc)
 	if err != nil {
 		return nil, err
 	}

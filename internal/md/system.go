@@ -8,6 +8,59 @@
 // particle count. Every phase launches kernels on the device model with
 // instruction and memory counts derived from the work actually performed,
 // extrapolated to paper-scale systems by a documented replication factor.
+//
+// # Neighbor search
+//
+// BuildNeighborList builds exactly the list of a full minimum-image test:
+// particle i's neighbors are the j > i of its 27 surrounding cells, cell
+// by cell in (dx, dy, dz) order and ascending within a cell, for which
+// image(xi-xj)² + image(yi-yj)² + image(zi-zj)², added in that order, is
+// below rc², the squared list cutoff. The cells have edge e = Box/Side,
+// where Side = int(Box/rc), so e >= rc to rounding. The search meets that
+// contract without calling image:
+//
+//   - The cell list is a counting sort, so a cell's entries ascend, and a
+//     per-cell cursor skips the j <= i: i only grows.
+//   - With Side >= 4, a candidate from the neighbor cell at unwrapped
+//     coordinate ix+dx, where ix = int(xi/e) is i's own cell unreduced,
+//     gets the shift sx = -Box when ix+dx >= Side, +Box when ix+dx < 0
+//     and 0 otherwise, and is tested as ((xi-xj)+sx)² + ... in the same
+//     order. d + (-Box) has the bits of d - Box, and d + 0 differs from d
+//     only by turning -0 into +0, which squares the same. So on an axis
+//     where the shift is the one image picks, the two terms are equal.
+//   - Where it is not, d+sx and image(d) differ by a nonzero multiple of
+//     Box, so their magnitudes add to at least Box. Since i and the
+//     shifted j lie in equal or adjacent cells, |d+sx| <= 2e, and
+//     |image(d)| <= Box/2. Hence |d+sx| >= Box/2 and |image(d)| >=
+//     Box - 2e, both at least 2e when Side >= 4, far above rc to
+//     rounding: both squares are at least rc², and a rounded sum of
+//     non-negative terms is at least each term, so both tests reject the
+//     pair.
+//   - With Side = 3 the bound is Box - 2e = e, which can lie within
+//     rounding of rc, so those searches test with image. With Side < 3,
+//     where wrapped offsets alias onto the same cell, the search scans
+//     each distinct cell once, also with image.
+//   - The argument needs every particle to lie in the cell its
+//     coordinates name. A coordinate just below Box whose quotient x/e
+//     rounds up to Side does not: the wrap bins it into cell 0, yet it
+//     sits at Box, and its shift would be off by Box. Binning therefore
+//     marks each cell that holds such an off-grid particle (or one with a
+//     negative, NaN or out-of-box coordinate); the search tests those
+//     cells' entries with image, and searches from an off-grid i with
+//     image throughout. Without this fallback a seeded random test crowded
+//     at the cell and box edges loses pairs in over a third of its
+//     systems.
+//
+// # Pair forces
+//
+// ComputePairForces adds every interacting pair's force into both
+// particles in list order, from the same operands, as a one-pass loop with
+// a cutoff branch per pair would. It first takes each pair's minimum
+// image branch-free (selecting d or d∓Box by their bits, so -0 survives)
+// and compacts the pairs inside the cutoff, in order, into a fixed block;
+// the Lennard-Jones and Ewald physics then run over the block alone. The
+// mixed epsilon and sigma of each pair of types are computed once per
+// call with the same expressions.
 package md
 
 import (

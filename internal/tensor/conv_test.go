@@ -344,11 +344,18 @@ func (s convShape) convCase() convCase {
 
 var convBenchSink *Tensor
 
+// convBenchSets is the number of independent operand sets benchConv
+// cycles through.
+const convBenchSets = 8
+
 // benchConv runs op once per iteration for every shape, on N(0,1) inputs:
 // x (n, c, size, size), the weights, and a dy shaped like the layer's
 // output with about the fraction zero of its values set to 0, as a ReLU
 // zeroes the gradient of its inactive units. A transposed layer's weights
-// are (c, f, k, k).
+// are (c, f, k, k). Iterations cycle through convBenchSets independent
+// draws of (x, w, dy), so a data-dependent branch is not timed on one
+// pattern the branch predictor has learned: the study never repeats an
+// operand.
 func benchConv(b *testing.B, shapes []convShape, transposed bool, zero float64, op func(s convShape, x, w, dy *Tensor) (*Tensor, error)) {
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
@@ -357,17 +364,21 @@ func benchConv(b *testing.B, shapes []convShape, transposed bool, zero float64, 
 				wShape, out = []int{s.c, s.f, s.k, s.k}, (s.size-1)*s.stride-2*s.pad+s.k
 			}
 			r := rand.New(rand.NewSource(1))
-			x := Randn(r, 1, s.n, s.c, s.size, s.size)
-			w := Randn(r, 0.1, wShape...)
-			dy := Randn(r, 1, s.n, s.f, out, out)
-			for i := range dy.Data {
-				if r.Float64() < zero {
-					dy.Data[i] = 0
+			var xs, ws, dys [convBenchSets]*Tensor
+			for k := range xs {
+				xs[k] = Randn(r, 1, s.n, s.c, s.size, s.size)
+				ws[k] = Randn(r, 0.1, wShape...)
+				dys[k] = Randn(r, 1, s.n, s.f, out, out)
+				for i := range dys[k].Data {
+					if r.Float64() < zero {
+						dys[k].Data[i] = 0
+					}
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				y, err := op(s, x, w, dy)
+				k := i % convBenchSets
+				y, err := op(s, xs[k], ws[k], dys[k])
 				if err != nil {
 					b.Fatal(err)
 				}
