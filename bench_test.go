@@ -337,7 +337,7 @@ func BenchmarkAblationMemoryModes(b *testing.B) {
 			TraceCoverage: 1,
 			Trace: func(h *memsim.Hierarchy) {
 				for a := uint64(0); a < bytes; a += 128 {
-					h.Access(a, false)
+					h.AccessBatch([]uint64{a}, false)
 				}
 			},
 		})
@@ -365,14 +365,18 @@ func BenchmarkAblationFAMD(b *testing.B) {
 		}
 		// Raw: standardized quantitative metrics only, no FAMD denoising.
 		raw := make([][]float64, len(obs))
-		for j, o := range obs {
-			row := make([]float64, profiler.NumMetrics)
-			for _, m := range profiler.Metrics() {
-				row[m] = o.Metrics.Get(m)
-			}
-			raw[j] = row
+		for j := range raw {
+			raw[j] = make([]float64, profiler.NumMetrics)
 		}
-		raw = stats.StandardizeColumns(raw)
+		col := make([]float64, len(obs))
+		for _, m := range profiler.Metrics() {
+			for j, o := range obs {
+				col[j] = o.Metrics.Get(m)
+			}
+			for j, z := range stats.Standardize(col) {
+				raw[j][m] = z
+			}
+		}
 		dend, err := stats.Agglomerative(raw, nil, stats.WardLinkage)
 		if err != nil {
 			b.Fatal(err)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/profiler"
-	"repro/internal/telemetry"
+	"repro/internal/testutil"
 	"repro/internal/workloads"
 )
 
@@ -197,7 +197,7 @@ func TestFigureCacheAndWorkers(t *testing.T) {
 
 // traceTo runs `cactus -no-cache trace pb-sgemm FILE` and returns the
 // parsed trace plus the "traced N launches" stderr line.
-func traceTo(t *testing.T, file string) (*telemetry.ChromeTrace, int) {
+func traceTo(t *testing.T, file string) (*testutil.ChromeTrace, int) {
 	t.Helper()
 	var errOut bytes.Buffer
 	if err := run([]string{"-no-cache", "trace", "pb-sgemm", file}, io.Discard, &errOut); err != nil {
@@ -207,7 +207,7 @@ func traceTo(t *testing.T, file string) (*telemetry.ChromeTrace, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := telemetry.ReadChrome(bytes.NewReader(raw))
+	tr, err := testutil.ReadChrome(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("trace output is not valid Chrome trace JSON: %v", err)
 	}
@@ -249,8 +249,8 @@ func TestTraceCommand(t *testing.T) {
 
 	// Modeled-time track must be byte-for-byte reproducible across runs.
 	tr2, _ := traceTo(t, filepath.Join(dir, "b.json"))
-	pick := func(tr *telemetry.ChromeTrace) []telemetry.ChromeEvent {
-		var evs []telemetry.ChromeEvent
+	pick := func(tr *testutil.ChromeTrace) []testutil.ChromeEvent {
+		var evs []testutil.ChromeEvent
 		for _, ev := range tr.TraceEvents {
 			if ev.PID == 1 {
 				evs = append(evs, ev)
@@ -336,7 +336,7 @@ func TestTraceFlagOnStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := telemetry.ReadChrome(bytes.NewReader(raw))
+	tr, err := testutil.ReadChrome(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("-trace output is not valid Chrome trace JSON: %v", err)
 	}
@@ -433,7 +433,7 @@ func checkOneShotObserved(t *testing.T, args ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := telemetry.ReadChrome(bytes.NewReader(raw))
+	tr, err := testutil.ReadChrome(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("-trace output is not valid Chrome trace JSON: %v", err)
 	}

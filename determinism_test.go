@@ -2,16 +2,17 @@ package repro
 
 import (
 	"bytes"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/profiler"
-	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -74,10 +75,49 @@ func studyCSV(t *testing.T, st *core.Study) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if err := report.WriteCSV(&buf, []string{"workload", "kernel", "time", "ii", "gips"}, rows); err != nil {
+	if err := writeCSV(&buf, []string{"workload", "kernel", "time", "ii", "gips"}, rows); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// writeCSV emits header+rows as comma-separated values, quoting cells that
+// contain commas or quotes.
+func writeCSV(w io.Writer, header []string, rows [][]string) error {
+	esc := func(s string) string {
+		if strings.ContainsAny(s, ",\"\n") {
+			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+		}
+		return s
+	}
+	writeLine := func(cells []string) error {
+		parts := make([]string, len(cells))
+		for i, c := range cells {
+			parts[i] = esc(c)
+		}
+		_, err := io.WriteString(w, strings.Join(parts, ",")+"\n")
+		return err
+	}
+	if err := writeLine(header); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if err := writeLine(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestWriteCSV(t *testing.T) {
+	var b strings.Builder
+	err := writeCSV(&b, []string{"a", "b"}, [][]string{{"x,y", `q"q`}, {"1", "2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a,b\n\"x,y\",\"q\"\"q\"\n1,2\n"; b.String() != want {
+		t.Errorf("writeCSV = %q, want %q", b.String(), want)
+	}
 }
 
 // TestStudyByteDeterminism runs the full characterization twice — cold and

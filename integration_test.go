@@ -127,7 +127,7 @@ func TestObservation11And12(t *testing.T) {
 	}
 	// Observation #11: ML workloads spread over >= 2 clusters each.
 	for _, abbr := range []string{"DCG", "NST", "RFL", "SPT", "LGT"} {
-		if n := len(ca.ClustersOfWorkload(abbr)); n < 2 {
+		if n := clustersOfWorkload(ca, abbr); n < 2 {
 			t.Errorf("%s dominant kernels confined to %d cluster(s)", abbr, n)
 		}
 	}
@@ -142,6 +142,18 @@ func TestObservation11And12(t *testing.T) {
 	if len(ca.ClustersDominatedBy(workloads.Cactus)) == 0 {
 		t.Error("no Cactus-dominated clusters — contradicts Observation #12")
 	}
+}
+
+// clustersOfWorkload counts the distinct clusters the given workload's
+// dominant kernels land in — Observation #11's spread measure.
+func clustersOfWorkload(ca *core.ClusterAnalysis, abbr string) int {
+	seen := map[int]bool{}
+	for i, o := range ca.Observations {
+		if o.Workload == abbr {
+			seen[ca.Assign[i]] = true
+		}
+	}
+	return len(seen)
 }
 
 // TestGraphWorkloadsSlowest — GST and GRU achieve the lowest aggregate

@@ -101,9 +101,6 @@ func OpenCache(dir string) (*ProfileCache, error) {
 	return &ProfileCache{dir: dir, names: make(map[gpu.DeviceConfig]string)}, nil
 }
 
-// Dir returns the cache root directory.
-func (c *ProfileCache) Dir() string { return c.dir }
-
 // Fingerprint returns the profile-cache fingerprint of a device
 // configuration: a short hex digest over every model parameter plus the
 // cache schema version. Two configurations share a fingerprint only if

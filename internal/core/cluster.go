@@ -73,20 +73,6 @@ func Cluster(obs []Observation, model roofline.Model, famdDims, k int) (*Cluster
 	}, nil
 }
 
-// ClustersOfWorkload returns the distinct cluster ids the given workload's
-// dominant kernels land in — Observation #11's spread measure.
-func (c *ClusterAnalysis) ClustersOfWorkload(abbr string) []int {
-	seen := map[int]bool{}
-	var out []int
-	for i, o := range c.Observations {
-		if o.Workload == abbr && !seen[c.Assign[i]] {
-			seen[c.Assign[i]] = true
-			out = append(out, c.Assign[i])
-		}
-	}
-	return out
-}
-
 // SuiteShareByCluster returns, per cluster, the fraction of member kernels
 // belonging to the given suite — Observation #12's coverage measure.
 func (c *ClusterAnalysis) SuiteShareByCluster(s workloads.Suite) []float64 {

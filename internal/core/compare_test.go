@@ -1,54 +1,10 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/gpu"
-	"repro/internal/roofline"
 )
-
-func TestSelectRepresentatives(t *testing.T) {
-	st := study(t)
-	obs := DominantObservations(st.Profiles, 0.7)
-	model := roofline.ForDevice(st.Device)
-	k := 4
-	reps, err := SelectRepresentatives(obs, model, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != k {
-		t.Fatalf("%d representatives, want %d", len(reps), k)
-	}
-	// Weights are a probability distribution over clusters, sorted desc.
-	var sum float64
-	for i, r := range reps {
-		sum += r.Weight
-		if r.Weight <= 0 || r.Weight > 1 {
-			t.Errorf("weight %g", r.Weight)
-		}
-		if i > 0 && r.Weight > reps[i-1].Weight+1e-12 {
-			t.Error("representatives not sorted by weight")
-		}
-		if r.Kernel == "" || r.Workload == "" {
-			t.Error("representative identity")
-		}
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("weights sum to %g", sum)
-	}
-	// Distinct clusters.
-	seen := map[int]bool{}
-	for _, r := range reps {
-		if seen[r.Cluster] {
-			t.Errorf("cluster %d represented twice", r.Cluster)
-		}
-		seen[r.Cluster] = true
-	}
-	if _, err := SelectRepresentatives(obs[:2], model, 8); err == nil {
-		t.Error("too few observations should fail")
-	}
-}
 
 func TestCompareDevices(t *testing.T) {
 	// Characterize two fast workloads on both devices.

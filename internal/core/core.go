@@ -473,9 +473,8 @@ func (st *Study) BySuite(s workloads.Suite) []*Profile {
 	return out
 }
 
-// DominantKernelObservations collects, across the given profiles, each
-// dominant kernel (70% cumulative time) as a labeled metric observation —
-// the input rows of the correlation and clustering analyses.
+// Observation is one dominant kernel of one workload as a labeled metric
+// row — an input row of the correlation and clustering analyses.
 type Observation struct {
 	Workload string
 	Kernel   string
@@ -562,7 +561,9 @@ func Correlate(obs []Observation) (*CorrelationResult, error) {
 // AmdahlExample reproduces the Section II-C worked example: a workload with
 // the given kernel time shares; it returns the speedup required on the most
 // dominant kernel alone to achieve the target overall speedup, and the
-// overall speedup if every kernel is improved by the target factor.
+// overall speedup if every kernel is improved by the target factor. No
+// command calls it: it stays for BenchmarkAblationAmdahl, the DESIGN.md §6b
+// ablation of the dominant-kernel speedup model.
 func AmdahlExample(shares []float64, target float64) (dominantSpeedup, uniformSpeedup float64, err error) {
 	if len(shares) == 0 || target <= 1 {
 		return 0, 0, fmt.Errorf("core: invalid Amdahl example")

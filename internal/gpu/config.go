@@ -22,9 +22,6 @@ type Dim3 struct {
 // D1 returns a 1-D dimension.
 func D1(x int) Dim3 { return Dim3{x, 1, 1} }
 
-// D2 returns a 2-D dimension.
-func D2(x, y int) Dim3 { return Dim3{x, y, 1} }
-
 // Count returns the total element count, treating zero components as 1.
 func (d Dim3) Count() int {
 	x, y, z := d.X, d.Y, d.Z

@@ -61,14 +61,11 @@ func TestDim3(t *testing.T) {
 	if D1(5).Count() != 5 {
 		t.Error("D1")
 	}
-	if D2(3, 4).Count() != 12 {
-		t.Error("D2")
-	}
 	if (Dim3{0, 0, 0}).Count() != 1 {
 		t.Error("zero components should count as 1")
 	}
-	if D2(2, 3).String() != "(2,3,1)" {
-		t.Errorf("String = %q", D2(2, 3).String())
+	if (Dim3{2, 3, 1}).String() != "(2,3,1)" {
+		t.Errorf("String = %q", Dim3{2, 3, 1}.String())
 	}
 }
 
@@ -79,6 +76,16 @@ func dev(t *testing.T) *Device {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// MustLaunch is Launch that panics on error, for tests whose specs are
+// valid by construction.
+func (d *Device) MustLaunch(spec KernelSpec) LaunchResult {
+	res, err := d.Launch(spec)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func computeSpec(insts uint64) KernelSpec {
@@ -294,7 +301,7 @@ func TestTraceModeKernel(t *testing.T) {
 		TraceCoverage: 0.5,
 		Trace: func(h *memsim.Hierarchy) {
 			for a := uint64(0); a < 1<<20; a += 32 {
-				h.Access(a, false)
+				h.AccessBatch([]uint64{a}, false)
 			}
 		},
 	})

@@ -114,12 +114,6 @@ func (k KernelSpec) Validate() error {
 	return nil
 }
 
-// Warps returns the number of warps in the launch.
-func (k KernelSpec) Warps() int {
-	warpsPerBlock := (k.Block.Count() + 31) / 32
-	return k.Grid.Count() * warpsPerBlock
-}
-
 // Occupancy describes how many blocks/warps of a kernel fit on one SM.
 type Occupancy struct {
 	BlocksPerSM int

@@ -265,16 +265,6 @@ func (r LaunchResult) Attribution() telemetry.BottleneckShares {
 		r.StallMem, r.StallPipe, r.StallExec, r.StallSync)
 }
 
-// MustLaunch is Launch that panics on error; for workload code whose specs
-// are constructed programmatically and cannot legally be invalid.
-func (d *Device) MustLaunch(spec KernelSpec) LaunchResult {
-	res, err := d.Launch(spec)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // LaunchOverhead returns the fixed launch latency.
 func (k KernelSpec) LaunchOverhead(c DeviceConfig) units.Seconds {
 	return units.Seconds(c.LaunchOverheadNs * 1e-9)

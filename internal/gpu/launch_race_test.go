@@ -98,7 +98,7 @@ func TestConcurrentLaunchesOneDevice(t *testing.T) {
 		TraceCoverage: 1,
 		Trace: func(h *memsim.Hierarchy) {
 			for a := uint64(0); a < 1<<18; a += 128 {
-				h.Access(a, false)
+				h.AccessBatch([]uint64{a}, false)
 			}
 		},
 	}

@@ -32,17 +32,6 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.Edges[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// MaxDegree returns the maximum out-degree.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // fromEdges builds a CSR graph from an undirected edge list, given as
 // consecutive (u, v) pairs and stored in both directions, with each
 // vertex's neighbors sorted and deduplicated and self-loops dropped. The
@@ -277,35 +266,4 @@ type BFSResult struct {
 	// PullIterations counts iterations executed in bottom-up (pull) mode by
 	// the direction-optimizing traversal.
 	PullIterations int
-}
-
-// ReferenceBFS computes BFS depths with a simple sequential queue — the
-// oracle the kernel-issuing implementations are tested against.
-func ReferenceBFS(g *Graph, src int) *BFSResult {
-	depth := make([]int32, g.N)
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[src] = 0
-	queue := []int32{int32(src)}
-	res := &BFSResult{Depth: depth, Visited: 1}
-	for d := int32(1); len(queue) > 0; d++ {
-		var next []int32
-		edges := 0
-		res.FrontierSizes = append(res.FrontierSizes, len(queue))
-		for _, u := range queue {
-			for _, v := range g.Neighbors(int(u)) {
-				edges++
-				if depth[v] == -1 {
-					depth[v] = d
-					next = append(next, v)
-					res.Visited++
-				}
-			}
-		}
-		res.EdgesExpanded = append(res.EdgesExpanded, edges)
-		res.Iterations++
-		queue = next
-	}
-	return res
 }

@@ -37,6 +37,48 @@ func fromAdjacency(adj [][]int32) *Graph {
 	return g
 }
 
+// MaxDegree returns the maximum out-degree.
+func (g *Graph) MaxDegree() int {
+	max := 0
+	for v := 0; v < g.N; v++ {
+		if d := g.Degree(v); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// ReferenceBFS computes BFS depths with a simple sequential queue — the
+// oracle the kernel-issuing implementations are tested against.
+func ReferenceBFS(g *Graph, src int) *BFSResult {
+	depth := make([]int32, g.N)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[src] = 0
+	queue := []int32{int32(src)}
+	res := &BFSResult{Depth: depth, Visited: 1}
+	for d := int32(1); len(queue) > 0; d++ {
+		var next []int32
+		edges := 0
+		res.FrontierSizes = append(res.FrontierSizes, len(queue))
+		for _, u := range queue {
+			for _, v := range g.Neighbors(int(u)) {
+				edges++
+				if depth[v] == -1 {
+					depth[v] = d
+					next = append(next, v)
+					res.Visited++
+				}
+			}
+		}
+		res.EdgesExpanded = append(res.EdgesExpanded, edges)
+		res.Iterations++
+		queue = next
+	}
+	return res
+}
+
 func TestRMATProperties(t *testing.T) {
 	g, err := RMAT(12, 8, 1)
 	if err != nil {

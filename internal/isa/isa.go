@@ -82,11 +82,6 @@ func (c Class) IsMemory() bool {
 	return false
 }
 
-// IsGlobalMemory reports whether the class accesses the global memory space.
-func (c Class) IsGlobalMemory() bool {
-	return c == LoadGlobal || c == StoreGlobal
-}
-
 // IsCompute reports whether the class executes on an arithmetic pipe.
 func (c Class) IsCompute() bool {
 	switch c {
@@ -103,16 +98,6 @@ func Classes() []Class {
 		out[i] = Class(i)
 	}
 	return out
-}
-
-// ParseClass maps a mnemonic back to its Class.
-func ParseClass(s string) (Class, error) {
-	for i, n := range classNames {
-		if n == s {
-			return Class(i), nil
-		}
-	}
-	return 0, fmt.Errorf("isa: unknown instruction class %q", s)
 }
 
 // Mix is a per-class warp-instruction histogram. The zero value is an empty
@@ -182,17 +167,6 @@ func (m Mix) MemoryOps() uint64 {
 // GlobalOps returns the number of global-memory warp instructions.
 func (m Mix) GlobalOps() uint64 {
 	return m[LoadGlobal] + m[StoreGlobal]
-}
-
-// ComputeOps returns the number of arithmetic-pipe warp instructions.
-func (m Mix) ComputeOps() uint64 {
-	var t uint64
-	for i, v := range m {
-		if Class(i).IsCompute() {
-			t += v
-		}
-	}
-	return t
 }
 
 // Fraction returns class c's share of the total, or 0 for an empty mix.

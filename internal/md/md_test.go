@@ -543,6 +543,59 @@ func TestEngineRebuildsNeighborList(t *testing.T) {
 	}
 }
 
+// Config exposes the run configuration.
+func (w *Workload) Config() Config { return w.cfg }
+
+// BuildNeighborList builds a Verlet half-list with the given cutoff+skin
+// radius into fresh buffers, as the engine's first build does.
+func BuildNeighborList(s *System, cutoff, skin float64) (*NeighborList, error) {
+	nl := new(NeighborList)
+	if err := nl.build(s, cutoff, skin, new(cellList)); err != nil {
+		return nil, err
+	}
+	return nl, nil
+}
+
+// TestStepOffGridPosition runs the first step of caller-built systems, whose
+// positions no step has wrapped yet: a non-finite coordinate fails the
+// neighbor build with an error, and a finite one three boxes off the grid
+// still gets a list.
+func TestStepOffGridPosition(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		x       func(box float64) float64
+		wantErr bool
+	}{
+		{"NaN", func(float64) float64 { return math.NaN() }, true},
+		{"+Inf", func(float64) float64 { return math.Inf(1) }, true},
+		{"-3Box", func(box float64) float64 { return -3 * box }, false},
+		{"+3Box", func(box float64) float64 { return 3 * box }, false},
+	} {
+		sys, err := NewColloid(8, 100, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Pos[5][0] = tc.x(sys.Box)
+		eng, err := NewEngine(LammpsColloid().Config(), sys, profiler.NewSession(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = eng.Step(0)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%s: step succeeded, want a non-finite position error", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(eng.nl.Offsets) != sys.N+1 || eng.nl.Pairs() == 0 {
+			t.Errorf("%s: list has %d offsets and %d pairs for %d particles", tc.name, len(eng.nl.Offsets), eng.nl.Pairs(), sys.N)
+		}
+	}
+}
+
 // sameNeighborList fails t unless BuildNeighborList and the reference
 // build the same list for s.
 func sameNeighborList(t *testing.T, what string, s *System, cutoff, skin float64) {

@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -45,10 +46,13 @@ func (cl *cellList) bin(s *System, cellSize float64) error {
 	cl.x, cl.y, cl.z = resize(cl.x, s.N), resize(cl.y, s.N), resize(cl.z, s.N)
 	clear(cl.start)
 	clear(cl.exact)
-	for _, p := range s.Pos[:s.N] {
+	for i, p := range s.Pos[:s.N] {
 		c, off := cl.cellOf(p)
 		cl.start[c+1]++
 		if off {
+			if !finite(p) {
+				return fmt.Errorf("md: particle %d has non-finite position %v", i, p)
+			}
 			cl.exact[c] = true
 		}
 	}
@@ -102,6 +106,13 @@ func (cl *cellList) offGrid(p Vec3, ix, iy, iz int) bool {
 		uint(ix) >= side || uint(iy) >= side || uint(iz) >= side
 }
 
+// finite reports whether every coordinate of p is finite.
+func finite(p Vec3) bool {
+	return !math.IsNaN(p[0]) && !math.IsInf(p[0], 0) &&
+		!math.IsNaN(p[1]) && !math.IsInf(p[1], 0) &&
+		!math.IsNaN(p[2]) && !math.IsInf(p[2], 0)
+}
+
 // NeighborList is a CSR half neighbor list (each pair stored once, i<j by
 // construction of the search).
 type NeighborList struct {
@@ -117,16 +128,6 @@ func (nl *NeighborList) Pairs() int { return len(nl.Neigh) }
 // NeighborsOf returns particle i's neighbor slice.
 func (nl *NeighborList) NeighborsOf(i int) []int32 {
 	return nl.Neigh[nl.Offsets[i]:nl.Offsets[i+1]]
-}
-
-// BuildNeighborList builds a Verlet half-list with the given cutoff+skin
-// radius using a cell list.
-func BuildNeighborList(s *System, cutoff, skin float64) (*NeighborList, error) {
-	nl := new(NeighborList)
-	if err := nl.build(s, cutoff, skin, new(cellList)); err != nil {
-		return nil, err
-	}
-	return nl, nil
 }
 
 // neighborCell is one cell a particle's search scans, with the per-axis
@@ -159,11 +160,13 @@ func (nl *NeighborList) build(s *System, cutoff, skin float64, cl *cellList) err
 		pi := s.Pos[i]
 		ix, iy, iz := int(pi[0]/size), int(pi[1]/size), int(pi[2]/size)
 		exactI := side < 4 || cl.offGrid(pi, ix, iy, iz)
+		// The scan centres on the cell i is binned into, as cellOf folds it.
+		wx, wy, wz := cl.wrap(ix), cl.wrap(iy), cl.wrap(iz)
 		nCells := 0
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				for dz := -1; dz <= 1; dz++ {
-					cx, cy, cz := (ix+dx+side)%side, (iy+dy+side)%side, (iz+dz+side)%side
+					cx, cy, cz := (wx+dx+side)%side, (wy+dy+side)%side, (wz+dz+side)%side
 					id := (cx*side+cy)*side + cz
 					// With fewer than 3 cells per edge, wrapped offsets
 					// alias onto the same cell; scan each once.

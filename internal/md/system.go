@@ -11,7 +11,7 @@
 //
 // # Neighbor search
 //
-// BuildNeighborList builds exactly the list of a full minimum-image test:
+// The neighbor search builds exactly the list of a full minimum-image test:
 // particle i's neighbors are the j > i of its 27 surrounding cells, cell
 // by cell in (dx, dy, dz) order and ascending within a cell, for which
 // image(xi-xj)² + image(yi-yj)² + image(zi-zj)², added in that order, is
@@ -45,11 +45,14 @@
 //     rounds up to Side does not: the wrap bins it into cell 0, yet it
 //     sits at Box, and its shift would be off by Box. Binning therefore
 //     marks each cell that holds such an off-grid particle (or one with a
-//     negative, NaN or out-of-box coordinate); the search tests those
-//     cells' entries with image, and searches from an off-grid i with
-//     image throughout. Without this fallback a seeded random test crowded
-//     at the cell and box edges loses pairs in over a third of its
-//     systems.
+//     negative or out-of-box coordinate); the search tests those cells'
+//     entries with image, and searches from an off-grid i with image
+//     throughout, centred on the cell i is binned into. Without this
+//     fallback a seeded random test crowded at the cell and box edges
+//     loses pairs in over a third of its systems. A NaN or ±Inf
+//     coordinate names no cell at all, so binning fails with an error.
+//     The engine's first build meets caller-built positions that no step
+//     has wrapped yet.
 //
 // # Pair forces
 //

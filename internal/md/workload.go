@@ -28,9 +28,6 @@ func (w *Workload) Suite() workloads.Suite { return workloads.Cactus }
 // Domain returns the molecular-simulation domain.
 func (w *Workload) Domain() workloads.Domain { return workloads.Molecular }
 
-// Config exposes the run configuration (for tests and ablations).
-func (w *Workload) Config() Config { return w.cfg }
-
 // Run builds the particle system and executes the engine against s.
 func (w *Workload) Run(s *profiler.Session) error {
 	sys, err := w.build()

@@ -114,9 +114,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 // Access performs one sector-granular access at byte address addr.
 // isStore distinguishes stores (which may or may not allocate).
 // It returns true on a hit.
@@ -168,17 +165,6 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 		c.sectors[base+victim] = (1 << SectorsPerLine) - 1
 	}
 	return false
-}
-
-// Stats returns (accesses, hits) since construction or the last Reset.
-func (c *Cache) Stats() (accesses, hits uint64) { return c.accesses, c.hits }
-
-// HitRate returns the hit fraction, or 0 with no accesses.
-func (c *Cache) HitRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.accesses)
 }
 
 // Reset clears contents and counters. Only the LRU array needs wiping:
@@ -251,8 +237,6 @@ type Hierarchy struct {
 	L1 *Cache
 	L2 *Cache
 	t  Traffic
-
-	scratch []uint64 // warp-coalescing sector buffer, reused across calls
 }
 
 // NewHierarchy builds an L1+L2 hierarchy.
@@ -260,29 +244,9 @@ func NewHierarchy(l1, l2 CacheConfig) *Hierarchy {
 	return &Hierarchy{L1: NewCache(l1), L2: NewCache(l2)}
 }
 
-// Access resolves one sector access through L1 then L2, updating traffic.
-func (h *Hierarchy) Access(addr uint64, isStore bool) {
-	h.t.Sectors++
-	if h.L1.Access(addr, isStore) {
-		h.t.L1Hits++
-		return
-	}
-	if h.L2.Access(addr, isStore) {
-		h.t.L2Hits++
-		return
-	}
-	h.t.DRAMTxns++
-	if isStore {
-		h.t.DRAMWriteTx++
-	} else {
-		h.t.DRAMReadTx++
-	}
-}
-
 // AccessBatch resolves a block of sector addresses in issue order,
-// accumulating traffic once per block instead of once per access. The
-// resolved traffic is identical to calling Access per element; trace
-// emitters should buffer address runs and feed them here.
+// accumulating traffic once per block instead of once per access. Trace
+// emitters buffer address runs and feed them here.
 func (h *Hierarchy) AccessBatch(addrs []uint64, isStore bool) {
 	var l1Hits, l2Hits, dram units.Txns
 	for _, a := range addrs {
@@ -304,49 +268,6 @@ func (h *Hierarchy) AccessBatch(addrs []uint64, isStore bool) {
 		h.t.DRAMWriteTx += dram
 	} else {
 		h.t.DRAMReadTx += dram
-	}
-}
-
-// AccessWarp issues one coalesced warp access: 32 lanes reading elemBytes
-// each from base with the given lane stride (in bytes). Coalescing collapses
-// lanes falling in the same sector into one access, exactly like the
-// hardware's coalescing stage.
-func (h *Hierarchy) AccessWarp(base uint64, laneStrideBytes, elemBytes int, isStore bool) {
-	h.AccessWarpBlock([]uint64{base}, laneStrideBytes, elemBytes, isStore)
-}
-
-// AccessWarpBlock coalesces and replays a block of warp accesses, one per
-// base address, sharing one scratch buffer across the block. Within each
-// warp, lanes landing in the same sector collapse to one access in
-// first-touch order (a warp touches at most 32*elemBytes/SectorBytes
-// sectors, so the dedup is a short linear scan, not a map).
-func (h *Hierarchy) AccessWarpBlock(bases []uint64, laneStrideBytes, elemBytes int, isStore bool) {
-	if laneStrideBytes <= 0 {
-		laneStrideBytes = elemBytes
-	}
-	for _, base := range bases {
-		seen := h.scratch[:0]
-		for lane := 0; lane < 32; lane++ {
-			a := base + uint64(lane*laneStrideBytes)
-			for b := 0; b < elemBytes; b += SectorBytes {
-				sec := (a + uint64(b)) / SectorBytes
-				dup := false
-				for _, s := range seen {
-					if s == sec {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					seen = append(seen, sec)
-				}
-			}
-		}
-		for i, sec := range seen {
-			seen[i] = sec * SectorBytes
-		}
-		h.AccessBatch(seen, isStore)
-		h.scratch = seen[:0]
 	}
 }
 
@@ -418,9 +339,6 @@ func NewReplayPool(l1, l2 CacheConfig) *ReplayPool {
 	}
 	return &ReplayPool{l1: l1, l2: l2}
 }
-
-// Configs returns the pool's immutable L1 and L2 configurations.
-func (p *ReplayPool) Configs() (l1, l2 CacheConfig) { return p.l1, p.l2 }
 
 // Get returns a reset Hierarchy owned by the caller until Put.
 func (p *ReplayPool) Get() *Hierarchy {

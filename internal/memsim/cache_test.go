@@ -10,6 +10,37 @@ func smallCache() CacheConfig {
 	return CacheConfig{Name: "T", SizeBytes: 8 << 10, Assoc: 4, Sectored: true, WriteAlloc: true}
 }
 
+// Stats returns (accesses, hits) since construction or the last Reset.
+func (c *Cache) Stats() (accesses, hits uint64) { return c.accesses, c.hits }
+
+// HitRate returns the hit fraction, or 0 with no accesses.
+func (c *Cache) HitRate() float64 {
+	if c.accesses == 0 {
+		return 0
+	}
+	return float64(c.hits) / float64(c.accesses)
+}
+
+// Access resolves one sector access through L1 then L2, updating traffic:
+// the per-access reference AccessBatch must match.
+func (h *Hierarchy) Access(addr uint64, isStore bool) {
+	h.t.Sectors++
+	if h.L1.Access(addr, isStore) {
+		h.t.L1Hits++
+		return
+	}
+	if h.L2.Access(addr, isStore) {
+		h.t.L2Hits++
+		return
+	}
+	h.t.DRAMTxns++
+	if isStore {
+		h.t.DRAMWriteTx++
+	} else {
+		h.t.DRAMReadTx++
+	}
+}
+
 func TestCacheConfigValidate(t *testing.T) {
 	if err := smallCache().Validate(); err != nil {
 		t.Fatal(err)
@@ -179,29 +210,6 @@ func TestHierarchyL2CatchesL1Evictions(t *testing.T) {
 	// DRAM transactions should be roughly the cold footprint (512 sectors).
 	if tr.DRAMTxns < 480 || tr.DRAMTxns > 560 {
 		t.Errorf("DRAM txns = %d, want ~512", tr.DRAMTxns)
-	}
-}
-
-func TestAccessWarpCoalescing(t *testing.T) {
-	h := NewHierarchy(smallCache(), CacheConfig{Name: "L2", SizeBytes: 64 << 10, Assoc: 8, Sectored: true, WriteAlloc: true})
-	// Fully coalesced warp read of 4-byte elements: 32 lanes x 4 B = 128 B
-	// = 4 sectors.
-	h.AccessWarp(0, 4, 4, false)
-	if got := h.Traffic().Sectors; got != 4 {
-		t.Errorf("coalesced warp = %d sectors, want 4", got)
-	}
-	h.Reset()
-	// Strided by 128 B: every lane its own sector -> 32 sectors.
-	h.AccessWarp(0, 128, 4, false)
-	if got := h.Traffic().Sectors; got != 32 {
-		t.Errorf("strided warp = %d sectors, want 32", got)
-	}
-	h.Reset()
-	// Broadcast (stride 0 defaults to elem size 4 contiguous): lanes share
-	// sectors.
-	h.AccessWarp(256, 0, 4, false)
-	if got := h.Traffic().Sectors; got != 4 {
-		t.Errorf("default-stride warp = %d sectors, want 4", got)
 	}
 }
 

@@ -116,6 +116,31 @@ func TestStridedWastesBandwidth(t *testing.T) {
 	}
 }
 
+// TestSectorRequestsCoalescing pins the per-warp sector counts: a warp of
+// 32 four-byte lanes issues 4 sectors when coalesced, 32 when strided or
+// random, and 1 when every lane reads the same address.
+func TestSectorRequestsCoalescing(t *testing.T) {
+	const warp = 32 * 4
+	for _, tc := range []struct {
+		p    Pattern
+		want uint64
+	}{
+		{Coalesced, 4},
+		{Strided, 32},
+		{Random, 32},
+		{Broadcast, 1},
+	} {
+		s := Stream{Name: "w", FootprintBytes: warp, AccessBytes: warp, ElemBytes: 4, Pattern: tc.p}
+		if got := sectorRequests(s); got != tc.want {
+			t.Errorf("%v warp = %d sectors, want %d", tc.p, got, tc.want)
+		}
+	}
+	// A partial sector still costs one request.
+	if got := sectorRequests(Stream{Name: "tiny", FootprintBytes: 8, AccessBytes: 8, ElemBytes: 4, Pattern: Coalesced}); got != 1 {
+		t.Errorf("8-byte coalesced access = %d sectors, want 1", got)
+	}
+}
+
 func TestBroadcastIsCheap(t *testing.T) {
 	m := model()
 	tr, err := m.Resolve(Stream{

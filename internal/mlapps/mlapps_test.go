@@ -1,21 +1,40 @@
 package mlapps
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/profiler"
 	"repro/internal/roofline"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
 
-// runApp executes a workload once and returns its session.
+func newSession(t *testing.T) *profiler.Session {
+	t.Helper()
+	d, err := gpu.New(gpu.RTX3080())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return profiler.NewSession(d)
+}
+
+// appSessions holds each app's session by abbreviation, so that every app
+// runs once per test binary; the tests only read the sessions.
+var appSessions = map[string]*profiler.Session{}
+
+// runApp returns the session of w's single run, running it on first use.
 func runApp(t *testing.T, w *Workload) *profiler.Session {
 	t.Helper()
+	if s, ok := appSessions[w.Abbr()]; ok {
+		return s
+	}
 	s := newSession(t)
 	if err := w.Run(s); err != nil {
 		t.Fatalf("%s: %v", w.Abbr(), err)
 	}
+	appSessions[w.Abbr()] = s
 	return s
 }
 
@@ -75,6 +94,36 @@ func TestManyKernelsNeededFor70Percent(t *testing.T) {
 		}
 		if k > 25 {
 			t.Errorf("%s: %d kernels for 70%% — implausibly flat", w.Abbr(), k)
+		}
+	}
+}
+
+// TestKernelTimeSharesSumToOne checks the per-kernel aggregation the
+// dominant-kernel ranking reads: over each app's hundreds of launches the
+// kernels' time shares sum to one, every kernel takes time, the ranking is
+// by descending time and no launch is lost.
+func TestKernelTimeSharesSumToOne(t *testing.T) {
+	for _, w := range []*Workload{DCGAN(), NeuralStyle(), ReinforcementLearning(), SpatialTransformer(), LanguageTranslation()} {
+		s := runApp(t, w)
+		total := s.TotalTime()
+		var share float64
+		var inv int
+		ks := s.Kernels()
+		for i, k := range ks {
+			if k.TotalTime <= 0 {
+				t.Errorf("%s: kernel %s takes no time", w.Abbr(), k.Name)
+			}
+			if i > 0 && k.TotalTime > ks[i-1].TotalTime {
+				t.Errorf("%s: kernel %s ranked below a faster kernel", w.Abbr(), k.Name)
+			}
+			share += (k.TotalTime / total).Float()
+			inv += k.Invocations
+		}
+		if math.Abs(share-1) > 1e-9 {
+			t.Errorf("%s: time shares sum to %g", w.Abbr(), share)
+		}
+		if inv != s.LaunchCount() {
+			t.Errorf("%s: %d invocations for %d launches", w.Abbr(), inv, s.LaunchCount())
 		}
 	}
 }

@@ -29,9 +29,6 @@ func (d *Device) Param(t *tensor.Tensor) *V {
 	return &V{T: t, dev: d, needGrad: true}
 }
 
-// NeedsGrad reports whether gradients flow into v.
-func (v *V) NeedsGrad() bool { return v.needGrad }
-
 // ensureGrad lazily allocates the gradient accumulator.
 func (v *V) ensureGrad() *tensor.Tensor {
 	if v.Grad == nil {
@@ -102,13 +99,6 @@ func (v *V) Backward() error {
 		}
 	}
 	return nil
-}
-
-// ZeroGrad clears v's gradient.
-func (v *V) ZeroGrad() {
-	if v.Grad != nil {
-		v.Grad.Zero()
-	}
 }
 
 // Detach returns a constant view of v's value (gradient flow stops).
@@ -188,36 +178,6 @@ func Add(a, b *V, alpha, beta float32) (*V, error) {
 			g := o.Grad.Clone()
 			for i := range g.Data {
 				g.Data[i] *= beta
-			}
-			b.addGrad(g)
-		}
-	}, a, b), nil
-}
-
-// MulElem returns the Hadamard product.
-func MulElem(a, b *V) (*V, error) {
-	if !tensor.SameShape(a.T, b.T) {
-		return nil, fmt.Errorf("nn: mul shapes %v vs %v", a.T.Shape, b.T.Shape)
-	}
-	d := a.dev
-	out := tensor.New(a.T.Shape...)
-	for i := range out.Data {
-		out.Data[i] = a.T.Data[i] * b.T.Data[i]
-	}
-	d.emitElementwise("elementwise_mul", out.Numel(), 1, 2, 1)
-	return d.newNode(out, func(o *V) {
-		d.emitElementwise("elementwise_mul_bwd", out.Numel(), 2, 3, 2)
-		if a.needGrad {
-			g := tensor.New(a.T.Shape...)
-			for i := range g.Data {
-				g.Data[i] = o.Grad.Data[i] * b.T.Data[i]
-			}
-			a.addGrad(g)
-		}
-		if b.needGrad {
-			g := tensor.New(b.T.Shape...)
-			for i := range g.Data {
-				g.Data[i] = o.Grad.Data[i] * a.T.Data[i]
 			}
 			b.addGrad(g)
 		}
@@ -491,13 +451,6 @@ func Tanh(x *V) *V {
 	return activation(x, "tanh_fwd", "tanh_bwd", 2,
 		func(v float32) float32 { return float32(math.Tanh(float64(v))) },
 		func(y, v float32) float32 { return 1 - y*y })
-}
-
-// Sigmoid applies the logistic function.
-func Sigmoid(x *V) *V {
-	return activation(x, "sigmoid_fwd", "sigmoid_bwd", 2,
-		func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) },
-		func(y, v float32) float32 { return y * (1 - y) })
 }
 
 // --- Structured ops ----------------------------------------------------------

@@ -40,9 +40,6 @@ func NewDevice(sess *profiler.Session, replication float64, seed int64) *Device 
 	return &Device{sess: sess, Replication: replication, RNG: rand.New(rand.NewSource(seed))}
 }
 
-// Session returns the underlying profiling session.
-func (d *Device) Session() *profiler.Session { return d.sess }
-
 // emit launches one kernel scaled by the replication factor.
 func (d *Device) emit(name string, threads int, mix isa.Mix, streams []memsim.Stream, div float64) {
 	d.sess.MustLaunch(gpu.Replicated(name, threads, 256, d.Replication, mix, streams, div))

@@ -244,22 +244,3 @@ func TVLoss(x *V) (*V, error) {
 		}
 	}, x), nil
 }
-
-// Mean returns the scalar mean of x.
-func Mean(x *V) *V {
-	d := x.dev
-	n := float32(x.T.Numel())
-	out := tensor.New(1)
-	var sum float32
-	for _, v := range x.T.Data {
-		sum += v
-	}
-	out.Data[0] = sum / n
-	d.emitReduce("reduce_mean", x.T.Numel())
-	return d.newNode(out, func(o *V) {
-		if x.needGrad {
-			g := tensor.Full(o.Grad.Data[0]/n, x.T.Shape...)
-			x.addGrad(g)
-		}
-	}, x)
-}

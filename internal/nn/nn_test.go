@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,6 +17,61 @@ func device(t *testing.T) *Device {
 		t.Fatal(err)
 	}
 	return NewDevice(profiler.NewSession(d), 1, 42)
+}
+
+// Session returns the underlying profiling session, whose launches the
+// tests inspect.
+func (d *Device) Session() *profiler.Session { return d.sess }
+
+// MulElem returns the Hadamard product: a loss-building helper for the
+// gradient checks.
+func MulElem(a, b *V) (*V, error) {
+	if !tensor.SameShape(a.T, b.T) {
+		return nil, fmt.Errorf("nn: mul shapes %v vs %v", a.T.Shape, b.T.Shape)
+	}
+	d := a.dev
+	out := tensor.New(a.T.Shape...)
+	for i := range out.Data {
+		out.Data[i] = a.T.Data[i] * b.T.Data[i]
+	}
+	d.emitElementwise("elementwise_mul", out.Numel(), 1, 2, 1)
+	return d.newNode(out, func(o *V) {
+		d.emitElementwise("elementwise_mul_bwd", out.Numel(), 2, 3, 2)
+		if a.needGrad {
+			g := tensor.New(a.T.Shape...)
+			for i := range g.Data {
+				g.Data[i] = o.Grad.Data[i] * b.T.Data[i]
+			}
+			a.addGrad(g)
+		}
+		if b.needGrad {
+			g := tensor.New(b.T.Shape...)
+			for i := range g.Data {
+				g.Data[i] = o.Grad.Data[i] * a.T.Data[i]
+			}
+			b.addGrad(g)
+		}
+	}, a, b), nil
+}
+
+// Mean returns the scalar mean of x: the scalar loss of the gradient
+// checks.
+func Mean(x *V) *V {
+	d := x.dev
+	n := float32(x.T.Numel())
+	out := tensor.New(1)
+	var sum float32
+	for _, v := range x.T.Data {
+		sum += v
+	}
+	out.Data[0] = sum / n
+	d.emitReduce("reduce_mean", x.T.Numel())
+	return d.newNode(out, func(o *V) {
+		if x.needGrad {
+			g := tensor.Full(o.Grad.Data[0]/n, x.T.Shape...)
+			x.addGrad(g)
+		}
+	}, x)
 }
 
 // gradCheck verifies d(loss)/d(param) for selected indices via central
@@ -112,7 +168,6 @@ func TestActivationGradients(t *testing.T) {
 		{"relu", ReLU},
 		{"lrelu", func(v *V) *V { return LeakyReLU(v, 0.2) }},
 		{"tanh", Tanh},
-		{"sigmoid", Sigmoid},
 	}
 	for _, tc := range cases {
 		x := d.Param(tensor.Randn(d.RNG, 1, 4, 5))

@@ -7,14 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-	// Params returns the managed parameters.
-	Params() []*V
-}
-
 // SGD is stochastic gradient descent with optional momentum.
 type SGD struct {
 	params   []*V
@@ -35,9 +27,6 @@ func NewSGD(d *Device, params []*V, lr, momentum float32) *SGD {
 	}
 	return s
 }
-
-// Params returns the managed parameters.
-func (s *SGD) Params() []*V { return s.params }
 
 // Step applies one SGD update across all parameters. The per-tensor updates
 // launch as one fused multi-tensor kernel, like PyTorch's foreach path.
@@ -96,9 +85,6 @@ func NewAdam(d *Device, params []*V, lr, beta1 float32) *Adam {
 // SetPerParam switches the update to one kernel launch per parameter tensor
 // (size-bucketed names), matching pre-multi-tensor PyTorch releases.
 func (a *Adam) SetPerParam(on bool) { a.perParam = on }
-
-// Params returns the managed parameters.
-func (a *Adam) Params() []*V { return a.params }
 
 // Step applies one Adam update across all parameters.
 func (a *Adam) Step() {

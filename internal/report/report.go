@@ -1,5 +1,5 @@
-// Package report renders the paper's tables and figures as plain text (and
-// CSV) so every experiment's output can be regenerated and inspected without
+// Package report renders the paper's tables and figures as plain text so
+// every experiment's output can be regenerated and inspected without
 // a plotting stack: aligned tables (Tables I-IV), log-log roofline scatter
 // charts (Figs. 4-7), stacked time-distribution bars (Fig. 2), cumulative
 // distributions (Fig. 3), correlation heatmaps (Fig. 8), and dendrograms
@@ -71,42 +71,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteCSV emits header+rows as comma-separated values, quoting cells that
-// contain commas or quotes.
-func WriteCSV(w io.Writer, header []string, rows [][]string) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeLine := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = esc(c)
-		}
-		_, err := io.WriteString(w, strings.Join(parts, ",")+"\n")
-		return err
-	}
-	if err := writeLine(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := writeLine(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HBar renders a horizontal bar of the given fraction with width cells,
-// using '#' for the filled part.
-func HBar(frac units.Fraction, width int) string {
-	f := frac.Clamp01()
-	n := int(f*float64(width) + 0.5)
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
 }
 
 // StackedBar renders segments (fractions summing to <= 1) using a glyph per

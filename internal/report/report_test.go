@@ -30,36 +30,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var b strings.Builder
-	err := WriteCSV(&b, []string{"a", "b"}, [][]string{{"x,y", `q"q`}, {"1", "2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `"x,y"`) {
-		t.Errorf("comma cell not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"q""q"`) {
-		t.Errorf("quote cell not escaped: %s", out)
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Errorf("header: %s", out)
-	}
-}
-
-func TestHBar(t *testing.T) {
-	if got := HBar(0.5, 10); got != "#####....." {
-		t.Errorf("HBar = %q", got)
-	}
-	if got := HBar(-1, 4); got != "...." {
-		t.Errorf("HBar clamp low = %q", got)
-	}
-	if got := HBar(2, 4); got != "####" {
-		t.Errorf("HBar clamp high = %q", got)
-	}
-}
-
 func TestStackedBar(t *testing.T) {
 	got := StackedBar([]units.Fraction{0.5, 0.3}, 10)
 	if len(got) != 10 {

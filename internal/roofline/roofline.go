@@ -7,7 +7,6 @@
 package roofline
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/gpu"
@@ -111,25 +110,6 @@ type Point struct {
 	// TimeShare is the point's share of its application's GPU time;
 	// figures color-code by this.
 	TimeShare units.Fraction
-}
-
-// Validate reports physically impossible points (useful in tests).
-func (m Model) Validate(p Point) error {
-	if p.II < 0 || math.IsNaN(p.II) {
-		return fmt.Errorf("roofline: %s: invalid intensity %g", p.Label, p.II)
-	}
-	if p.GIPS < 0 || math.IsNaN(p.GIPS) {
-		return fmt.Errorf("roofline: %s: invalid GIPS %g", p.Label, p.GIPS)
-	}
-	// Allow a small tolerance over the roof for rounding in aggregation.
-	if !math.IsInf(p.II, 1) && p.GIPS > 1.05*m.Roof(p.II) {
-		return fmt.Errorf("roofline: %s: GIPS %.1f exceeds roof %.1f at II %.2f",
-			p.Label, p.GIPS, m.Roof(p.II), p.II)
-	}
-	if p.GIPS > 1.001*m.PeakGIPS {
-		return fmt.Errorf("roofline: %s: GIPS %.1f exceeds peak %.1f", p.Label, p.GIPS, m.PeakGIPS)
-	}
-	return nil
 }
 
 // Utilization returns achieved performance as a fraction of the attainable

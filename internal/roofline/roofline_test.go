@@ -62,28 +62,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	m := model()
-	if err := m.Validate(Point{Label: "ok", II: 5, GIPS: 50}); err != nil {
-		t.Errorf("point under roof rejected: %v", err)
-	}
-	if err := m.Validate(Point{Label: "over", II: 1, GIPS: 100}); err == nil {
-		t.Error("point above memory roof should fail")
-	}
-	if err := m.Validate(Point{Label: "nan", II: math.NaN(), GIPS: 1}); err == nil {
-		t.Error("NaN intensity should fail")
-	}
-	if err := m.Validate(Point{Label: "neg", II: 1, GIPS: -1}); err == nil {
-		t.Error("negative GIPS should fail")
-	}
-	if err := m.Validate(Point{Label: "inf", II: math.Inf(1), GIPS: 100}); err != nil {
-		t.Errorf("infinite II under peak should be fine: %v", err)
-	}
-	if err := m.Validate(Point{Label: "inf-over", II: math.Inf(1), GIPS: 600}); err == nil {
-		t.Error("infinite II over peak should fail")
-	}
-}
-
 func TestUtilizationAndNearRoof(t *testing.T) {
 	m := model()
 	p := Point{Label: "half", II: 10, GIPS: m.Roof(10) / 2}

@@ -40,18 +40,18 @@ type lruItem struct {
 	entry profileEntry
 }
 
-// newShardedLRU builds an LRU with the given total entry capacity spread
-// over nShards shards (each shard gets at least one slot).
+// newShardedLRU builds an LRU that holds exactly capacity entries (at least
+// one) over at most nShards shards, so that no shard is empty: the first
+// capacity%n of the n shards get one slot more than the rest.
 func newShardedLRU(capacity, nShards int) *shardedLRU {
-	if nShards < 1 {
-		nShards = 1
-	}
-	per := capacity / nShards
-	if per < 1 {
-		per = 1
-	}
-	l := &shardedLRU{shards: make([]*lruShard, nShards)}
+	capacity = max(capacity, 1)
+	n := min(max(nShards, 1), capacity)
+	l := &shardedLRU{shards: make([]*lruShard, n)}
 	for i := range l.shards {
+		per := capacity / n
+		if i < capacity%n {
+			per++
+		}
 		l.shards[i] = &lruShard{
 			capacity: per,
 			entries:  make(map[string]*list.Element),

@@ -61,6 +61,20 @@ func TestLRUShardCapacity(t *testing.T) {
 	}
 }
 
+// TestLRUHoldsExactCapacity checks that a full LRU holds exactly the
+// capacity it was built with, whether or not the shard count divides it.
+func TestLRUHoldsExactCapacity(t *testing.T) {
+	for _, n := range []int{1, 8, 17, 40, 512} {
+		l := newShardedLRU(n, lruShards)
+		for i := 0; i < 20*n; i++ {
+			l.add(fmt.Sprintf("key-%d", i), entry("x"))
+		}
+		if got := l.len(); got != n {
+			t.Errorf("capacity %d: len = %d after %d inserts", n, got, 20*n)
+		}
+	}
+}
+
 func TestLRUConcurrentAccess(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	l := newShardedLRU(64, 8)

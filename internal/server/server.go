@@ -47,7 +47,7 @@ type Options struct {
 	// Cache, when non-nil, is the on-disk profile cache behind the LRU.
 	Cache *core.ProfileCache
 	// LRUEntries is the in-memory profile cache capacity (default 512
-	// entries, spread over lruShards shards).
+	// entries, spread over at most lruShards shards).
 	LRUEntries int
 	// MaxInFlight bounds the admitted work queue: requests beyond this
 	// many concurrently in flight are rejected with 429 (default 256).

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Linkage selects the agglomerative merge criterion.
@@ -196,64 +195,10 @@ func (dd *Dendrogram) Cut(k int) ([]int, error) {
 	return assign, nil
 }
 
-// LeafOrder returns the leaves in dendrogram display order (left-to-right
-// in-order walk of the merge tree).
-func (dd *Dendrogram) LeafOrder() []int {
-	if len(dd.Merges) == 0 {
-		out := make([]int, dd.N)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	var out []int
-	var walk func(node int)
-	walk = func(node int) {
-		if node < dd.N {
-			out = append(out, node)
-			return
-		}
-		m := dd.Merges[node-dd.N]
-		walk(m.A)
-		walk(m.B)
-	}
-	walk(dd.N + len(dd.Merges) - 1)
-	return out
-}
-
-// CopheneticHeight returns the merge height at which leaves a and b first
-// join, a standard dendrogram similarity measure.
-func (dd *Dendrogram) CopheneticHeight(a, b int) (float64, error) {
-	if a < 0 || a >= dd.N || b < 0 || b >= dd.N {
-		return 0, fmt.Errorf("stats: leaf out of range")
-	}
-	if a == b {
-		return 0, nil
-	}
-	// Track cluster membership upward.
-	member := make([]int, dd.N+len(dd.Merges))
-	for i := range member {
-		member[i] = -1
-	}
-	cur := map[int]int{a: a, b: b} // leaf -> current node id
-	_ = member
-	for i, m := range dd.Merges {
-		node := dd.N + i
-		for leaf, at := range cur {
-			if at == m.A || at == m.B {
-				cur[leaf] = node
-			}
-		}
-		if cur[a] == cur[b] {
-			return m.Height, nil
-		}
-	}
-	return 0, fmt.Errorf("stats: leaves never merge (corrupt dendrogram)")
-}
-
 // SilhouetteScore computes the mean silhouette coefficient of an assignment
-// over the given points — used by tests and the FAMD-vs-raw ablation to
-// compare clustering quality.
+// over the given points. No command calls it: it stays for
+// BenchmarkAblationFAMD, the DESIGN.md §6b ablation that compares clustering
+// quality in FAMD space against raw standardized metrics.
 func SilhouetteScore(points [][]float64, assign []int) (float64, error) {
 	n := len(points)
 	if n != len(assign) {
@@ -307,33 +252,4 @@ func SilhouetteScore(points [][]float64, assign []int) (float64, error) {
 		return 0, nil
 	}
 	return total / float64(counted), nil
-}
-
-// ClusterSizes returns the size of each cluster in an assignment, sorted by
-// cluster id.
-func ClusterSizes(assign []int) []int {
-	counts := make(map[int]int)
-	maxID := -1
-	for _, c := range assign {
-		counts[c]++
-		if c > maxID {
-			maxID = c
-		}
-	}
-	out := make([]int, maxID+1)
-	for c, n := range counts {
-		out[c] = n
-	}
-	return out
-}
-
-// SortMergesByHeight returns merge indices sorted ascending by height
-// (diagnostic helper).
-func (dd *Dendrogram) SortMergesByHeight() []int {
-	idx := make([]int, len(dd.Merges))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return dd.Merges[a].Height < dd.Merges[b].Height })
-	return idx
 }

@@ -117,7 +117,11 @@ func TestPCARecoversDominantDirection(t *testing.T) {
 		s := r.NormFloat64() * 10
 		rows = append(rows, []float64{s + r.NormFloat64()*0.1, s + r.NormFloat64()*0.1})
 	}
-	rows = StandardizeColumns(rows)
+	for j := range rows[0] {
+		for i, z := range Standardize(Column(rows, j)) {
+			rows[i][j] = z
+		}
+	}
 	res, err := PCA(rows, 2)
 	if err != nil {
 		t.Fatal(err)

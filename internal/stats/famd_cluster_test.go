@@ -143,8 +143,8 @@ func TestAgglomerativeRecoversBlobs(t *testing.T) {
 		if !ok {
 			t.Errorf("%v linkage split a blob", linkage)
 		}
-		if len(ClusterSizes(assign)) != 3 {
-			t.Errorf("%v linkage: %d clusters", linkage, len(ClusterSizes(assign)))
+		if len(clusterSizes(assign)) != 3 {
+			t.Errorf("%v linkage: %d clusters", linkage, len(clusterSizes(assign)))
 		}
 	}
 }
@@ -164,25 +164,6 @@ func TestDendrogramStructure(t *testing.T) {
 	}
 	if d.Merges[1].Size != 3 {
 		t.Errorf("final merge size = %d", d.Merges[1].Size)
-	}
-	// Cophenetic heights: a,b merge early; a,c only at the top.
-	hab, err := d.CopheneticHeight(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hac, err := d.CopheneticHeight(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hab >= hac {
-		t.Errorf("cophenetic(a,b)=%g should be < cophenetic(a,c)=%g", hab, hac)
-	}
-	if h, _ := d.CopheneticHeight(1, 1); h != 0 {
-		t.Error("self cophenetic height should be 0")
-	}
-	order := d.LeafOrder()
-	if len(order) != 3 {
-		t.Errorf("leaf order = %v", order)
 	}
 }
 
@@ -205,7 +186,7 @@ func TestCutEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ClusterSizes(all)) != 4 {
+	if len(clusterSizes(all)) != 4 {
 		t.Error("k=n should be singletons")
 	}
 	if _, err := d.Cut(0); err == nil {
@@ -270,13 +251,28 @@ func TestSingleLeafDendrogram(t *testing.T) {
 	if err != nil || len(assign) != 1 {
 		t.Errorf("cut single: %v %v", assign, err)
 	}
-	if got := d.LeafOrder(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("leaf order = %v", got)
-	}
 }
 
 func TestLinkageString(t *testing.T) {
 	if WardLinkage.String() != "ward" || SingleLinkage.String() != "single" {
 		t.Error("linkage names")
 	}
+}
+
+// clusterSizes returns the size of each cluster in an assignment, sorted by
+// cluster id.
+func clusterSizes(assign []int) []int {
+	counts := make(map[int]int)
+	maxID := -1
+	for _, c := range assign {
+		counts[c]++
+		if c > maxID {
+			maxID = c
+		}
+	}
+	out := make([]int, maxID+1)
+	for c, n := range counts {
+		out[c] = n
+	}
+	return out
 }

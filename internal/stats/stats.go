@@ -96,26 +96,6 @@ func Column(rows [][]float64, j int) []float64 {
 	return out
 }
 
-// StandardizeColumns z-scores every column of a row-major matrix, returning
-// a new matrix.
-func StandardizeColumns(rows [][]float64) [][]float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	p := len(rows[0])
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = make([]float64, p)
-	}
-	for j := 0; j < p; j++ {
-		col := Standardize(Column(rows, j))
-		for i := range rows {
-			out[i][j] = col[i]
-		}
-	}
-	return out
-}
-
 // EuclideanDist returns the L2 distance between two equal-length vectors.
 func EuclideanDist(a, b []float64) float64 {
 	var s float64
@@ -124,34 +104,6 @@ func EuclideanDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// CorrelationMatrix returns the p x p Pearson correlation matrix of the
-// columns of rows (n x p).
-func CorrelationMatrix(rows [][]float64) ([][]float64, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("stats: empty matrix")
-	}
-	p := len(rows[0])
-	cols := make([][]float64, p)
-	for j := 0; j < p; j++ {
-		cols[j] = Column(rows, j)
-	}
-	out := make([][]float64, p)
-	for i := range out {
-		out[i] = make([]float64, p)
-		out[i][i] = 1
-	}
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			r, err := Pearson(cols[i], cols[j])
-			if err != nil {
-				return nil, err
-			}
-			out[i][j], out[j][i] = r, r
-		}
-	}
-	return out, nil
 }
 
 // CorrelationStrength buckets |r| the way Figure 8 colors its cells.

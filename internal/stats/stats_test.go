@@ -96,45 +96,6 @@ func TestStandardize(t *testing.T) {
 	}
 }
 
-func TestStandardizeColumns(t *testing.T) {
-	rows := [][]float64{{1, 10}, {2, 20}, {3, 30}}
-	out := StandardizeColumns(rows)
-	if rows[0][0] != 1 {
-		t.Error("input must not be mutated")
-	}
-	for j := 0; j < 2; j++ {
-		if math.Abs(Mean(Column(out, j))) > 1e-12 {
-			t.Errorf("col %d mean nonzero", j)
-		}
-	}
-	if StandardizeColumns(nil) != nil {
-		t.Error("empty input")
-	}
-}
-
-func TestCorrelationMatrix(t *testing.T) {
-	rows := [][]float64{{1, 2, -1}, {2, 4, -2}, {3, 6, -3}, {4, 8, -4}}
-	m, err := CorrelationMatrix(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 1 || m[1][1] != 1 {
-		t.Error("diagonal should be 1")
-	}
-	if math.Abs(m[0][1]-1) > 1e-12 {
-		t.Errorf("m[0][1] = %g, want 1", m[0][1])
-	}
-	if math.Abs(m[0][2]+1) > 1e-12 {
-		t.Errorf("m[0][2] = %g, want -1", m[0][2])
-	}
-	if m[0][1] != m[1][0] {
-		t.Error("matrix should be symmetric")
-	}
-	if _, err := CorrelationMatrix(nil); err == nil {
-		t.Error("empty matrix should fail")
-	}
-}
-
 func TestStrengthBuckets(t *testing.T) {
 	cases := map[float64]CorrelationStrength{
 		0: NoCorrelation, 0.19: NoCorrelation, -0.19: NoCorrelation,

@@ -29,20 +29,6 @@ var usage = map[string][]int{
 	"SHOC":      {1, 1, 2, 3, 3, 3, 3, 2, 2, 2, 1},
 }
 
-// Count returns the number of papers using suite in year.
-func Count(suite string, year int) (int, error) {
-	row, ok := usage[suite]
-	if !ok {
-		return 0, fmt.Errorf("survey: unknown suite %q", suite)
-	}
-	for i, y := range Years {
-		if y == year {
-			return row[i], nil
-		}
-	}
-	return 0, fmt.Errorf("survey: year %d outside %d-%d", year, Years[0], Years[len(Years)-1])
-}
-
 // Total returns a suite's total usage count over the survey period.
 func Total(suite string) (int, error) {
 	row, ok := usage[suite]

@@ -17,22 +17,29 @@ func TestSeriesAlignment(t *testing.T) {
 	}
 }
 
-func TestCountAndTotal(t *testing.T) {
-	c, err := Count("Rodinia", 2018)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c <= 0 {
-		t.Error("Rodinia 2018 usage should be positive")
-	}
-	if _, err := Count("Rodinia", 1999); err == nil {
-		t.Error("out-of-range year should fail")
-	}
-	if _, err := Count("bogus", 2018); err == nil {
-		t.Error("unknown suite should fail")
-	}
+func TestTotalUnknownSuite(t *testing.T) {
 	if _, err := Total("bogus"); err == nil {
 		t.Error("unknown suite total should fail")
+	}
+}
+
+func TestTotalIsSeriesSum(t *testing.T) {
+	for _, s := range Suites {
+		series, err := Series(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, v := range series {
+			sum += v
+		}
+		total, err := Total(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total != sum || total <= 0 {
+			t.Errorf("%s: Total = %d, series sum %d", s, total, sum)
+		}
 	}
 }
 
@@ -60,8 +67,11 @@ func TestRankingMatchesPaper(t *testing.T) {
 
 func TestRodiniaGrowthTrend(t *testing.T) {
 	// Usage grows through the decade (the motivation for the survey).
-	early, _ := Count("Rodinia", 2011)
-	late, _ := Count("Rodinia", 2019)
+	series, err := Series("Rodinia")
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, late := series[2011-Years[0]], series[2019-Years[0]]
 	if late <= early {
 		t.Errorf("Rodinia usage %d (2011) -> %d (2019): expected growth", early, late)
 	}

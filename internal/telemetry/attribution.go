@@ -60,9 +60,6 @@ func Bottlenecks() []Bottleneck {
 // A well-formed value sums to 1 within AttributionTol.
 type BottleneckShares [NumBottlenecks]units.Fraction
 
-// Get returns the share of category b.
-func (s BottleneckShares) Get(b Bottleneck) units.Fraction { return s[b] }
-
 // Sum returns the total of all category shares; 1 within AttributionTol
 // for every share vector produced by AttributeStalls or aggregation.
 func (s BottleneckShares) Sum() float64 {
@@ -71,18 +68,6 @@ func (s BottleneckShares) Sum() float64 {
 		t += v.Float()
 	}
 	return t
-}
-
-// Dominant returns the category with the largest share (ties resolve to
-// the earlier category, keeping output deterministic).
-func (s BottleneckShares) Dominant() Bottleneck {
-	best := BottleneckDRAM
-	for _, b := range Bottlenecks() {
-		if s[b] > s[best] {
-			best = b
-		}
-	}
-	return best
 }
 
 // AttributionTol is the identity tolerance: at every tree level the four

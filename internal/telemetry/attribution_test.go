@@ -34,7 +34,7 @@ func TestAttributeStallsIdentity(t *testing.T) {
 			t.Errorf("%s: shares sum to %.15g, want 1", tc.name, sum)
 		}
 		for _, b := range Bottlenecks() {
-			if v := s.Get(b).Float(); v < 0 || v > 1 || math.IsNaN(v) {
+			if v := s[b].Float(); v < 0 || v > 1 || math.IsNaN(v) {
 				t.Errorf("%s: share %s = %g is outside [0,1]", tc.name, b, v)
 			}
 		}
@@ -48,23 +48,20 @@ func TestAttributeStallsIdentity(t *testing.T) {
 func TestAttributeStallsSemantics(t *testing.T) {
 	// 10% overhead, all remaining stall weight on memory.
 	s := AttributeStalls(1e-3, 1e-4, 1, 0, 0, 0)
-	if oh := s.Get(BottleneckOverhead).Float(); math.Abs(oh-0.1) > 1e-12 {
+	if oh := s[BottleneckOverhead].Float(); math.Abs(oh-0.1) > 1e-12 {
 		t.Errorf("overhead share = %g, want 0.1", oh)
 	}
-	if dram := s.Get(BottleneckDRAM).Float(); math.Abs(dram-0.9) > 1e-12 {
+	if dram := s[BottleneckDRAM].Float(); math.Abs(dram-0.9) > 1e-12 {
 		t.Errorf("dram share = %g, want 0.9", dram)
-	}
-	if s.Dominant() != BottleneckDRAM {
-		t.Errorf("dominant = %s, want dram", s.Dominant())
 	}
 	// No stalls at all: everything but overhead is compute.
 	s = AttributeStalls(1e-3, 1e-4, 0, 0, 0, 0)
-	if comp := s.Get(BottleneckCompute).Float(); math.Abs(comp-0.9) > 1e-12 {
+	if comp := s[BottleneckCompute].Float(); math.Abs(comp-0.9) > 1e-12 {
 		t.Errorf("compute share = %g, want 0.9", comp)
 	}
 	// Latency pools exec and sync stalls.
 	s = AttributeStalls(1e-3, 0, 0, 0, 0.25, 0.25)
-	if lat := s.Get(BottleneckLatency).Float(); math.Abs(lat-0.5) > 1e-12 {
+	if lat := s[BottleneckLatency].Float(); math.Abs(lat-0.5) > 1e-12 {
 		t.Errorf("latency share = %g, want 0.5", lat)
 	}
 }
@@ -94,9 +91,9 @@ func TestAggregateNodePreservesIdentityAndSeconds(t *testing.T) {
 	for _, b := range Bottlenecks() {
 		var childSeconds float64
 		for _, c := range children {
-			childSeconds += c.Time.Float() * c.Shares.Get(b).Float()
+			childSeconds += c.Time.Float() * c.Shares[b].Float()
 		}
-		parentSeconds := n.Time.Float() * n.Shares.Get(b).Float()
+		parentSeconds := n.Time.Float() * n.Shares[b].Float()
 		if math.Abs(parentSeconds-childSeconds) > 1e-12 {
 			t.Errorf("%s: parent %g s != sum of children %g s", b, parentSeconds, childSeconds)
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/memsim"
 	"repro/internal/profiler"
 	"repro/internal/telemetry"
+	"repro/internal/testutil"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -94,7 +95,7 @@ func TestGoldenModeledTrace(t *testing.T) {
 	}
 
 	// The trace must parse and contain one complete event per launch.
-	tr, err := telemetry.ReadChrome(bytes.NewReader(got))
+	tr, err := testutil.ReadChrome(bytes.NewReader(got))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 func TestNopTracer(t *testing.T) {
@@ -152,7 +154,7 @@ func TestWriteChromeValidSortedFinite(t *testing.T) {
 	if err := WriteChrome(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadChrome(bytes.NewReader(buf.Bytes()))
+	tr, err := testutil.ReadChrome(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestWriteChromeValidSortedFinite(t *testing.T) {
 	if err := WriteChrome(&modeled, events, TrackModeled); err != nil {
 		t.Fatal(err)
 	}
-	tm, err := ReadChrome(bytes.NewReader(modeled.Bytes()))
+	tm, err := testutil.ReadChrome(bytes.NewReader(modeled.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

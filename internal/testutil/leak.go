@@ -1,8 +1,8 @@
-// Package testutil holds test-only runtime harnesses shared across
-// packages. The goroutine-leak checker here proves that lifecycle code —
-// server drain, singleflight completion, the detached study a 504'd or
-// cancelled request leaves behind — actually returns the goroutines it
-// started.
+// Package testutil holds test-only harnesses shared across packages. The
+// goroutine-leak checker here proves that lifecycle code — server drain,
+// singleflight completion, the detached study a 504'd or cancelled request
+// leaves behind — actually returns the goroutines it started. ReadChrome
+// parses back the Chrome traces telemetry writes.
 package testutil
 
 import (

@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/profiler"
 	"repro/internal/telemetry"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -79,9 +80,9 @@ func TestZeroTrafficKernelRoundTripsAllJSONEmitters(t *testing.T) {
 	if err := telemetry.WriteChrome(&chrome, rec.Events()); err != nil {
 		t.Fatalf("telemetry.WriteChrome: %v", err)
 	}
-	parsed, err := telemetry.ReadChrome(bytes.NewReader(chrome.Bytes()))
+	parsed, err := testutil.ReadChrome(bytes.NewReader(chrome.Bytes()))
 	if err != nil {
-		t.Fatalf("telemetry.ReadChrome: %v", err)
+		t.Fatalf("testutil.ReadChrome: %v", err)
 	}
 	wantII := float64(launches[0].Mix.Total()) // insts per clamped 1 txn
 	found := false

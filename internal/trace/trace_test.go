@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,6 +13,47 @@ import (
 	"repro/internal/graphx"
 	"repro/internal/profiler"
 )
+
+// Read parses a trace previously written by Export: the round-trip oracle
+// for Export.
+func Read(r io.Reader) (Header, []Launch, error) {
+	dec := json.NewDecoder(bufio.NewReader(r))
+	var h Header
+	if err := dec.Decode(&h); err != nil {
+		return h, nil, fmt.Errorf("trace: reading header: %w", err)
+	}
+	if h.Format != "cactus-trace" {
+		return h, nil, fmt.Errorf("trace: unknown format %q", h.Format)
+	}
+	if h.Version != FormatVersion {
+		return h, nil, fmt.Errorf("trace: version %d, want %d", h.Version, FormatVersion)
+	}
+	var out []Launch
+	for {
+		var l Launch
+		if err := dec.Decode(&l); err == io.EOF {
+			break
+		} else if err != nil {
+			return h, nil, fmt.Errorf("trace: reading launch %d: %w", len(out), err)
+		}
+		out = append(out, l)
+	}
+	if h.Launches != len(out) {
+		return h, nil, fmt.Errorf("trace: header declares %d launches, read %d", h.Launches, len(out))
+	}
+	return h, out, nil
+}
+
+// TotalWarpInsts sums the instruction counts of parsed launches.
+func TotalWarpInsts(launches []Launch) uint64 {
+	var t uint64
+	for _, l := range launches {
+		for _, n := range l.Insts {
+			t += n
+		}
+	}
+	return t
+}
 
 func TestExportReadRoundTrip(t *testing.T) {
 	cfg := gpu.RTX3080()

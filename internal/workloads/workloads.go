@@ -98,17 +98,6 @@ func (c *Catalog) BySuite(s Suite) []Workload {
 	return out
 }
 
-// ByDomain returns the workloads of one domain, in insertion order.
-func (c *Catalog) ByDomain(d Domain) []Workload {
-	var out []Workload
-	for _, w := range c.order {
-		if w.Domain() == d {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // Lookup finds a workload by abbreviation.
 func (c *Catalog) Lookup(abbr string) (Workload, error) {
 	w, ok := c.byAbbr[abbr]
@@ -122,6 +111,3 @@ func (c *Catalog) Lookup(abbr string) (Workload, error) {
 	}
 	return w, nil
 }
-
-// Len returns the number of workloads.
-func (c *Catalog) Len() int { return len(c.order) }
