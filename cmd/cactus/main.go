@@ -77,8 +77,9 @@
 // `cactus serve` runs the characterization pipeline as a long-running HTTP
 // service (see internal/server): profiles, roofline placements, cross-device
 // comparisons, and attribution trees for any workload × device combination,
-// answered from an in-memory LRU with singleflight collapse of concurrent
-// identical studies. The global -j, -cache, and -metrics flags apply.
+// answered from one in-memory profile table: an exact LRU of complete
+// profiles that also holds the studies in flight, so concurrent identical
+// requests share one study. The global -j, -cache, and -metrics flags apply.
 //
 // Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error
 // (unknown command or flag, wrong arity, out-of-range argument).

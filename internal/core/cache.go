@@ -106,8 +106,8 @@ func OpenCache(dir string) (*ProfileCache, error) {
 // cache schema version. Two configurations share a fingerprint only if
 // they would produce interchangeable profiles, so the fingerprint is the
 // device half of every profile key — the on-disk cache entry name, the
-// server's in-memory LRU key, and singleflight deduplication all derive
-// from it.
+// server's in-memory profile-table key, and so its deduplication of
+// concurrent studies, all derive from it.
 func Fingerprint(cfg gpu.DeviceConfig) string {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%+v", CacheSchemaVersion, cfg)))
 	return hex.EncodeToString(sum[:8])

@@ -67,6 +67,46 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// TestNoTestOnlyUnexported fails on any unexported package-level function or
+// method in the module that no non-test code of its package uses: only a
+// _test.go file calls it, so it belongs in one. The interface exemption of
+// TestNoTestOnlyExports applies, and so do init and main, which the runtime
+// calls. Skipped in -short mode because it type-checks the full repository.
+func TestNoTestOnlyUnexported(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-repo scan is not short")
+	}
+	pkgs := repoPackages(t)
+	used := make(map[types.Object]bool)
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
+	}
+	ifaces := interfacesOf(pkgs)
+	var unused []string
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Defs {
+			fn, ok := obj.(*types.Func)
+			if !ok || id.IsExported() || used[fn] || id.Name == "init" || id.Name == "main" {
+				continue
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				continue
+			}
+			if !satisfiesInterface(fn, ifaces) {
+				unused = append(unused, p.Fset.Position(id.Pos()).String()+": "+fn.FullName())
+			}
+		}
+	}
+	sort.Strings(unused)
+	for _, u := range unused {
+		t.Errorf("%s is unexported and no non-test code uses it", u)
+	}
+}
+
 // exportedUnderInternal maps the key of every exported function, method, type
 // and package-level const/var declared under repro/internal/ to its object.
 // Methods declared inside interface types belong to their interface and are

@@ -91,9 +91,7 @@ type Cache struct {
 	lastUse []uint64 // LRU tick per (set, way); 0 = invalid
 	sectors []uint8  // present-sector bitmask per (set, way)
 
-	tick     uint64
-	accesses uint64
-	hits     uint64
+	tick uint64
 }
 
 // NewCache builds a cache from cfg. It panics on invalid configuration:
@@ -119,7 +117,6 @@ func NewCache(cfg CacheConfig) *Cache {
 // It returns true on a hit.
 func (c *Cache) Access(addr uint64, isStore bool) bool {
 	c.tick++
-	c.accesses++
 	lineAddr := addr / LineBytes
 	sector := uint8(1) << ((addr / SectorBytes) % SectorsPerLine)
 	base := int(lineAddr&c.setMask) * c.assoc
@@ -133,7 +130,6 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 		if use[i] != 0 && t == tag {
 			use[i] = c.tick
 			if !c.cfg.Sectored || c.sectors[base+i]&sector != 0 {
-				c.hits++
 				return true
 			}
 			// Line present but sector missing: sector miss fills the sector.
@@ -167,14 +163,14 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 	return false
 }
 
-// Reset clears contents and counters. Only the LRU array needs wiping:
+// Reset clears contents and the LRU clock. Only the LRU array needs wiping:
 // lastUse 0 marks a way invalid, and the fill path overwrites its tag and
 // sector mask before the way can match again.
 func (c *Cache) Reset() {
 	for i := range c.lastUse {
 		c.lastUse[i] = 0
 	}
-	c.tick, c.accesses, c.hits = 0, 0, 0
+	c.tick = 0
 }
 
 // Traffic summarizes resolved global-memory traffic for one kernel launch,

@@ -10,15 +10,14 @@ func smallCache() CacheConfig {
 	return CacheConfig{Name: "T", SizeBytes: 8 << 10, Assoc: 4, Sectored: true, WriteAlloc: true}
 }
 
-// Stats returns (accesses, hits) since construction or the last Reset.
-func (c *Cache) Stats() (accesses, hits uint64) { return c.accesses, c.hits }
-
-// HitRate returns the hit fraction, or 0 with no accesses.
-func (c *Cache) HitRate() float64 {
-	if c.accesses == 0 {
-		return 0
+// loadHits performs a load at each address in turn and returns how many hit.
+func loadHits(c *Cache, addrs ...uint64) (hits int) {
+	for _, a := range addrs {
+		if c.Access(a, false) {
+			hits++
+		}
 	}
-	return float64(c.hits) / float64(c.accesses)
+	return hits
 }
 
 // Access resolves one sector access through L1 then L2, updating traffic:
@@ -73,14 +72,21 @@ func TestNewCachePanicsOnInvalid(t *testing.T) {
 
 func TestCacheColdMissThenHit(t *testing.T) {
 	c := NewCache(smallCache())
-	if c.Access(0, false) {
+	cold, warm := c.Access(0, false), c.Access(0, false)
+	if cold {
 		t.Error("cold access should miss")
 	}
-	if !c.Access(0, false) {
+	if !warm {
 		t.Error("second access should hit")
 	}
-	if c.HitRate() != 0.5 {
-		t.Errorf("hit rate = %g, want 0.5", c.HitRate())
+	hits := 0
+	for _, hit := range []bool{cold, warm} {
+		if hit {
+			hits++
+		}
+	}
+	if rate := float64(hits) / 2; rate != 0.5 {
+		t.Errorf("hit rate = %g, want 0.5", rate)
 	}
 }
 
@@ -138,20 +144,20 @@ func TestCacheWriteNoAllocate(t *testing.T) {
 	}
 }
 
+// TestCacheReset checks that a reset cache is cold and replays a stream
+// hit for hit like a freshly built one.
 func TestCacheReset(t *testing.T) {
 	c := NewCache(smallCache())
 	c.Access(0, false)
 	c.Access(0, false)
 	c.Reset()
-	acc, hits := c.Stats()
-	if acc != 0 || hits != 0 {
-		t.Errorf("after reset stats = (%d,%d)", acc, hits)
+	stream := []uint64{0, 64, 0, 4096, 64, 0}
+	if got, want := loadHits(c, stream...), loadHits(NewCache(smallCache()), stream...); got != want {
+		t.Errorf("after reset %d of %d loads hit, a fresh cache hits %d", got, len(stream), want)
 	}
-	if c.Access(0, false) {
-		t.Error("after reset contents should be cold")
-	}
-	if c.HitRate() != 0 {
-		t.Error("hit rate of single miss should be 0")
+	c.Reset()
+	if hits := loadHits(c, 0); hits != 0 {
+		t.Error("after reset contents should be cold: hit rate of single miss should be 0")
 	}
 }
 
@@ -243,10 +249,13 @@ func TestCacheInvariantHitsBounded(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := NewCache(smallCache())
+		var acc, hits uint64
 		for i := 0; i < int(n); i++ {
-			c.Access(uint64(r.Intn(1<<14)), r.Intn(4) == 0)
+			acc++
+			if c.Access(uint64(r.Intn(1<<14)), r.Intn(4) == 0) {
+				hits++
+			}
 		}
-		acc, hits := c.Stats()
 		return hits <= acc && acc == uint64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

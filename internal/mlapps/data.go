@@ -172,8 +172,6 @@ type flappyEnv struct {
 	birdVel  float64
 	pipeX    float64
 	gapY     float64
-	score    int
-	frames   int
 	lastObs  []*tensor.Tensor // last 4 frames
 	gapSize  float64
 	terminal bool
@@ -191,7 +189,6 @@ func (e *flappyEnv) reset() {
 	e.pipeX = 1.0
 	e.gapY = 0.3 + 0.4*e.r.Float64()
 	e.terminal = false
-	e.frames = 0
 	e.lastObs = nil
 	frame := e.render()
 	for i := 0; i < 4; i++ {
@@ -214,7 +211,6 @@ func (e *flappyEnv) step(action int) (float64, bool) {
 	if e.pipeX < -0.1 {
 		e.pipeX = 1.0
 		e.gapY = 0.3 + 0.4*e.r.Float64()
-		e.score++
 		reward = 1.0
 	}
 	// Collision: bird at x=0.3.
@@ -229,7 +225,6 @@ func (e *flappyEnv) step(action int) (float64, bool) {
 	if e.terminal {
 		reward = -1.0
 	}
-	e.frames++
 	frame := e.render()
 	e.lastObs = append(e.lastObs[1:], frame)
 	return reward, e.terminal

@@ -18,7 +18,7 @@ import (
 type loadRequest struct {
 	method, target, body string
 	// resolutions is how many (workload, device) profile lookups the
-	// request performs — the unit the LRU/singleflight funnel counts.
+	// request performs — the unit the LRU/flight funnel counts.
 	resolutions int
 	admitted    bool // true when the request flows through the api() funnel
 }
@@ -50,7 +50,7 @@ func loadMix(wls, devs []string) []loadRequest {
 // TestServeLoadMixed is the server's acceptance test: at least 1000
 // concurrent mixed requests against one server, run under -race in CI.
 // Every response must be byte-identical to the same query answered by a
-// fresh single-worker server (cold serial study), the singleflight/LRU
+// fresh single-worker server (cold serial study), the LRU/flight
 // funnel must account for every profile resolution with zero identity
 // mismatches and each combination characterized exactly once, and p99
 // latency must stay within bounds.
@@ -151,7 +151,7 @@ func TestServeLoadMixed(t *testing.T) {
 	combos := int64(len(wls) * len(devs))
 	get := s.ctr.Get
 	if got := get(telemetry.CtrWorkloads); got != combos {
-		t.Errorf("workloads characterized = %d, want exactly %d (singleflight must collapse duplicates)", got, combos)
+		t.Errorf("workloads characterized = %d, want exactly %d (one flight per key must collapse duplicates)", got, combos)
 	}
 	if got := get(telemetry.CtrServeLRUMismatches); got != 0 {
 		t.Errorf("LRU identity mismatches = %d, want 0", got)
@@ -168,8 +168,8 @@ func TestServeLoadMixed(t *testing.T) {
 		t.Errorf("flight leaders (%d) + shared (%d) = %d, want %d (every LRU miss joins exactly one flight)",
 			leaders, shared, leaders+shared, misses)
 	}
-	if leaders < combos {
-		t.Errorf("flight leaders = %d, want >= %d (one per combination)", leaders, combos)
+	if leaders != combos {
+		t.Errorf("flight leaders = %d, want exactly %d (one per combination)", leaders, combos)
 	}
 	if got := get(telemetry.CtrServeRequests); got != admitted {
 		t.Errorf("serve.requests = %d, want %d", got, admitted)
@@ -183,7 +183,7 @@ func TestServeLoadMixed(t *testing.T) {
 			t.Errorf("%s = %d, want 0", ctr, got)
 		}
 	}
-	if got := s.lru.len(); int64(got) != combos {
-		t.Errorf("LRU holds %d entries, want %d", got, combos)
+	if got := s.table.len(); int64(got) != combos {
+		t.Errorf("table holds %d complete entries, want %d", got, combos)
 	}
 }

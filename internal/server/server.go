@@ -2,17 +2,18 @@
 // characterization methodology as a long-running HTTP/JSON service.
 // Clients query per-kernel profiles, roofline placements, cross-device
 // comparisons, and bottleneck-attribution trees for any workload × device
-// combination; the server answers from a sharded in-memory LRU in front of
-// the on-disk profile cache, collapses concurrent identical studies with
-// singleflight, and bounds cold characterizations across all requests
+// combination; the server answers from one in-memory profile table — an
+// exact LRU of complete profiles that also holds the studies in flight, so
+// concurrent identical requests share one study — in front of the on-disk
+// profile cache, and bounds cold characterizations across all requests
 // with a fixed number of worker slots.
 //
 // Degradation is explicit: a bounded admission queue rejects overload with
 // 429, per-request deadlines return 504 (the underlying study keeps
-// running and lands in the LRU for the next asker), and shutdown drains
+// running and lands in the table for the next asker), and shutdown drains
 // in-flight requests and the studies they started while rejecting new
 // ones with 503. Every request flows into the telemetry registry — request
-// counters, LRU and singleflight funnel counters, and a latency histogram
+// counters, LRU and flight funnel counters, and a latency histogram
 // — served back out at /metrics through the same snapshot path the CLI
 // uses.
 package server
@@ -44,10 +45,10 @@ type Options struct {
 	// Workers caps concurrent characterizations across all requests.
 	// Zero selects runtime.NumCPU().
 	Workers int
-	// Cache, when non-nil, is the on-disk profile cache behind the LRU.
+	// Cache, when non-nil, is the on-disk profile cache behind the table.
 	Cache *core.ProfileCache
-	// LRUEntries is the in-memory profile cache capacity (default 512
-	// entries, spread over at most lruShards shards).
+	// LRUEntries is how many complete profiles the in-memory table keeps,
+	// evicting the least recently used past it (default 512).
 	LRUEntries int
 	// MaxInFlight bounds the admitted work queue: requests beyond this
 	// many concurrently in flight are rejected with 429 (default 256).
@@ -61,12 +62,8 @@ type Options struct {
 	Registry *telemetry.Registry
 }
 
-const (
-	// lruShards is the LRU shard count.
-	lruShards = 16
-	// maxBatch caps the query count of one POST /api/v1/batch request.
-	maxBatch = 256
-)
+// maxBatch caps the query count of one POST /api/v1/batch request.
+const maxBatch = 256
 
 // Server is the characterization service. Construct with New, mount
 // Handler on any http.Server, and Shutdown to drain. Safe for concurrent
@@ -81,8 +78,7 @@ type Server struct {
 	reg     *telemetry.Registry
 	ctr     *telemetry.Counters
 	latency *telemetry.Histogram
-	lru     *shardedLRU
-	flight  *flightGroup
+	table   *profileTable
 	queue   chan struct{} // admission tokens; full queue = 429
 	mux     *http.ServeMux
 
@@ -128,17 +124,17 @@ func New(opts Options) (*Server, error) {
 		}
 		devFPs[name] = core.Fingerprint(cfg)
 	}
+	ctr := opts.Registry.Counters()
 	s := &Server{
 		opts:    opts,
 		cat:     opts.Catalog,
 		devices: opts.Devices,
 		devFPs:  devFPs,
 		reg:     opts.Registry,
-		ctr:     opts.Registry.Counters(),
+		ctr:     ctr,
 		latency: opts.Registry.Histogram(telemetry.HistServeRequestSeconds),
 		slots:   make(chan struct{}, opts.Workers),
-		lru:     newShardedLRU(opts.LRUEntries, lruShards),
-		flight:  newFlightGroup(),
+		table:   newProfileTable(opts.LRUEntries, ctr),
 		queue:   make(chan struct{}, opts.MaxInFlight),
 	}
 	s.study = core.StudyOptions{
@@ -180,8 +176,8 @@ func (s *Server) enter() bool {
 func (s *Server) exit() { s.inflight.Done() }
 
 // Shutdown stops admitting requests (new ones get 503), waits for
-// in-flight requests to drain, then for the singleflight leaders they
-// started — a 504'd request's study included — to land in the LRU.
+// in-flight requests to drain, then for the studies they started — a
+// 504'd request's study included — to land in the table.
 // Idempotent. Only admitted requests start leaders, so once the requests
 // have drained no leader can start.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -191,7 +187,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		s.flight.wg.Wait()
+		s.table.leaders.Wait()
 		close(done)
 	}()
 	select {
@@ -202,60 +198,38 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// profileKey is the LRU and singleflight key for one (workload, device)
-// pair: the abbreviation joined with the full device-configuration
-// fingerprint, so two devices — or two revisions of one device — can
-// never alias.
+// profileKey is the profile table's key for one (workload, device) pair:
+// the abbreviation joined with the full device-configuration fingerprint,
+// so two devices — or two revisions of one device — can never alias.
 func profileKey(abbr, fingerprint string) string { return abbr + "@" + fingerprint }
 
 // profileFor resolves one workload's profile on one device through the
-// read path the whole API shares: sharded LRU, then singleflight, then a
-// worker slot and core.CharacterizeWith (which consults the on-disk cache
-// before simulating). The context only gates how long this caller waits —
-// a deadline that expires mid-study abandons the wait, not the study.
+// read path the whole API shares: one profile-table lookup, then — for the
+// caller that leads a new entry — a worker slot and core.CharacterizeWith
+// (which consults the on-disk cache before simulating). The context only
+// gates how long this caller waits: a deadline that expires mid-study
+// abandons the wait, not the study.
 func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName string) (*core.Profile, error) {
-	abbr := w.Abbr()
-	fp := s.devFPs[devName]
-	key := profileKey(abbr, fp)
-	if e, ok := s.lru.get(key); ok {
-		if e.abbr != abbr || e.fingerprint != fp {
-			// Never serve a profile whose identity disagrees with the key
-			// that found it: count the corruption and recompute.
-			s.ctr.Add(telemetry.CtrServeLRUMismatches, 1)
-		} else {
-			s.ctr.Add(telemetry.CtrServeLRUHits, 1)
-			return e.profile, nil
-		}
-	}
-	s.ctr.Add(telemetry.CtrServeLRUMisses, 1)
-	cfg := s.devices[devName]
-	c, leader := s.flight.do(key, func() (*core.Profile, error) {
-		// Double-check the LRU: a caller that missed it just before the
-		// previous flight for this key completed becomes a redundant leader;
-		// without this it would re-run the whole study.
-		if e, ok := s.lru.get(key); ok && e.abbr == abbr && e.fingerprint == fp {
-			return e.profile, nil
-		}
+	abbr, fp := w.Abbr(), s.devFPs[devName]
+	e, o := s.table.lookup(profileKey(abbr, fp), abbr, fp)
+	switch o {
+	case hit:
+		return e.profile, nil
+	case lead:
+		cfg := s.devices[devName]
 		// Detached from the request context: the study belongs to every
 		// current and future asker of this key, not to the first one.
-		s.slots <- struct{}{}
-		p, _, err := core.CharacterizeWith(w, cfg, s.study, 0, 0)
-		<-s.slots
-		if err != nil {
-			return nil, err
-		}
-		evicted := s.lru.add(key, profileEntry{abbr: abbr, fingerprint: fp, profile: p})
-		s.ctr.Add(telemetry.CtrServeLRUEvictions, int64(evicted))
-		return p, nil
-	})
-	if leader {
-		s.ctr.Add(telemetry.CtrServeFlightLeaders, 1)
-	} else {
-		s.ctr.Add(telemetry.CtrServeFlightShared, 1)
+		// Server.Shutdown waits for it through the table's leaders.
+		go func() {
+			s.slots <- struct{}{}
+			p, _, err := core.CharacterizeWith(w, cfg, s.study, 0, 0)
+			<-s.slots
+			s.table.finish(e, p, err)
+		}()
 	}
 	select {
-	case <-c.done:
-		return c.p, c.err
+	case <-e.done:
+		return e.profile, e.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

@@ -135,8 +135,8 @@ func TestHandlerErrorPaths(t *testing.T) {
 
 // TestDeadlineExceeded — a request whose deadline expires gets 504, the
 // deadline counter moves, and the underlying study still completes and
-// lands in the LRU for the next asker. The leak check proves the detached
-// singleflight leader exits once its study lands.
+// lands in the profile table for the next asker. The leak check proves the
+// detached leader exits once its study lands.
 func TestDeadlineExceeded(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	s := newTestServer(t, Options{Timeout: time.Nanosecond})
@@ -151,15 +151,15 @@ func TestDeadlineExceeded(t *testing.T) {
 	if got := s.ctr.Get(telemetry.CtrServeDeadlineExceeded); got != 1 {
 		t.Errorf("deadline counter = %d, want 1", got)
 	}
-	// The abandoned study keeps running detached; it must land in the LRU.
+	// The abandoned study keeps running detached; it must land in the table.
 	deadline := time.Now().Add(30 * time.Second)
 	key := profileKey("pb-sgemm", s.devFPs["rtx3080"])
 	for {
-		if _, ok := s.lru.get(key); ok {
+		if _, ok := s.table.complete(key); ok {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("abandoned study never landed in the LRU")
+			t.Fatal("abandoned study never landed in the table")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -209,7 +209,7 @@ func TestShutdownRejects(t *testing.T) {
 
 // TestShutdownWaitsForDetachedLeader — the study a 504'd request leaves
 // running is part of the drain: once Shutdown returns, its profile is in
-// the LRU and its goroutine has exited.
+// the table and its goroutine has exited.
 func TestShutdownWaitsForDetachedLeader(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	s, err := New(Options{Workers: 1, Timeout: time.Nanosecond})
@@ -223,8 +223,8 @@ func TestShutdownWaitsForDetachedLeader(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.lru.get(profileKey("pb-sgemm", s.devFPs["rtx3080"])); !ok {
-		t.Error("Shutdown returned before the detached study landed in the LRU")
+	if _, ok := s.table.complete(profileKey("pb-sgemm", s.devFPs["rtx3080"])); !ok {
+		t.Error("Shutdown returned before the detached study landed in the table")
 	}
 }
 
@@ -255,19 +255,20 @@ func TestCancelledRequest(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.lru.get(profileKey("pb-sgemm", s.devFPs["rtx3080"])); !ok {
-		t.Error("the cancelled request's study never landed in the LRU")
+	if _, ok := s.table.complete(profileKey("pb-sgemm", s.devFPs["rtx3080"])); !ok {
+		t.Error("the cancelled request's study never landed in the table")
 	}
 }
 
-// TestLRUMismatchRecovers — an LRU entry whose stored identity disagrees
-// with its key is never served: the mismatch is counted and the profile
-// recomputed correctly.
+// TestLRUMismatchRecovers — a complete table entry whose stored identity
+// disagrees with its key is never served: the mismatch is counted and the
+// profile recomputed correctly.
 func TestLRUMismatchRecovers(t *testing.T) {
 	s := newTestServer(t, Options{})
 	// Poison the cache: file pb-spmv's identity under pb-sgemm's key.
 	key := profileKey("pb-sgemm", s.devFPs["rtx3080"])
-	s.lru.add(key, profileEntry{abbr: "pb-spmv", fingerprint: "bogus", profile: &core.Profile{}})
+	e, _ := s.table.lookup(key, "pb-spmv", "bogus")
+	s.table.finish(e, &core.Profile{}, nil)
 	rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil)
 	if rr.Code != 200 {
 		t.Fatalf("status = %d, want 200\n%s", rr.Code, rr.Body.String())
@@ -412,7 +413,7 @@ func TestGoldenResponses(t *testing.T) {
 }
 
 // TestDeviceFingerprintsNameCacheEntries — the fingerprints the server
-// keys its LRU and singleflight by must be the ones the profile cache
+// keys its profile table by must be the ones the profile cache
 // names its entries by, for every device it serves.
 func TestDeviceFingerprintsNameCacheEntries(t *testing.T) {
 	dir := t.TempDir()

@@ -33,9 +33,10 @@ const (
 	CtrWorkloads = "study.workloads_characterized"
 
 	// Serve-layer counters: the characterization server's request funnel.
-	// Requests either hit the in-memory LRU, join an in-flight singleflight
-	// study, or lead one; the funnel invariant the load test pins is
-	// leaders + shared == lru_misses, with mismatches and corruption at 0.
+	// Requests either hit a complete entry of the server's profile table,
+	// join a study in flight, or lead one; the funnel invariant the load
+	// test pins is leaders + shared == lru_misses, with mismatches and
+	// corruption at 0.
 
 	// CtrServeRequests counts HTTP requests accepted by the API handlers
 	// (rejected ones are counted under their rejection counter instead).
@@ -48,21 +49,24 @@ const (
 	CtrServeRejectedShutdown = "serve.rejected_shutdown"
 	// CtrServeDeadlineExceeded counts requests that hit their per-request
 	// deadline (504); the underlying study keeps running and lands in the
-	// LRU for the next asker.
+	// profile table for the next asker.
 	CtrServeDeadlineExceeded = "serve.deadline_exceeded"
-	// CtrServeLRUHits counts profile lookups served from the in-memory LRU.
+	// CtrServeLRUHits counts profile lookups served from a complete entry of
+	// the in-memory profile table (its LRU).
 	CtrServeLRUHits = "serve.lru_hits"
-	// CtrServeLRUMisses counts lookups that fell through to singleflight.
+	// CtrServeLRUMisses counts lookups that found no complete entry and
+	// joined or led a study in flight.
 	CtrServeLRUMisses = "serve.lru_misses"
-	// CtrServeLRUEvictions counts LRU entries evicted to make room.
+	// CtrServeLRUEvictions counts complete entries evicted past the table's
+	// capacity.
 	CtrServeLRUEvictions = "serve.lru_evictions"
-	// CtrServeLRUMismatches counts LRU entries whose recorded workload or
+	// CtrServeLRUMismatches counts complete entries whose recorded workload or
 	// device fingerprint disagreed with the key that found them — cache
 	// corruption that must never happen (the load test asserts zero).
 	CtrServeLRUMismatches = "serve.lru_mismatches"
-	// CtrServeFlightLeaders counts singleflight calls that ran the study.
+	// CtrServeFlightLeaders counts lookups that led a new study.
 	CtrServeFlightLeaders = "serve.singleflight_leaders"
-	// CtrServeFlightShared counts singleflight calls that joined a study
+	// CtrServeFlightShared counts lookups that joined a study
 	// another request already had in flight — the deduplication win.
 	CtrServeFlightShared = "serve.singleflight_shared"
 	// CtrServeWriteErrors counts response bodies that failed to reach the

@@ -1,6 +1,6 @@
 // Package testutil holds test-only harnesses shared across packages. The
 // goroutine-leak checker here proves that lifecycle code — server drain,
-// singleflight completion, the detached study a 504'd or cancelled request
+// in-flight study completion, the detached study a 504'd or cancelled request
 // leaves behind — actually returns the goroutines it started. ReadChrome
 // parses back the Chrome traces telemetry writes.
 package testutil
@@ -22,7 +22,7 @@ type TB interface {
 
 // defaultSettle bounds how long CheckLeaks waits for goroutines started by
 // the test to finish before declaring them leaked. Detached work that
-// legitimately outlives a request (a singleflight study after a 504) must
+// legitimately outlives a request (a server study after a 504) must
 // complete within this window or the test fails.
 const defaultSettle = 5 * time.Second
 
