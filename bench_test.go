@@ -337,7 +337,7 @@ func BenchmarkAblationMemoryModes(b *testing.B) {
 			TraceCoverage: 1,
 			Trace: func(h *memsim.Hierarchy) {
 				for a := uint64(0); a < bytes; a += 128 {
-					h.AccessBatch([]uint64{a}, false)
+					h.AccessBatch([]uint64{a})
 				}
 			},
 		})
@@ -377,7 +377,7 @@ func BenchmarkAblationFAMD(b *testing.B) {
 				raw[j][m] = z
 			}
 		}
-		dend, err := stats.Agglomerative(raw, nil, stats.WardLinkage)
+		dend, err := stats.Agglomerative(raw, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func BenchmarkAblationBFS(b *testing.B) {
 	var gunrockTime float64
 	for i := 0; i < b.N; i++ {
 		sess := profiler.NewSession(dev)
-		if _, err := graphx.GunrockBFS(g, src, graphx.BFSConfig{DirectionOptimized: true}, sess); err != nil {
+		if _, err := graphx.GunrockBFS(g, src, graphx.BFSConfig{}, sess); err != nil {
 			b.Fatal(err)
 		}
 		gunrockTime = sess.TotalTime().Float()

@@ -52,7 +52,7 @@ func benchSuite(cfg gpu.DeviceConfig) []benchkit.Bench {
 		{Name: "memsim_replay", Iters: 20, Fn: func() {
 			pool := memsim.NewReplayPool(cfg.L1Config(), cfg.L2Config())
 			h := pool.Get()
-			b := memsim.NewBatcher(h, false)
+			b := memsim.NewBatcher(h)
 			for a := uint64(0); a < 4<<20; a += 64 {
 				b.Access(a)
 			}

@@ -53,7 +53,7 @@ func explainCmd(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 	}
 	liveAttribution.Store(root)
 
-	if violations := telemetry.CheckAttribution(root, 0); len(violations) > 0 {
+	if violations := telemetry.CheckAttribution(root); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(errOut, "cactus explain:", v)
 		}

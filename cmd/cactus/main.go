@@ -54,8 +54,8 @@
 // simulation: each workload executes against a device-less profiling
 // session that records specs instead of pricing them, and every spec is
 // checked for block sizes that are not warp multiples or exceed device
-// limits, shared memory over the SM budget, degenerate grids, and zero
-// theoretical occupancy. Exit is nonzero on any violation. The code-level
+// limits, degenerate grids, register demand over the SM register file, and
+// zero theoretical occupancy. Exit is nonzero on any violation. The code-level
 // companion is cmd/cactuslint.
 //
 // `cactus audit` replays every registered workload's launches through the
@@ -185,6 +185,9 @@ func run(args []string, out, errOut io.Writer) error {
 	rest := fs.Args()
 	if len(rest) == 0 {
 		return usagef("missing command (list, device, run, profile, export, trace, compare, explain, lint, audit, figure, table, bench, serve, all)")
+	}
+	if *clusters < 1 {
+		return usagef("-clusters %d: need at least 1 cluster", *clusters)
 	}
 
 	var cfg gpu.DeviceConfig

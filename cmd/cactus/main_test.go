@@ -91,6 +91,12 @@ func TestExitCodes(t *testing.T) {
 		{"serve unexpected argument", []string{"serve", "bogus"}, 2},
 		{"serve unknown flag", []string{"serve", "-frobnicate"}, 2},
 		{"explain unknown flag", []string{"explain", "-frobnicate"}, 2},
+		// Out-of-range values are rejected before any study runs or any
+		// server starts.
+		{"clusters below one", []string{"-no-cache", "-clusters", "0", "figure", "9"}, 2},
+		{"serve lru below one", []string{"-no-cache", "serve", "-lru", "-1"}, 2},
+		{"serve max-inflight zero", []string{"-no-cache", "serve", "-max-inflight", "0"}, 2},
+		{"serve negative timeout", []string{"-no-cache", "serve", "-timeout", "-5s"}, 2},
 		{"unknown workload", []string{"profile", "XYZ"}, 1},
 		{"bench check missing baseline", []string{"bench", "check", "-baseline", "/nonexistent.json", "-current", "/nonexistent.json"}, 1},
 	}

@@ -35,6 +35,14 @@ func serveCmd(args []string, opts core.StudyOptions, reg *telemetry.Registry, er
 	if fs.NArg() > 0 {
 		return usagef("serve: unexpected argument %q", fs.Arg(0))
 	}
+	switch {
+	case *lruEntries < 1:
+		return usagef("serve: -lru %d: need at least 1 entry", *lruEntries)
+	case *maxInflight < 1:
+		return usagef("serve: -max-inflight %d: need at least 1 request", *maxInflight)
+	case *timeout <= 0:
+		return usagef("serve: -timeout %v: need a positive deadline", *timeout)
+	}
 
 	srv, err := server.New(server.Options{
 		Workers:     opts.Workers,

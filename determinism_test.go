@@ -2,6 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"io"
 	"io/fs"
 	"os"
@@ -125,7 +128,9 @@ func TestWriteCSV(t *testing.T) {
 // serialization boundaries: the cached profile JSON entries and the rendered
 // report CSV. This is the regression test behind the nodeterminism and
 // finiteflow analyzers: any wall-clock read, global random source, or
-// map-ordered emission in model code shows up here as a byte diff.
+// map-ordered emission in model code shows up here as a byte diff. The
+// rendered `cactus all` output is also pinned across commits, to the
+// digest hostbench checks.
 func TestStudyByteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-catalog characterizations")
@@ -155,6 +160,47 @@ func TestStudyByteDeterminism(t *testing.T) {
 	if a, b := studyCSV(t, stA), studyCSV(t, stB); !bytes.Equal(a, b) {
 		t.Error("report CSV differs between identical runs")
 	}
+
+	// Across commits: the `cactus all` rendering must hash to the digest
+	// the benchmark checks its study output against.
+	data, err := os.ReadFile(filepath.Join("hostbench", "reference.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref struct {
+		StudyOutput string `json:"study_all_output_sha256"`
+	}
+	if err := json.Unmarshal(data, &ref); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(renderAll(t, stA))
+	if got := hex.EncodeToString(sum[:]); got != ref.StudyOutput {
+		t.Errorf("cactus all output sha256 = %s, want %s (hostbench/reference.json)", got, ref.StudyOutput)
+	}
+}
+
+// renderAll renders st as `cactus all` prints it after its study: figures
+// 1-9 and Table 1, with the default six clusters.
+func renderAll(t *testing.T, st *core.Study) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, render := range []func() error{
+		func() error { return core.Figure1(&buf) },
+		func() error { return core.Figure2(st, &buf) },
+		func() error { return core.Table1(st, &buf) },
+		func() error { return core.Figure3(st, &buf) },
+		func() error { return core.Figure4(st, &buf) },
+		func() error { return core.Figure5(st, &buf) },
+		func() error { return core.Figure6(st, &buf) },
+		func() error { return core.Figure7(st, &buf) },
+		func() error { return core.Figure8(st, &buf) },
+		func() error { return core.Figure9(st, &buf, 6) },
+	} {
+		if err := render(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
 }
 
 // TestTraceExportByteDeterminism runs one workload twice through the trace

@@ -21,7 +21,7 @@ func TestAttributeStudyIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := Attribute(st)
-	if v := telemetry.CheckAttribution(root, 0); len(v) != 0 {
+	if v := telemetry.CheckAttribution(root); len(v) != 0 {
 		t.Fatalf("attribution identity violated: %v", v)
 	}
 	if root.Level != telemetry.LevelStudy || root.Name != cfg.Name {
@@ -63,7 +63,7 @@ func TestAttributeFullCatalogIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := telemetry.CheckAttribution(Attribute(st), 0); len(v) != 0 {
+	if v := telemetry.CheckAttribution(Attribute(st)); len(v) != 0 {
 		t.Fatalf("attribution identity violated over the catalog: %v", v)
 	}
 }
@@ -106,7 +106,7 @@ func TestAttributeSessionLaunchDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := AttributeSession(w.Abbr(), sess)
-	if v := telemetry.CheckAttribution(root, 0); len(v) != 0 {
+	if v := telemetry.CheckAttribution(root); len(v) != 0 {
 		t.Fatalf("attribution identity violated: %v", v)
 	}
 	if root.Launches != sess.LaunchCount() {

@@ -60,7 +60,7 @@ func Cluster(obs []Observation, model roofline.Model, famdDims, k int) (*Cluster
 	for i, o := range obs {
 		labels[i] = o.Workload + ":" + o.Kernel
 	}
-	dend, err := stats.Agglomerative(famd.Coords, labels, stats.WardLinkage)
+	dend, err := stats.Agglomerative(famd.Coords, labels)
 	if err != nil {
 		return nil, err
 	}

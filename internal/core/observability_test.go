@@ -70,7 +70,7 @@ func TestParallelObservabilityMatchesSerial(t *testing.T) {
 
 	serialTree := Attribute(serialStudy)
 	parallelTree := Attribute(parallelStudy)
-	if v := telemetry.CheckAttribution(parallelTree, 0); len(v) != 0 {
+	if v := telemetry.CheckAttribution(parallelTree); len(v) != 0 {
 		t.Fatalf("parallel attribution identity violated: %v", v)
 	}
 	if !reflect.DeepEqual(serialTree, parallelTree) {

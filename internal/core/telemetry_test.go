@@ -289,8 +289,14 @@ func TestStudyTraceEvents(t *testing.T) {
 		}, ws...); err != nil {
 			t.Fatal(err)
 		}
+		var modeled []telemetry.Event
+		for _, ev := range rec.Events() {
+			if ev.Track == telemetry.TrackModeled {
+				modeled = append(modeled, ev)
+			}
+		}
 		var buf bytes.Buffer
-		if err := telemetry.WriteChrome(&buf, rec.Events(), telemetry.TrackModeled); err != nil {
+		if err := telemetry.WriteChrome(&buf, modeled); err != nil {
 			t.Fatal(err)
 		}
 		// One host-track lane name per worker, whatever the worker count.

@@ -182,22 +182,10 @@ func (c DeviceConfig) ElbowII() float64 {
 
 // L1Config returns the memsim configuration of one SM's L1.
 func (c DeviceConfig) L1Config() memsim.CacheConfig {
-	return memsim.CacheConfig{
-		Name:       "L1",
-		SizeBytes:  c.L1BytesPerSM,
-		Assoc:      4,
-		Sectored:   true,
-		WriteAlloc: false, // L1 is write-through/no-allocate on Ampere
-	}
+	return memsim.CacheConfig{Name: "L1", SizeBytes: c.L1BytesPerSM, Assoc: 4}
 }
 
 // L2Config returns the memsim configuration of the device L2.
 func (c DeviceConfig) L2Config() memsim.CacheConfig {
-	return memsim.CacheConfig{
-		Name:       "L2",
-		SizeBytes:  c.L2Bytes,
-		Assoc:      16,
-		Sectored:   true,
-		WriteAlloc: true,
-	}
+	return memsim.CacheConfig{Name: "L2", SizeBytes: c.L2Bytes, Assoc: 16}
 }

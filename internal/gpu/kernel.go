@@ -36,19 +36,20 @@ type KernelSpec struct {
 	Trace         TraceFunc
 	TraceCoverage float64
 
-	// SharedMemPerBlock and RegsPerThread participate in the occupancy
-	// calculation. Zero RegsPerThread defaults to 32.
-	SharedMemPerBlock int
-	RegsPerThread     int
-
 	// DivergenceFraction is the fraction of issue slots lost to branch
 	// divergence and predication (0 = fully converged).
 	DivergenceFraction float64
-	// DependencyFraction is the fraction of issue slots in which the oldest
-	// ready warp stalls on a register dependency (models low ILP). Zero
-	// defaults to a moderate 0.15.
-	DependencyFraction float64
 }
+
+// regsPerThread is the register demand every kernel is modeled with. The
+// model has no per-kernel register or shared-memory demand, so registers
+// and warps are the only occupancy limiters besides the block cap.
+const regsPerThread = 32
+
+// dependencyFraction is the fraction of issue slots in which the oldest
+// ready warp stalls on a register dependency (a moderate, low-ILP share),
+// the same for every kernel.
+const dependencyFraction = 0.15
 
 // FixedPrefix marks streams over fixed-size structures (model weights,
 // lookup trees). Replication models larger activations, batches and graphs
@@ -121,35 +122,23 @@ type Occupancy struct {
 	// Achieved is the average number of active warps per SM over the launch,
 	// accounting for grids too small to fill the device.
 	Achieved float64
-	// Limiter names the occupancy-limiting resource.
-	Limiter string
 }
 
 // theoreticalLimit computes the raw per-SM block limit for k on c and the
-// limiting resource, without flooring: a spec whose per-block shared-memory
-// or register demand exceeds the SM budget yields limit 0 — the kernel has
-// zero theoretical occupancy and could never launch on real hardware.
+// limiting resource, without flooring: a block whose warp or register
+// demand exceeds the SM budget yields limit 0 — the kernel has zero
+// theoretical occupancy and could never launch on real hardware.
 // CheckSpec reports that statically; occupancyOf floors it at 1 so the
 // timing model stays defined.
 func theoreticalLimit(c DeviceConfig, k KernelSpec) (limit int, limiter string) {
 	warpsPerBlock := (k.Block.Count() + 31) / 32
-	regs := k.RegsPerThread
-	if regs <= 0 {
-		regs = 32
-	}
 
 	limit = c.MaxBlocksPerSM
 	limiter = "blocks"
 	if byWarps := c.MaxWarpsPerSM / warpsPerBlock; byWarps < limit {
 		limit, limiter = byWarps, "warps"
 	}
-	if k.SharedMemPerBlock > 0 {
-		if bySmem := c.SharedPerSM / k.SharedMemPerBlock; bySmem < limit {
-			limit, limiter = bySmem, "shared memory"
-		}
-	}
-	regsPerBlock := regs * k.Block.Count()
-	if regsPerBlock > 0 {
+	if regsPerBlock := regsPerThread * k.Block.Count(); regsPerBlock > 0 {
 		if byRegs := c.RegistersPerSM / regsPerBlock; byRegs < limit {
 			limit, limiter = byRegs, "registers"
 		}
@@ -160,15 +149,12 @@ func theoreticalLimit(c DeviceConfig, k KernelSpec) (limit int, limiter string) 
 // occupancyOf computes theoretical and achieved occupancy for spec on c.
 func occupancyOf(c DeviceConfig, k KernelSpec) Occupancy {
 	warpsPerBlock := (k.Block.Count() + 31) / 32
-	limit, limiter := theoreticalLimit(c, k)
-	if limit < 1 {
-		limit, limiter = 1, limiter+" (over budget)"
-	}
+	limit, _ := theoreticalLimit(c, k)
+	limit = max(limit, 1)
 
 	o := Occupancy{
 		BlocksPerSM: limit,
 		WarpsPerSM:  limit * warpsPerBlock,
-		Limiter:     limiter,
 	}
 
 	// Achieved occupancy: distribute grid blocks over SMs in waves.

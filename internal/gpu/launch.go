@@ -148,11 +148,7 @@ func (d *Device) Launch(spec KernelSpec) (LaunchResult, error) {
 	required := 2.0 + 28.0*globalFrac
 	activePerSched := occ.Achieved / float64(d.cfg.SchedulersPerSM)
 	effOcc := activePerSched / (activePerSched + required)
-	dep := spec.DependencyFraction
-	if dep <= 0 {
-		dep = 0.15
-	}
-	eff := effOcc * (1 - spec.DivergenceFraction) * (1 - dep)
+	eff := effOcc * (1 - spec.DivergenceFraction) * (1 - dependencyFraction)
 	if eff <= 0 {
 		eff = 1e-3
 	}
@@ -215,7 +211,7 @@ func (d *Device) Launch(spec KernelSpec) (LaunchResult, error) {
 		memShare = clamp01(tMem/tExec)*0.85 + 0.1*globalFrac
 	}
 	res.StallMem = units.Clamp01(memShare)
-	res.StallExec = units.Clamp01(dep * (tCompute / math.Max(tExec, 1e-12)))
+	res.StallExec = units.Clamp01(dependencyFraction * (tCompute / math.Max(tExec, 1e-12)))
 	pipeExcess := 0.0
 	if tPipe > tIssue && pipeClass.IsCompute() {
 		pipeExcess = (tPipe - tIssue) / tPipe

@@ -36,7 +36,7 @@ func TestConcurrentReplayPoolMatchesSerial(t *testing.T) {
 			Name: "race_replay", Grid: D1(128), Block: D1(256), Mix: mix,
 			TraceCoverage: 1,
 			Trace: func(h *memsim.Hierarchy) {
-				b := memsim.NewBatcher(h, g%2 == 1)
+				b := memsim.NewBatcher(h)
 				for a := uint64(0); a < 1<<18; a += stride {
 					b.Access(base + a)
 				}
@@ -98,7 +98,7 @@ func TestConcurrentLaunchesOneDevice(t *testing.T) {
 		TraceCoverage: 1,
 		Trace: func(h *memsim.Hierarchy) {
 			for a := uint64(0); a < 1<<18; a += 128 {
-				h.AccessBatch([]uint64{a}, false)
+				h.AccessBatch([]uint64{a})
 			}
 		},
 	}

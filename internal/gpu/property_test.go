@@ -162,7 +162,7 @@ func TestStreamTraceAgreement(t *testing.T) {
 		spec.TraceCoverage = 1
 		spec.Trace = func(h *memsim.Hierarchy) {
 			for a := uint64(0); a < bytes; a += memsim.SectorBytes {
-				h.AccessBatch([]uint64{a}, false)
+				h.AccessBatch([]uint64{a})
 			}
 		}
 		traced, err := d.Launch(spec)
@@ -190,7 +190,7 @@ func TestTraceCoverageScaling(t *testing.T) {
 			TraceCoverage: cov,
 			Trace: func(h *memsim.Hierarchy) {
 				for a := uint64(0); a < 1<<20; a += 64 {
-					h.AccessBatch([]uint64{a}, false)
+					h.AccessBatch([]uint64{a})
 				}
 			},
 		}

@@ -32,14 +32,11 @@ func (i SpecIssue) String() string { return i.Rule + ": " + i.Detail }
 //   - block-warp: a block size that is not a multiple of WarpSize; the
 //     trailing partial warp wastes lanes on every block
 //   - block-limit: more threads per block than the device schedules
-//   - shared-mem: SharedMemPerBlock exceeding the SM's shared budget — the
-//     launch would fail with CUDA's "too much shared data"
-//   - reg-file: one block's register demand (RegsPerThread × block size,
-//     with the model's default of 32 registers for unspecified specs)
-//     exceeding the SM register file — the launch would fail with "too many
-//     resources requested"
-//   - occupancy: zero theoretical occupancy (shared-memory or register
-//     demand means not even one block fits on an SM)
+//   - reg-file: one block's register demand (the model's 32 registers per
+//     thread × block size) exceeding the SM register file — the launch
+//     would fail with "too many resources requested"
+//   - occupancy: zero theoretical occupancy (warp or register demand means
+//     not even one block fits on an SM)
 func CheckSpec(c DeviceConfig, k KernelSpec) []SpecIssue {
 	var issues []SpecIssue
 	add := func(rule, format string, args ...any) {
@@ -80,17 +77,9 @@ func CheckSpec(c DeviceConfig, k KernelSpec) []SpecIssue {
 		}
 		add("block-limit", "block size %d exceeds the device limit of %d threads per block", block, limit)
 	}
-	if k.SharedMemPerBlock > c.SharedPerSM {
-		add("shared-mem", "SharedMemPerBlock %d exceeds SharedPerSM %d; the launch would fail on %s",
-			k.SharedMemPerBlock, c.SharedPerSM, c.Name)
-	}
-	regs := k.RegsPerThread
-	if regs <= 0 {
-		regs = 32 // occupancyOf's default for unspecified specs
-	}
-	if c.RegistersPerSM > 0 && block > 0 && regs*block > c.RegistersPerSM {
+	if c.RegistersPerSM > 0 && block > 0 && regsPerThread*block > c.RegistersPerSM {
 		add("reg-file", "register demand %d (%d regs/thread x %d threads) exceeds the %d-register file; the launch would fail on %s",
-			regs*block, regs, block, c.RegistersPerSM, c.Name)
+			regsPerThread*block, regsPerThread, block, c.RegistersPerSM, c.Name)
 	}
 	if limit, limiter := theoreticalLimit(c, k); limit < 1 {
 		add("occupancy", "zero theoretical occupancy: %s demand means not even one block fits on an SM", limiter)

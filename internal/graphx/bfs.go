@@ -9,20 +9,15 @@ import (
 	"repro/internal/profiler"
 )
 
-// BFSConfig parameterizes the frontier-based (Gunrock-style) traversal.
+// BFSConfig parameterizes the frontier-based (Gunrock-style) traversal. The
+// traversal is direction-optimizing (Beamer's push->pull switch for wide
+// frontiers, which Gunrock implements): the switch is what makes the
+// social-network input execute a different kernel set than the
+// road-network input (Observation #3).
 type BFSConfig struct {
-	// DirectionOptimized enables the push->pull switch for wide frontiers
-	// (Beamer's direction-optimizing BFS, which Gunrock implements). The
-	// switch is what makes the social-network input execute a different
-	// kernel set than the road-network input (Observation #3).
-	DirectionOptimized bool
 	// PullThreshold switches to bottom-up when the frontier's unexplored
 	// edge volume exceeds this fraction of all edges. Zero defaults to 0.05.
 	PullThreshold float64
-	// MaxTraceEdges caps the number of edge gathers replayed through the
-	// cache simulator per launch; larger launches are sampled. Zero
-	// defaults to 40960.
-	MaxTraceEdges int
 	// Replication extrapolates the reduced graph to paper scale: kernel
 	// mixes and streams are scaled by this factor and trace addresses are
 	// stretched so array footprints (labels, edge lists) match the
@@ -35,13 +30,6 @@ func (c BFSConfig) pullThreshold() float64 {
 		return 0.05
 	}
 	return c.PullThreshold
-}
-
-func (c BFSConfig) maxTraceEdges() int {
-	if c.MaxTraceEdges <= 0 {
-		return 40960
-	}
-	return c.MaxTraceEdges
 }
 
 func (c BFSConfig) replication() int {
@@ -85,12 +73,9 @@ func GunrockBFS(g *Graph, src int, cfg BFSConfig, sess *profiler.Session) (*BFSR
 		for _, u := range frontier {
 			frontierEdges += g.Degree(int(u))
 		}
-		if cfg.DirectionOptimized {
-			em.frontierStats(len(frontier))
-		}
+		em.frontierStats(len(frontier))
 
-		usePull := cfg.DirectionOptimized &&
-			float64(frontierEdges) > cfg.pullThreshold()*float64(g.NumEdges()) &&
+		usePull := float64(frontierEdges) > cfg.pullThreshold()*float64(g.NumEdges()) &&
 			unvisited > 0
 
 		var next []int32
@@ -121,6 +106,10 @@ const (
 	edgeBase  uint64 = 0x4000_0000
 	offsBase  uint64 = 0x8000_0000
 )
+
+// maxTraceEdges caps the number of edge gathers replayed through the cache
+// simulator per launch; larger launches are sampled.
+const maxTraceEdges = 40960
 
 func (em *bfsEmitter) launch(name string, threads int, mix isa.Mix, streams []memsim.Stream, trace gpu.TraceFunc, coverage, div float64) {
 	r := float64(em.cfg.replication())
@@ -229,8 +218,7 @@ func (em *bfsEmitter) pushIteration(frontier []int32, depth []int32, d int32) (n
 }
 
 // pullIteration expands bottom-up: every unvisited vertex scans its
-// neighbors for a visited parent. Executed only by the direction-optimized
-// configuration on wide frontiers.
+// neighbors for a visited parent. Executed only on wide frontiers.
 func (em *bfsEmitter) pullIteration(depth []int32, d int32) (next []int32, edges int) {
 	g := em.g
 
@@ -331,12 +319,11 @@ func (em *bfsEmitter) scanKernels(n int) {
 // lookups at the real neighbor ids.
 func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) (gpu.TraceFunc, float64) {
 	g := em.g
-	budget := em.cfg.maxTraceEdges()
-	// Choose a vertex sample whose edge volume fits the budget.
+	// Choose a vertex sample whose edge volume fits the trace budget.
 	sample := frontier
 	sampledEdges := totalEdges
-	if totalEdges > budget {
-		stride := (totalEdges + budget - 1) / budget
+	if totalEdges > maxTraceEdges {
+		stride := (totalEdges + maxTraceEdges - 1) / maxTraceEdges
 		var sel []int32
 		sampledEdges = 0
 		for i := 0; i < len(frontier); i += stride {
@@ -360,7 +347,7 @@ func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) (gpu.TraceF
 	return func(h *memsim.Hierarchy) {
 		// Addresses go through a Batcher so the hierarchy processes them in
 		// blocks; the issue order is exactly the per-access order.
-		b := memsim.NewBatcher(h, false)
+		b := memsim.NewBatcher(h)
 		for _, u := range sample {
 			b.Access(offsBase + uint64(u)*4*r)
 			lo, hi := g.Offsets[u], g.Offsets[u+1]
@@ -382,16 +369,15 @@ func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) (gpu.TraceF
 // unvisited vertices.
 func (em *bfsEmitter) pullTrace(depth []int32, d int32, totalEdges int) (gpu.TraceFunc, float64) {
 	g := em.g
-	budget := em.cfg.maxTraceEdges()
 	coverage := 1.0
-	if totalEdges > budget {
-		coverage = float64(budget) / float64(totalEdges)
+	if totalEdges > maxTraceEdges {
+		coverage = float64(maxTraceEdges) / float64(totalEdges)
 	}
 	r := uint64(em.cfg.replication())
 	return func(h *memsim.Hierarchy) {
-		b := memsim.NewBatcher(h, false)
+		b := memsim.NewBatcher(h)
 		replayed := 0
-		for v := 0; v < g.N && replayed < budget; v++ {
+		for v := 0; v < g.N && replayed < maxTraceEdges; v++ {
 			// Replay the same work pattern the functional pass executed:
 			// vertices that were unvisited entering this iteration have
 			// depth -1 or were assigned d during it.

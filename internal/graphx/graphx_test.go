@@ -195,18 +195,16 @@ func TestGunrockBFSMatchesReference(t *testing.T) {
 		}
 		src := g.LargestComponentVertex()
 		ref := ReferenceBFS(g, src)
-		for _, dirOpt := range []bool{false, true} {
-			got, err := GunrockBFS(g, src, BFSConfig{DirectionOptimized: dirOpt}, session(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Visited != ref.Visited {
-				t.Errorf("%s dirOpt=%v: visited %d, want %d", name, dirOpt, got.Visited, ref.Visited)
-			}
-			for v := range ref.Depth {
-				if got.Depth[v] != ref.Depth[v] {
-					t.Fatalf("%s dirOpt=%v: depth[%d] = %d, want %d", name, dirOpt, v, got.Depth[v], ref.Depth[v])
-				}
+		got, err := GunrockBFS(g, src, BFSConfig{}, session(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Visited != ref.Visited {
+			t.Errorf("%s: visited %d, want %d", name, got.Visited, ref.Visited)
+		}
+		for v := range ref.Depth {
+			if got.Depth[v] != ref.Depth[v] {
+				t.Fatalf("%s: depth[%d] = %d, want %d", name, v, got.Depth[v], ref.Depth[v])
 			}
 		}
 	}
@@ -312,7 +310,7 @@ func TestWorkloadRunConcurrent(t *testing.T) {
 	w := &Workload{
 		name: "small social BFS", abbr: "SML",
 		build: func() (*Graph, error) { return RMAT(10, 8, 5) },
-		cfg:   BFSConfig{DirectionOptimized: true, Replication: 4},
+		cfg:   BFSConfig{Replication: 4},
 	}
 	sessions := []*profiler.Session{session(t), session(t)}
 	errs := make([]error, len(sessions))
@@ -417,8 +415,7 @@ func TestPushIterationMatchesReference(t *testing.T) {
 		src := g.LargestComponentVertex()
 		for _, cfg := range []BFSConfig{
 			{},
-			{DirectionOptimized: true},
-			{DirectionOptimized: true, PullThreshold: 0.6, Replication: 24},
+			{PullThreshold: 0.6, Replication: 24},
 		} {
 			gs, ws := session(t), session(t)
 			got, err := GunrockBFS(g, src, cfg, gs)
@@ -452,12 +449,8 @@ func TestBFSConfigDefaults(t *testing.T) {
 	if c.pullThreshold() != 0.05 {
 		t.Error("default pull threshold")
 	}
-	if c.maxTraceEdges() != 40960 {
-		t.Error("default trace budget")
-	}
 	c.PullThreshold = 0.2
-	c.MaxTraceEdges = 100
-	if c.pullThreshold() != 0.2 || c.maxTraceEdges() != 100 {
+	if c.pullThreshold() != 0.2 {
 		t.Error("explicit config ignored")
 	}
 }

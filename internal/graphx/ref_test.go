@@ -165,12 +165,9 @@ func refGunrockBFS(g *Graph, src int, cfg BFSConfig, sess *profiler.Session) (*B
 		for _, u := range frontier {
 			frontierEdges += g.Degree(int(u))
 		}
-		if cfg.DirectionOptimized {
-			em.frontierStats(len(frontier))
-		}
+		em.frontierStats(len(frontier))
 
-		usePull := cfg.DirectionOptimized &&
-			float64(frontierEdges) > cfg.pullThreshold()*float64(g.NumEdges()) &&
+		usePull := float64(frontierEdges) > cfg.pullThreshold()*float64(g.NumEdges()) &&
 			unvisited > 0
 
 		var next []int32

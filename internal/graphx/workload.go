@@ -53,8 +53,7 @@ func SocialBFS() *Workload {
 			return RMAT(17, 16, 4242)
 		},
 		cfg: BFSConfig{
-			DirectionOptimized: true,
-			Replication:        24,
+			Replication: 24,
 			// Switch to pull only once the frontier's unexplored edge volume
 			// dominates the graph: the giant middle expansion then runs as a
 			// push advance, matching Gunrock's Twitter profiles where the
@@ -75,6 +74,6 @@ func RoadBFS() *Workload {
 		build: func() (*Graph, error) {
 			return RoadGrid(1024, 1024, 1717)
 		},
-		cfg: BFSConfig{DirectionOptimized: true, Replication: 20},
+		cfg: BFSConfig{Replication: 20},
 	}
 }

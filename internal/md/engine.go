@@ -21,11 +21,17 @@ const (
 	LammpsFlavor
 )
 
+// dt is the integration time step and targetT the thermostat set point,
+// the same for every run.
+const (
+	dt      = 0.002
+	targetT = 1.0
+)
+
 // Config parameterizes one MD run.
 type Config struct {
 	Flavor Flavor
 	Steps  int
-	DT     float64
 	Cutoff float64
 	Skin   float64
 	// EwaldAlpha enables electrostatics (real-space erfc + PME) when > 0.
@@ -34,8 +40,6 @@ type Config struct {
 	PMEGrid int
 	// NPT enables the barostat (the Gromacs NPT-equilibration workload).
 	NPT bool
-	// TargetT is the thermostat set point.
-	TargetT float64
 	// Replication extrapolates the reduced simulation to paper scale: every
 	// kernel's instruction mix and memory streams are scaled by this factor
 	// (the simulated system is treated as a sampled tile of the full one).
@@ -56,8 +60,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.Steps <= 0:
 		return fmt.Errorf("md: steps %d", c.Steps)
-	case c.DT <= 0:
-		return fmt.Errorf("md: dt %g", c.DT)
 	case c.Cutoff <= 0:
 		return fmt.Errorf("md: cutoff %g", c.Cutoff)
 	case c.Skin < 0:
@@ -194,8 +196,8 @@ func (e *Engine) Step(step int) error {
 	}
 
 	// --- Integration, thermostat/barostat, constraints ---------------------
-	Leapfrog(s, cfg.DT)
-	BerendsenThermostat(s, cfg.TargetT, 0.1)
+	Leapfrog(s, dt)
+	BerendsenThermostat(s, targetT, 0.1)
 	virial := -st.Energy // crude virial proxy; adequate for the barostat path
 	if cfg.NPT {
 		BerendsenBarostat(s, 1.0, virial, 0.05)

@@ -398,7 +398,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Steps = 0 },
-		func(c *Config) { c.DT = 0 },
 		func(c *Config) { c.Cutoff = -1 },
 		func(c *Config) { c.Skin = -0.1 },
 		func(c *Config) { c.Replication = 0.5 },

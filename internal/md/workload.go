@@ -57,13 +57,11 @@ func Gromacs() *Workload {
 		cfg: Config{
 			Flavor:        GromacsFlavor,
 			Steps:         40,
-			DT:            0.002,
 			Cutoff:        2.6,
 			Skin:          0.4,
 			EwaldAlpha:    0.9,
 			PMEGrid:       16,
 			NPT:           true,
-			TargetT:       1.0,
 			Replication:   60, // launch-overhead-realistic extrapolation (~80k particles)
 			RebuildEvery:  20,
 			PairCostScale: 5.0, // nbnxn 4x8 cluster padding + pruning work
@@ -83,12 +81,10 @@ func LammpsRhodopsin() *Workload {
 		cfg: Config{
 			Flavor:        LammpsFlavor,
 			Steps:         36,
-			DT:            0.002,
 			Cutoff:        2.6,
 			Skin:          0.4,
 			EwaldAlpha:    0.9,
 			PMEGrid:       16,
-			TargetT:       1.0,
 			Replication:   60, // launch-overhead-realistic extrapolation (~95k particles)
 			RebuildEvery:  8,
 			PairCostScale: 3.0, // CHARMM switching + exclusion work
@@ -109,12 +105,10 @@ func LammpsColloid() *Workload {
 		cfg: Config{
 			Flavor:       LammpsFlavor,
 			Steps:        32,
-			DT:           0.002,
 			Cutoff:       3.0,
 			Skin:         0.5,
 			EwaldAlpha:   0, // triggers the colloid kernel split
 			PMEGrid:      0,
-			TargetT:      1.0,
 			Replication:  80, // launch-overhead-realistic extrapolation (~120k particles)
 			RebuildEvery: 8,
 		},

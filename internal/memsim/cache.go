@@ -33,13 +33,12 @@ const (
 	SectorsPerLine = LineBytes / SectorBytes
 )
 
-// CacheConfig describes one cache level.
+// CacheConfig describes one cache level. Every level is sectored: a miss
+// fills only the requested sector of its line.
 type CacheConfig struct {
-	Name       string // e.g. "L1", "L2"
-	SizeBytes  int    // total capacity
-	Assoc      int    // ways per set
-	Sectored   bool   // if true, fills are sector-granular within a line
-	WriteAlloc bool   // if true, stores allocate lines (write-allocate)
+	Name      string // e.g. "L1", "L2"
+	SizeBytes int    // total capacity
+	Assoc     int    // ways per set
 }
 
 // Validate reports configuration errors.
@@ -72,8 +71,9 @@ func (c CacheConfig) numSets() int {
 	return nSets
 }
 
-// Cache is a set-associative, optionally sectored cache with LRU
-// replacement. It is not safe for concurrent use.
+// Cache is a set-associative, sectored cache with LRU replacement. Replay
+// is load-only: every access is a read that allocates on a miss. It is not
+// safe for concurrent use.
 //
 // Line metadata lives in flat struct-of-arrays slices indexed set*assoc+way
 // rather than per-set slices of line structs: the probe loop walks one
@@ -83,7 +83,6 @@ func (c CacheConfig) numSets() int {
 // entry doubles as the invalid bit (this folds the valid bitset into the LRU
 // counters and keeps the probe to one load per way).
 type Cache struct {
-	cfg     CacheConfig
 	assoc   int
 	setMask uint64
 
@@ -103,7 +102,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	nSets := cfg.numSets()
 	lines := nSets * cfg.Assoc
 	return &Cache{
-		cfg:     cfg,
 		assoc:   cfg.Assoc,
 		setMask: uint64(nSets - 1),
 		tags:    make([]uint64, lines),
@@ -112,10 +110,9 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 }
 
-// Access performs one sector-granular access at byte address addr.
-// isStore distinguishes stores (which may or may not allocate).
-// It returns true on a hit.
-func (c *Cache) Access(addr uint64, isStore bool) bool {
+// Access performs one sector-granular load at byte address addr. It
+// returns true on a hit.
+func (c *Cache) Access(addr uint64) bool {
 	c.tick++
 	lineAddr := addr / LineBytes
 	sector := uint8(1) << ((addr / SectorBytes) % SectorsPerLine)
@@ -129,7 +126,7 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 	for i, t := range tags {
 		if use[i] != 0 && t == tag {
 			use[i] = c.tick
-			if !c.cfg.Sectored || c.sectors[base+i]&sector != 0 {
+			if c.sectors[base+i]&sector != 0 {
 				return true
 			}
 			// Line present but sector missing: sector miss fills the sector.
@@ -137,12 +134,9 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 			return false
 		}
 	}
-	// Miss. Stores bypass allocation when write-allocate is off.
-	if isStore && !c.cfg.WriteAlloc {
-		return false
-	}
-	// Fill into LRU victim (an invalid way, lastUse 0, always loses the
-	// strict-< scan, so empty ways fill before any resident line evicts).
+	// Miss: fill into the LRU victim (an invalid way, lastUse 0, always
+	// loses the strict-< scan, so empty ways fill before any resident line
+	// evicts).
 	victim := 0
 	for i := 1; i < len(use); i++ {
 		if use[i] == 0 {
@@ -155,11 +149,7 @@ func (c *Cache) Access(addr uint64, isStore bool) bool {
 	}
 	tags[victim] = tag
 	use[victim] = c.tick
-	if c.cfg.Sectored {
-		c.sectors[base+victim] = sector
-	} else {
-		c.sectors[base+victim] = (1 << SectorsPerLine) - 1
-	}
+	c.sectors[base+victim] = sector
 	return false
 }
 
@@ -206,10 +196,7 @@ func (t Traffic) L2HitRate() units.Fraction {
 }
 
 // Scale returns traffic scaled by f (e.g. to extrapolate a sampled trace to
-// the full grid). Counts round to nearest via math.Round: the former
-// truncate-after-adding-0.5 idiom agrees with it for the non-negative counts
-// stored here, but mis-rounds negative deltas if a future caller composes
-// scaled differences, so the explicit rounding is load-bearing.
+// the full grid). Counts round to nearest, halves away from zero.
 func (t Traffic) Scale(f float64) Traffic {
 	s := func(v units.Txns) units.Txns { return units.Txns(math.Round(v.Float() * f)) }
 	return Traffic{
@@ -240,17 +227,17 @@ func NewHierarchy(l1, l2 CacheConfig) *Hierarchy {
 	return &Hierarchy{L1: NewCache(l1), L2: NewCache(l2)}
 }
 
-// AccessBatch resolves a block of sector addresses in issue order,
+// AccessBatch resolves a block of sector loads in issue order,
 // accumulating traffic once per block instead of once per access. Trace
 // emitters buffer address runs and feed them here.
-func (h *Hierarchy) AccessBatch(addrs []uint64, isStore bool) {
+func (h *Hierarchy) AccessBatch(addrs []uint64) {
 	var l1Hits, l2Hits, dram units.Txns
 	for _, a := range addrs {
-		if h.L1.Access(a, isStore) {
+		if h.L1.Access(a) {
 			l1Hits++
 			continue
 		}
-		if h.L2.Access(a, isStore) {
+		if h.L2.Access(a) {
 			l2Hits++
 			continue
 		}
@@ -260,11 +247,7 @@ func (h *Hierarchy) AccessBatch(addrs []uint64, isStore bool) {
 	h.t.L1Hits += l1Hits
 	h.t.L2Hits += l2Hits
 	h.t.DRAMTxns += dram
-	if isStore {
-		h.t.DRAMWriteTx += dram
-	} else {
-		h.t.DRAMReadTx += dram
-	}
+	h.t.DRAMReadTx += dram
 }
 
 // Traffic returns accumulated traffic.
@@ -277,24 +260,22 @@ func (h *Hierarchy) Reset() {
 	h.t = Traffic{}
 }
 
-// Batcher accumulates same-kind (load or store) sector addresses and flushes
-// them through Hierarchy.AccessBatch in issue order, so trace emitters get
-// block processing without managing buffers themselves. Zero value is not
-// usable; construct with NewBatcher. Flush must be called before reading the
+// Batcher accumulates sector load addresses and flushes them through
+// Hierarchy.AccessBatch in issue order, so trace emitters get block
+// processing without managing buffers themselves. Zero value is not usable;
+// construct with NewBatcher. Flush must be called before reading the
 // hierarchy's traffic.
 type Batcher struct {
-	h       *Hierarchy
-	isStore bool
-	buf     []uint64
+	h   *Hierarchy
+	buf []uint64
 }
 
 // batcherChunk bounds a Batcher's buffered addresses (8 KiB per Batcher).
 const batcherChunk = 1024
 
-// NewBatcher returns a Batcher feeding h with loads (isStore false) or
-// stores (isStore true).
-func NewBatcher(h *Hierarchy, isStore bool) *Batcher {
-	return &Batcher{h: h, isStore: isStore, buf: make([]uint64, 0, batcherChunk)}
+// NewBatcher returns a Batcher feeding h.
+func NewBatcher(h *Hierarchy) *Batcher {
+	return &Batcher{h: h, buf: make([]uint64, 0, batcherChunk)}
 }
 
 // Access buffers one sector access at byte address addr.
@@ -307,7 +288,7 @@ func (b *Batcher) Access(addr uint64) {
 
 // Flush replays all buffered accesses.
 func (b *Batcher) Flush() {
-	b.h.AccessBatch(b.buf, b.isStore)
+	b.h.AccessBatch(b.buf)
 	b.buf = b.buf[:0]
 }
 

@@ -7,13 +7,13 @@ import (
 )
 
 func smallCache() CacheConfig {
-	return CacheConfig{Name: "T", SizeBytes: 8 << 10, Assoc: 4, Sectored: true, WriteAlloc: true}
+	return CacheConfig{Name: "T", SizeBytes: 8 << 10, Assoc: 4}
 }
 
 // loadHits performs a load at each address in turn and returns how many hit.
 func loadHits(c *Cache, addrs ...uint64) (hits int) {
 	for _, a := range addrs {
-		if c.Access(a, false) {
+		if c.Access(a) {
 			hits++
 		}
 	}
@@ -22,22 +22,18 @@ func loadHits(c *Cache, addrs ...uint64) (hits int) {
 
 // Access resolves one sector access through L1 then L2, updating traffic:
 // the per-access reference AccessBatch must match.
-func (h *Hierarchy) Access(addr uint64, isStore bool) {
+func (h *Hierarchy) Access(addr uint64) {
 	h.t.Sectors++
-	if h.L1.Access(addr, isStore) {
+	if h.L1.Access(addr) {
 		h.t.L1Hits++
 		return
 	}
-	if h.L2.Access(addr, isStore) {
+	if h.L2.Access(addr) {
 		h.t.L2Hits++
 		return
 	}
 	h.t.DRAMTxns++
-	if isStore {
-		h.t.DRAMWriteTx++
-	} else {
-		h.t.DRAMReadTx++
-	}
+	h.t.DRAMReadTx++
 }
 
 func TestCacheConfigValidate(t *testing.T) {
@@ -72,7 +68,7 @@ func TestNewCachePanicsOnInvalid(t *testing.T) {
 
 func TestCacheColdMissThenHit(t *testing.T) {
 	c := NewCache(smallCache())
-	cold, warm := c.Access(0, false), c.Access(0, false)
+	cold, warm := c.Access(0), c.Access(0)
 	if cold {
 		t.Error("cold access should miss")
 	}
@@ -92,24 +88,14 @@ func TestCacheColdMissThenHit(t *testing.T) {
 
 func TestCacheSectoredFill(t *testing.T) {
 	c := NewCache(smallCache())
-	c.Access(0, false) // fills sector 0 of line 0
+	c.Access(0) // fills sector 0 of line 0
 	// Different sector of the same line: must be a sector miss.
-	if c.Access(64, false) {
+	if c.Access(64) {
 		t.Error("different sector of same line should miss in a sectored cache")
 	}
 	// Both sectors now present.
-	if !c.Access(0, false) || !c.Access(64, false) {
+	if !c.Access(0) || !c.Access(64) {
 		t.Error("both sectors should now hit")
-	}
-}
-
-func TestCacheUnsectoredFillsWholeLine(t *testing.T) {
-	cfg := smallCache()
-	cfg.Sectored = false
-	c := NewCache(cfg)
-	c.Access(0, false)
-	if !c.Access(96, false) {
-		t.Error("non-sectored cache should fill the whole line")
 	}
 }
 
@@ -120,27 +106,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	nSets := cfg.SizeBytes / (LineBytes * cfg.Assoc) // 16 sets
 	setStride := uint64(nSets * LineBytes)
 	for i := 0; i < 5; i++ {
-		c.Access(uint64(i)*setStride, false)
+		c.Access(uint64(i) * setStride)
 	}
-	if c.Access(0, false) {
+	if c.Access(0) {
 		t.Error("line 0 should have been evicted (LRU)")
 	}
 	// Line 1 was refreshed least recently after the wrap: line 1..4 + new 0
 	// means line 1 is LRU now.
-	if c.Access(4*setStride, false) != true {
+	if c.Access(4*setStride) != true {
 		t.Error("line 4 should still be resident")
-	}
-}
-
-func TestCacheWriteNoAllocate(t *testing.T) {
-	cfg := smallCache()
-	cfg.WriteAlloc = false
-	c := NewCache(cfg)
-	if c.Access(0, true) {
-		t.Error("store should miss")
-	}
-	if c.Access(0, false) {
-		t.Error("store must not have allocated")
 	}
 }
 
@@ -148,8 +122,8 @@ func TestCacheWriteNoAllocate(t *testing.T) {
 // hit for hit like a freshly built one.
 func TestCacheReset(t *testing.T) {
 	c := NewCache(smallCache())
-	c.Access(0, false)
-	c.Access(0, false)
+	c.Access(0)
+	c.Access(0)
 	c.Reset()
 	stream := []uint64{0, 64, 0, 4096, 64, 0}
 	if got, want := loadHits(c, stream...), loadHits(NewCache(smallCache()), stream...); got != want {
@@ -163,29 +137,29 @@ func TestCacheReset(t *testing.T) {
 
 func TestCacheNonPowerOfTwoSetsRoundsDown(t *testing.T) {
 	// 3-way, 384 lines -> 128 sets... pick sizes forcing non-power-of-two.
-	cfg := CacheConfig{Name: "npot", SizeBytes: 3 * 128 * 100, Assoc: 3, Sectored: false, WriteAlloc: true}
+	cfg := CacheConfig{Name: "npot", SizeBytes: 3 * 128 * 100, Assoc: 3}
 	c := NewCache(cfg) // must not panic; sets rounded to 64
-	if c.Access(0, false) {
+	if c.Access(0) {
 		t.Error("cold miss expected")
 	}
-	if !c.Access(0, false) {
+	if !c.Access(0) {
 		t.Error("hit expected")
 	}
 }
 
 func TestHierarchyTrafficAccounting(t *testing.T) {
 	h := NewHierarchy(
-		CacheConfig{Name: "L1", SizeBytes: 4 << 10, Assoc: 4, Sectored: true},
-		CacheConfig{Name: "L2", SizeBytes: 64 << 10, Assoc: 8, Sectored: true, WriteAlloc: true},
+		CacheConfig{Name: "L1", SizeBytes: 4 << 10, Assoc: 4},
+		CacheConfig{Name: "L2", SizeBytes: 64 << 10, Assoc: 8},
 	)
 	// Cold read: miss everywhere -> one DRAM read transaction.
-	h.Access(0, false)
+	h.Access(0)
 	tr := h.Traffic()
 	if tr.Sectors != 1 || tr.DRAMTxns != 1 || tr.DRAMReadTx != 1 {
 		t.Errorf("cold access traffic = %+v", tr)
 	}
 	// Re-access: L1 hit.
-	h.Access(0, false)
+	h.Access(0)
 	tr = h.Traffic()
 	if tr.L1Hits != 1 {
 		t.Errorf("expected 1 L1 hit, got %+v", tr)
@@ -197,13 +171,13 @@ func TestHierarchyTrafficAccounting(t *testing.T) {
 
 func TestHierarchyL2CatchesL1Evictions(t *testing.T) {
 	h := NewHierarchy(
-		CacheConfig{Name: "L1", SizeBytes: 1 << 10, Assoc: 2, Sectored: true},
-		CacheConfig{Name: "L2", SizeBytes: 1 << 20, Assoc: 8, Sectored: true, WriteAlloc: true},
+		CacheConfig{Name: "L1", SizeBytes: 1 << 10, Assoc: 2},
+		CacheConfig{Name: "L2", SizeBytes: 1 << 20, Assoc: 8},
 	)
 	// Touch a 16 KB footprint twice: too big for L1, fits L2.
 	for pass := 0; pass < 2; pass++ {
 		for a := uint64(0); a < 16<<10; a += SectorBytes {
-			h.Access(a, false)
+			h.Access(a)
 		}
 	}
 	tr := h.Traffic()
@@ -252,7 +226,7 @@ func TestCacheInvariantHitsBounded(t *testing.T) {
 		var acc, hits uint64
 		for i := 0; i < int(n); i++ {
 			acc++
-			if c.Access(uint64(r.Intn(1<<14)), r.Intn(4) == 0) {
+			if c.Access(uint64(r.Intn(1 << 14))) {
 				hits++
 			}
 		}
@@ -264,16 +238,15 @@ func TestCacheInvariantHitsBounded(t *testing.T) {
 }
 
 func TestHierarchyDRAMConservation(t *testing.T) {
-	// Property: sectors = L1 hits + L2 hits + DRAM txns for loads on a
-	// write-allocate hierarchy.
+	// Property: sectors = L1 hits + L2 hits + DRAM txns.
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := NewHierarchy(
-			CacheConfig{Name: "L1", SizeBytes: 2 << 10, Assoc: 2, Sectored: true, WriteAlloc: true},
-			CacheConfig{Name: "L2", SizeBytes: 32 << 10, Assoc: 4, Sectored: true, WriteAlloc: true},
+			CacheConfig{Name: "L1", SizeBytes: 2 << 10, Assoc: 2},
+			CacheConfig{Name: "L2", SizeBytes: 32 << 10, Assoc: 4},
 		)
 		for i := 0; i < int(n); i++ {
-			h.Access(uint64(r.Intn(1<<16)), false)
+			h.Access(uint64(r.Intn(1 << 16)))
 		}
 		tr := h.Traffic()
 		return tr.Sectors == tr.L1Hits+tr.L2Hits+tr.DRAMTxns

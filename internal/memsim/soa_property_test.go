@@ -15,7 +15,6 @@ import (
 // Cache with identical randomized streams and demand identical behavior,
 // access by access.
 type refCache struct {
-	cfg     CacheConfig
 	sets    [][]refLine
 	tick    uint64
 	hits    uint64
@@ -36,10 +35,10 @@ func newRefCache(cfg CacheConfig) *refCache {
 	for i := range sets {
 		sets[i] = make([]refLine, cfg.Assoc)
 	}
-	return &refCache{cfg: cfg, sets: sets, setMask: uint64(nSets - 1)}
+	return &refCache{sets: sets, setMask: uint64(nSets - 1)}
 }
 
-func (c *refCache) access(addr uint64, isStore bool) bool {
+func (c *refCache) access(addr uint64) bool {
 	c.tick++
 	c.accs++
 	lineAddr := addr / LineBytes
@@ -49,16 +48,13 @@ func (c *refCache) access(addr uint64, isStore bool) bool {
 		l := &set[i]
 		if l.valid && l.tag == lineAddr {
 			l.lastUse = c.tick
-			if !c.cfg.Sectored || l.sectors&sector != 0 {
+			if l.sectors&sector != 0 {
 				c.hits++
 				return true
 			}
 			l.sectors |= sector
 			return false
 		}
-	}
-	if isStore && !c.cfg.WriteAlloc {
-		return false
 	}
 	victim := 0
 	for i := 1; i < len(set); i++ {
@@ -74,11 +70,7 @@ func (c *refCache) access(addr uint64, isStore bool) bool {
 	l.valid = true
 	l.tag = lineAddr
 	l.lastUse = c.tick
-	if c.cfg.Sectored {
-		l.sectors = sector
-	} else {
-		l.sectors = (1 << SectorsPerLine) - 1
-	}
+	l.sectors = sector
 	return false
 }
 
@@ -88,71 +80,67 @@ type refHierarchy struct {
 	t      Traffic
 }
 
-func (h *refHierarchy) access(addr uint64, isStore bool) {
+func (h *refHierarchy) access(addr uint64) {
 	h.t.Sectors++
-	if h.l1.access(addr, isStore) {
+	if h.l1.access(addr) {
 		h.t.L1Hits++
 		return
 	}
-	if h.l2.access(addr, isStore) {
+	if h.l2.access(addr) {
 		h.t.L2Hits++
 		return
 	}
 	h.t.DRAMTxns++
-	if isStore {
-		h.t.DRAMWriteTx++
-	} else {
-		h.t.DRAMReadTx++
-	}
+	h.t.DRAMReadTx++
 }
 
-// propConfigs are the cache geometries the property tests sweep: sectored
-// and unsectored, write-allocate on and off, and a non-power-of-two set
-// count (exercising the round-down mask path).
+// propConfigs are the cache geometries the property tests sweep, including
+// direct-mapped levels and a non-power-of-two set count (exercising the
+// round-down mask path).
 var propConfigs = []struct {
 	name   string
 	l1, l2 CacheConfig
 }{
 	{"ampere-like",
-		CacheConfig{Name: "L1", SizeBytes: 16 << 10, Assoc: 4, Sectored: true},
-		CacheConfig{Name: "L2", SizeBytes: 128 << 10, Assoc: 8, Sectored: true, WriteAlloc: true}},
-	{"unsectored-writealloc",
-		CacheConfig{Name: "L1", SizeBytes: 8 << 10, Assoc: 2, WriteAlloc: true},
-		CacheConfig{Name: "L2", SizeBytes: 64 << 10, Assoc: 4, WriteAlloc: true}},
+		CacheConfig{Name: "L1", SizeBytes: 16 << 10, Assoc: 4},
+		CacheConfig{Name: "L2", SizeBytes: 128 << 10, Assoc: 8}},
+	{"two-way",
+		CacheConfig{Name: "L1", SizeBytes: 8 << 10, Assoc: 2},
+		CacheConfig{Name: "L2", SizeBytes: 64 << 10, Assoc: 4}},
 	{"direct-mapped-tiny",
-		CacheConfig{Name: "L1", SizeBytes: 2 << 10, Assoc: 1, Sectored: true},
+		CacheConfig{Name: "L1", SizeBytes: 2 << 10, Assoc: 1},
 		CacheConfig{Name: "L2", SizeBytes: 8 << 10, Assoc: 1}},
 	{"non-pow2-sets",
-		CacheConfig{Name: "L1", SizeBytes: 3 * 128 * 4, Assoc: 4, Sectored: true},
-		CacheConfig{Name: "L2", SizeBytes: 6 * 128 * 8, Assoc: 8, WriteAlloc: true}},
+		CacheConfig{Name: "L1", SizeBytes: 3 * 128 * 4, Assoc: 4},
+		CacheConfig{Name: "L2", SizeBytes: 6 * 128 * 8, Assoc: 8}},
 }
 
 // propPatterns generate the address streams: each returns the next
-// (address, isStore) pair. The generators only use the shared *rand.Rand,
-// so streams are reproducible per seed.
+// address. The generators only use the shared *rand.Rand, so streams are
+// reproducible per seed.
 var propPatterns = []struct {
 	name string
-	gen  func(r *rand.Rand, i int) (uint64, bool)
+	gen  func(r *rand.Rand, i int) uint64
 }{
-	{"sequential", func(r *rand.Rand, i int) (uint64, bool) {
-		return uint64(i) * SectorBytes, false
+	{"sequential", func(r *rand.Rand, i int) uint64 {
+		return uint64(i) * SectorBytes
 	}},
-	{"strided-lines", func(r *rand.Rand, i int) (uint64, bool) {
-		return uint64(i) * LineBytes * 3, i%7 == 0
+	{"strided-lines", func(r *rand.Rand, i int) uint64 {
+		return uint64(i) * LineBytes * 3
 	}},
-	{"random-window", func(r *rand.Rand, i int) (uint64, bool) {
-		return uint64(r.Intn(1 << 16)), r.Intn(4) == 0
+	{"random-window", func(r *rand.Rand, i int) uint64 {
+		return uint64(r.Intn(1 << 16))
 	}},
-	{"hot-set", func(r *rand.Rand, i int) (uint64, bool) {
+	{"hot-set", func(r *rand.Rand, i int) uint64 {
 		// 90% of accesses land in 4 KiB; the rest roam 16 MiB.
 		if r.Intn(10) > 0 {
-			return uint64(r.Intn(4 << 10)), false
+			return uint64(r.Intn(4 << 10))
 		}
-		return uint64(r.Intn(16 << 20)), true
+		return uint64(r.Intn(16 << 20))
 	}},
-	{"conflict-heavy", func(r *rand.Rand, i int) (uint64, bool) {
+	{"conflict-heavy", func(r *rand.Rand, i int) uint64 {
 		// Same set, rotating tags: maximal eviction pressure.
-		return uint64(r.Intn(16)) * (64 << 10), false
+		return uint64(r.Intn(16)) * (64 << 10)
 	}},
 }
 
@@ -168,11 +156,11 @@ func TestCacheSoAMatchesReference(t *testing.T) {
 				r := rand.New(rand.NewSource(1))
 				var accs, hits uint64
 				for i := 0; i < 20000; i++ {
-					addr, isStore := pat.gen(r, i)
-					got, want := soa.Access(addr, isStore), ref.access(addr, isStore)
+					addr := pat.gen(r, i)
+					got, want := soa.Access(addr), ref.access(addr)
 					if got != want {
-						t.Fatalf("access %d (addr %#x store %v): SoA %v, reference %v",
-							i, addr, isStore, got, want)
+						t.Fatalf("access %d (addr %#x): SoA %v, reference %v",
+							i, addr, got, want)
 					}
 					accs++
 					if got {
@@ -200,9 +188,9 @@ func TestHierarchySoAMatchesReferenceTraffic(t *testing.T) {
 				ref := &refHierarchy{l1: newRefCache(cfg.l1), l2: newRefCache(cfg.l2)}
 				r := rand.New(rand.NewSource(2))
 				for i := 0; i < 15000; i++ {
-					addr, isStore := pat.gen(r, i)
-					soa.Access(addr, isStore)
-					ref.access(addr, isStore)
+					addr := pat.gen(r, i)
+					soa.Access(addr)
+					ref.access(addr)
 				}
 				if soa.Traffic() != ref.t {
 					t.Fatalf("traffic: SoA %+v, reference %+v", soa.Traffic(), ref.t)
@@ -214,9 +202,9 @@ func TestHierarchySoAMatchesReferenceTraffic(t *testing.T) {
 				ref = &refHierarchy{l1: newRefCache(cfg.l1), l2: newRefCache(cfg.l2)}
 				r = rand.New(rand.NewSource(3))
 				for i := 0; i < 5000; i++ {
-					addr, isStore := pat.gen(r, i)
-					soa.Access(addr, isStore)
-					ref.access(addr, isStore)
+					addr := pat.gen(r, i)
+					soa.Access(addr)
+					ref.access(addr)
 				}
 				if soa.Traffic() != ref.t {
 					t.Fatalf("traffic after Reset: SoA %+v, reference %+v", soa.Traffic(), ref.t)
@@ -240,11 +228,10 @@ func TestAccessBatchMatchesPerAccess(t *testing.T) {
 				for i := range addrs {
 					addrs[i] = uint64(r.Intn(1 << 18))
 				}
-				isStore := round%3 == 0
 				for _, a := range addrs {
-					one.Access(a, isStore)
+					one.Access(a)
 				}
-				batched.AccessBatch(addrs, isStore)
+				batched.AccessBatch(addrs)
 			}
 			if one.Traffic() != batched.Traffic() {
 				t.Errorf("traffic: per-access %+v, batched %+v", one.Traffic(), batched.Traffic())

@@ -13,9 +13,6 @@ const (
 	// Coalesced: consecutive lanes touch consecutive elements; a warp access
 	// maps onto the minimal number of 32-byte sectors.
 	Coalesced Pattern = iota
-	// Strided: lanes touch elements separated by StrideBytes >= SectorBytes,
-	// so every element occupies its own sector (wasted bandwidth).
-	Strided
 	// Random: data-dependent gather/scatter across the footprint (graph
 	// neighbor gathers, hash probes); every request is its own sector.
 	Random
@@ -29,8 +26,6 @@ func (p Pattern) String() string {
 	switch p {
 	case Coalesced:
 		return "coalesced"
-	case Strided:
-		return "strided"
 	case Random:
 		return "random"
 	case Broadcast:
@@ -79,22 +74,21 @@ func (s Stream) Validate() error {
 
 // LocalityModel resolves declarative streams against cache capacities.
 type LocalityModel struct {
-	NumSMs       int
-	L1Bytes      int
-	L2Bytes      int
-	L1Efficiency float64 // usable fraction of L1 capacity (conflicts, other data)
-	L2Efficiency float64
+	NumSMs  int
+	L1Bytes int
+	L2Bytes int
 }
 
-// NewLocalityModel returns a model with typical efficiency factors.
+// The usable fractions of L1 and L2 capacity (conflicts, other data).
+const (
+	l1Efficiency = 0.5
+	l2Efficiency = 0.75
+)
+
+// NewLocalityModel returns a model of numSMs L1s of l1Bytes each in front of
+// one L2 of l2Bytes.
 func NewLocalityModel(numSMs, l1Bytes, l2Bytes int) *LocalityModel {
-	return &LocalityModel{
-		NumSMs:       numSMs,
-		L1Bytes:      l1Bytes,
-		L2Bytes:      l2Bytes,
-		L1Efficiency: 0.5,
-		L2Efficiency: 0.75,
-	}
+	return &LocalityModel{NumSMs: numSMs, L1Bytes: l1Bytes, L2Bytes: l2Bytes}
 }
 
 // sectorRequests returns the number of 32-byte sector requests the stream
@@ -108,7 +102,7 @@ func sectorRequests(s Stream) uint64 {
 			n = 1
 		}
 		return n
-	case Strided, Random:
+	case Random:
 		// One sector request per element: no coalescing across lanes.
 		return elems
 	case Broadcast:
@@ -131,9 +125,6 @@ func uniqueSectors(s Stream) uint64 {
 			n = 1
 		}
 		return n
-	case Strided:
-		// Every element sits in its own sector.
-		return s.FootprintBytes / uint64(s.ElemBytes)
 	case Random:
 		// Gathers land on footprint/32 distinct sectors once the footprint
 		// is covered, but sparse gathers may touch fewer.
@@ -162,8 +153,8 @@ func (m *LocalityModel) Resolve(s Stream) (Traffic, error) {
 	}
 	reuseHits := req - uniq // accesses beyond the cold footprint sweep
 
-	l1Cap := uint64(float64(m.L1Bytes) * m.L1Efficiency)
-	l2Cap := uint64(float64(m.L2Bytes) * m.L2Efficiency)
+	l1Cap := uint64(float64(m.L1Bytes) * l1Efficiency)
+	l2Cap := uint64(float64(m.L2Bytes) * l2Efficiency)
 
 	l1Footprint := s.FootprintBytes
 	if s.Partitioned && m.NumSMs > 0 {

@@ -30,7 +30,7 @@ func TestStreamValidate(t *testing.T) {
 
 func TestPatternString(t *testing.T) {
 	for p, want := range map[Pattern]string{
-		Coalesced: "coalesced", Strided: "strided", Random: "random", Broadcast: "broadcast",
+		Coalesced: "coalesced", Random: "random", Broadcast: "broadcast",
 	} {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", p, p.String(), want)
@@ -95,30 +95,9 @@ func TestL2ResidentReuseHitsL2(t *testing.T) {
 	}
 }
 
-func TestStridedWastesBandwidth(t *testing.T) {
-	m := model()
-	foot := uint64(64 << 20)
-	coal, err := m.Resolve(Stream{Name: "c", FootprintBytes: foot, AccessBytes: foot, ElemBytes: 4, Pattern: Coalesced})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strided, err := m.Resolve(Stream{Name: "s", FootprintBytes: foot, AccessBytes: foot, ElemBytes: 4, Pattern: Strided})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strided.DRAMTxns <= coal.DRAMTxns {
-		t.Errorf("strided DRAM %d should exceed coalesced %d", strided.DRAMTxns, coal.DRAMTxns)
-	}
-	// 4-byte elements in 32-byte sectors: 8x waste.
-	ratio := float64(strided.DRAMTxns) / float64(coal.DRAMTxns)
-	if ratio < 6 || ratio > 9 {
-		t.Errorf("waste ratio = %g, want ~8", ratio)
-	}
-}
-
 // TestSectorRequestsCoalescing pins the per-warp sector counts: a warp of
-// 32 four-byte lanes issues 4 sectors when coalesced, 32 when strided or
-// random, and 1 when every lane reads the same address.
+// 32 four-byte lanes issues 4 sectors when coalesced, 32 when random, and
+// 1 when every lane reads the same address.
 func TestSectorRequestsCoalescing(t *testing.T) {
 	const warp = 32 * 4
 	for _, tc := range []struct {
@@ -126,7 +105,6 @@ func TestSectorRequestsCoalescing(t *testing.T) {
 		want uint64
 	}{
 		{Coalesced, 4},
-		{Strided, 32},
 		{Random, 32},
 		{Broadcast, 1},
 	} {
@@ -197,7 +175,7 @@ func TestResolveConservation(t *testing.T) {
 		r := uint64(reuse%16 + 1)
 		s := Stream{
 			Name: "q", FootprintBytes: foot, AccessBytes: foot * r,
-			ElemBytes: 4, Pattern: Pattern(pat % 4), Partitioned: part,
+			ElemBytes: 4, Pattern: Pattern(pat % 3), Partitioned: part,
 		}
 		if s.Pattern == Broadcast {
 			s.AccessBytes = foot * 32

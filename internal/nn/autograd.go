@@ -164,9 +164,9 @@ func Add(a, b *V, alpha, beta float32) (*V, error) {
 	for i := range out.Data {
 		out.Data[i] = alpha*a.T.Data[i] + beta*b.T.Data[i]
 	}
-	d.emitElementwise("elementwise_add", out.Numel(), 2, 2, 1)
+	d.emitElementwise("elementwise_add", out.Numel(), 2, 0, 2, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("elementwise_add_bwd", out.Numel(), 2, 1, 2)
+		d.emitElementwise("elementwise_add_bwd", out.Numel(), 2, 0, 1, 2)
 		if a.needGrad {
 			g := o.Grad.Clone()
 			for i := range g.Data {
@@ -217,7 +217,7 @@ func AddBias(x, b *V) (*V, error) {
 	default:
 		return nil, fmt.Errorf("nn: bias on %v", x.T.Shape)
 	}
-	d.emitElementwise("bias_add", out.Numel(), 1, 2, 1)
+	d.emitElementwise("bias_add", out.Numel(), 1, 0, 2, 1)
 	return d.newNode(out, func(o *V) {
 		if x.needGrad {
 			x.addGrad(o.Grad)
@@ -280,7 +280,7 @@ func Concat2D(a, b *V) (*V, error) {
 		copy(out.Data[i*(na+nb):i*(na+nb)+na], a.T.Data[i*na:(i+1)*na])
 		copy(out.Data[i*(na+nb)+na:(i+1)*(na+nb)], b.T.Data[i*nb:(i+1)*nb])
 	}
-	d.emitElementwise("cat_copy", out.Numel(), 0.5, 1, 1)
+	d.emitElementwise("cat_copy", out.Numel(), 0.5, 0, 1, 1)
 	return d.newNode(out, func(o *V) {
 		if a.needGrad {
 			g := tensor.New(m, na)
@@ -311,7 +311,7 @@ func SliceCols(x *V, lo, hi int) (*V, error) {
 	for i := 0; i < m; i++ {
 		copy(out.Data[i*w:(i+1)*w], x.T.Data[i*n+lo:i*n+hi])
 	}
-	d.emitElementwise("slice_copy", out.Numel(), 0.5, 1, 1)
+	d.emitElementwise("slice_copy", out.Numel(), 0.5, 0, 1, 1)
 	return d.newNode(out, func(o *V) {
 		if x.needGrad {
 			g := tensor.New(m, n)
@@ -353,10 +353,10 @@ func AttentionContext(weights *V, enc []*V) (*V, error) {
 			}
 		}
 	}
-	d.emitElementwise("bmm_attention_context", b*tl*h, 2, 2, 1)
+	d.emitElementwise("bmm_attention_context", b*tl*h, 2, 0, 2, 1)
 	parents := append([]*V{weights}, enc...)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("bmm_attention_context_bwd", b*tl*h, 3, 3, 2)
+		d.emitElementwise("bmm_attention_context_bwd", b*tl*h, 3, 0, 3, 2)
 		if weights.needGrad {
 			g := tensor.New(b, tl)
 			for bi := 0; bi < b; bi++ {
@@ -394,13 +394,13 @@ func activation(x *V, fwdName, bwdName string, sfu float64, f func(float32) floa
 	for i, v := range x.T.Data {
 		out.Data[i] = f(v)
 	}
+	opCost := 2.0
 	if sfu > 0 {
-		d.emitSFUElementwise(fwdName, out.Numel(), sfu, 1, 1)
-	} else {
-		d.emitElementwise(fwdName, out.Numel(), 2, 1, 1)
+		opCost = 3
 	}
+	d.emitElementwise(fwdName, out.Numel(), opCost, sfu, 1, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise(bwdName, out.Numel(), 3, 2, 1)
+		d.emitElementwise(bwdName, out.Numel(), 3, 0, 2, 1)
 		if x.needGrad {
 			g := tensor.New(x.T.Shape...)
 			for i := range g.Data {
@@ -462,9 +462,9 @@ func MaxPool(x *V, window, stride int) (*V, error) {
 		return nil, err
 	}
 	d := x.dev
-	d.emitElementwise(fmt.Sprintf("maxpool%d_fwd", window), x.T.Numel(), 1, 1, 1)
+	d.emitElementwise(fmt.Sprintf("maxpool%d_fwd", window), x.T.Numel(), 1, 0, 1, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise(fmt.Sprintf("maxpool%d_bwd", window), x.T.Numel(), 1, 1, 1)
+		d.emitElementwise(fmt.Sprintf("maxpool%d_bwd", window), x.T.Numel(), 1, 0, 1, 1)
 		if x.needGrad {
 			g := tensor.New(x.T.Shape...)
 			for i, src := range arg {
@@ -482,9 +482,9 @@ func SoftmaxRows(x *V) (*V, error) {
 		return nil, err
 	}
 	d := x.dev
-	d.emitSFUElementwise("softmax_fwd", x.T.Numel(), 1, 1, 1)
+	d.emitElementwise("softmax_fwd", x.T.Numel(), 3, 1, 1, 1)
 	return d.newNode(s, func(o *V) {
-		d.emitElementwise("softmax_bwd", x.T.Numel(), 3, 2, 1)
+		d.emitElementwise("softmax_bwd", x.T.Numel(), 3, 0, 2, 1)
 		if x.needGrad {
 			m, n := x.T.Shape[0], x.T.Shape[1]
 			g := tensor.New(m, n)
@@ -518,9 +518,9 @@ func Dropout(x *V, p float64, train bool) *V {
 			out.Data[i] = v * scale
 		}
 	}
-	d.emitElementwise("dropout_fwd", out.Numel(), 2, 1, 1)
+	d.emitElementwise("dropout_fwd", out.Numel(), 2, 0, 1, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("dropout_bwd", out.Numel(), 2, 2, 1)
+		d.emitElementwise("dropout_bwd", out.Numel(), 2, 0, 2, 1)
 		if x.needGrad {
 			g := tensor.New(x.T.Shape...)
 			for i := range g.Data {
@@ -547,9 +547,9 @@ func Embedding(table *V, ids []int) (*V, error) {
 		copy(out.Data[i*dim:(i+1)*dim], table.T.Data[id*dim:(id+1)*dim])
 	}
 	d := table.dev
-	d.emitElementwise("embedding_fwd_gather", out.Numel(), 0.5, 1, 1)
+	d.emitElementwise("embedding_fwd_gather", out.Numel(), 0.5, 0, 1, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("embedding_bwd_scatter", out.Numel(), 1, 1, 1)
+		d.emitElementwise("embedding_bwd_scatter", out.Numel(), 1, 0, 1, 1)
 		if table.needGrad {
 			g := tensor.New(vocab, dim)
 			for i, id := range ids {

@@ -135,34 +135,16 @@ func (d *Device) emitConv(kind string, n, c, f, oh, ow, kh, kw int, xBytes, wByt
 }
 
 // emitElementwise launches a pointwise kernel over elems elements with
-// opCost arithmetic instructions per element. inputs/outputs give the tensor
+// opCost arithmetic instructions and sfuPerElem transcendental ones (tanh,
+// sigmoid, exp on the SFU pipe) per element. inputs/outputs give the tensor
 // traffic multiplicity.
-func (d *Device) emitElementwise(name string, elems int, opCost float64, inputs, outputs int) {
+func (d *Device) emitElementwise(name string, elems int, opCost, sfuPerElem float64, inputs, outputs int) {
 	e := float64(elems)
 	var mix isa.Mix
 	mix.Add(isa.FP32, isa.Warps(e*opCost))
-	mix.Add(isa.INT, isa.Warps(e))
-	mix.Add(isa.LoadGlobal, isa.Warps(e*float64(inputs)))
-	mix.Add(isa.StoreGlobal, isa.Warps(e*float64(outputs)))
-	mix.Add(isa.Misc, isa.Warps(e))
-	bytes := uint64(elems * 4)
-	var streams []memsim.Stream
-	for i := 0; i < inputs; i++ {
-		streams = append(streams, readStream(fmt.Sprintf("in%d", i), bytes, 1))
+	if sfuPerElem > 0 {
+		mix.Add(isa.SFU, isa.Warps(e*sfuPerElem))
 	}
-	for i := 0; i < outputs; i++ {
-		streams = append(streams, writeStream(fmt.Sprintf("out%d", i), bytes))
-	}
-	d.emit(name, elems, mix, streams, 0)
-}
-
-// emitSFUElementwise is emitElementwise with transcendental work (tanh,
-// sigmoid, exp) on the SFU pipe.
-func (d *Device) emitSFUElementwise(name string, elems int, sfuPerElem float64, inputs, outputs int) {
-	e := float64(elems)
-	var mix isa.Mix
-	mix.Add(isa.FP32, isa.Warps(e*3))
-	mix.Add(isa.SFU, isa.Warps(e*sfuPerElem))
 	mix.Add(isa.INT, isa.Warps(e))
 	mix.Add(isa.LoadGlobal, isa.Warps(e*float64(inputs)))
 	mix.Add(isa.StoreGlobal, isa.Warps(e*float64(outputs)))
@@ -182,7 +164,7 @@ func (d *Device) emitSFUElementwise(name string, elems int, sfuPerElem float64, 
 // sampling, preprocessing and similar pipeline stages that workloads perform
 // outside the layer graph.
 func (d *Device) EmitNamed(name string, elems int, opCost float64, inputs, outputs int) {
-	d.emitElementwise(name, elems, opCost, inputs, outputs)
+	d.emitElementwise(name, elems, opCost, 0, inputs, outputs)
 }
 
 // EmitParamOp is the exported form of emitParamOp for workload code.
@@ -199,11 +181,7 @@ func (d *Device) emitParamOp(name string, elems int, opCost, sfu float64, inputs
 	if eff < 1 {
 		eff = 1
 	}
-	if sfu > 0 {
-		d.emitSFUElementwise(name, eff, sfu, inputs, outputs)
-	} else {
-		d.emitElementwise(name, eff, opCost, inputs, outputs)
-	}
+	d.emitElementwise(name, eff, opCost, sfu, inputs, outputs)
 }
 
 // emitReduce launches a reduction kernel over elems inputs.

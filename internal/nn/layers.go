@@ -134,10 +134,10 @@ func BatchNorm2dOp(x, gamma, beta *V, eps float32) (*V, error) {
 		xhat.Data[idx] = xh
 		out.Data[idx] = gamma.T.Data[ci]*xh + beta.T.Data[ci]
 	})
-	d.emitElementwise(fmt.Sprintf("bn_fw_tr_c%d", c), out.Numel(), 4, 2, 1)
+	d.emitElementwise(fmt.Sprintf("bn_fw_tr_c%d", c), out.Numel(), 4, 0, 2, 1)
 
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise(fmt.Sprintf("bn_bw_c%d", c), out.Numel(), 8, 4, 2)
+		d.emitElementwise(fmt.Sprintf("bn_bw_c%d", c), out.Numel(), 8, 0, 4, 2)
 		dy := o.Grad
 		sumDy := make([]float32, c)
 		sumDyXhat := make([]float32, c)
@@ -339,9 +339,9 @@ func gruPointwise(gx, gh, h *V, hidden int) (*V, error) {
 			out.Data[i*hidden+j] = (1-zv)*nv + zv*h.T.Data[i*hidden+j]
 		}
 	}
-	d.emitSFUElementwise("gru_cell_pointwise_fwd", b*hidden, 3, 3, 1)
+	d.emitElementwise("gru_cell_pointwise_fwd", b*hidden, 3, 3, 3, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitSFUElementwise("gru_cell_pointwise_bwd", b*hidden, 4, 4, 3)
+		d.emitElementwise("gru_cell_pointwise_bwd", b*hidden, 3, 4, 4, 3)
 		dgx := tensor.New(b, 3*hidden)
 		dgh := tensor.New(b, 3*hidden)
 		dh := tensor.New(b, hidden)

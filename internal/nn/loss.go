@@ -24,7 +24,7 @@ func MSELoss(pred *V, target *tensor.Tensor) (*V, error) {
 	out.Data[0] = sum / n
 	d.emitReduce("mse_loss_fwd", pred.T.Numel())
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("mse_loss_bwd", pred.T.Numel(), 2, 2, 1)
+		d.emitElementwise("mse_loss_bwd", pred.T.Numel(), 2, 0, 2, 1)
 		if pred.needGrad {
 			g := tensor.New(pred.T.Shape...)
 			scale := o.Grad.Data[0] * 2 / n
@@ -53,9 +53,9 @@ func BCEWithLogits(logits *V, target *tensor.Tensor) (*V, error) {
 	}
 	out := tensor.New(1)
 	out.Data[0] = float32(sum) / n
-	d.emitSFUElementwise("bce_logits_fwd", logits.T.Numel(), 2, 2, 1)
+	d.emitElementwise("bce_logits_fwd", logits.T.Numel(), 3, 2, 2, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitSFUElementwise("bce_logits_bwd", logits.T.Numel(), 2, 2, 1)
+		d.emitElementwise("bce_logits_bwd", logits.T.Numel(), 3, 2, 2, 1)
 		if logits.needGrad {
 			g := tensor.New(logits.T.Shape...)
 			scale := o.Grad.Data[0] / n
@@ -94,9 +94,9 @@ func CrossEntropy(logits *V, labels []int) (*V, error) {
 	}
 	out := tensor.New(1)
 	out.Data[0] = float32(sum / float64(b))
-	d.emitSFUElementwise("softmax_xent_fwd", logits.T.Numel(), 1, 1, 1)
+	d.emitElementwise("softmax_xent_fwd", logits.T.Numel(), 3, 1, 1, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("softmax_xent_bwd", logits.T.Numel(), 2, 2, 1)
+		d.emitElementwise("softmax_xent_bwd", logits.T.Numel(), 2, 0, 2, 1)
 		if logits.needGrad {
 			g := tensor.New(b, c)
 			scale := o.Grad.Data[0] / float32(b)
@@ -129,10 +129,10 @@ func LogSoftmaxRows(x *V) (*V, error) {
 		}
 		out.Data[i] = float32(math.Log(float64(p)))
 	}
-	d.emitSFUElementwise("log_softmax_fwd", x.T.Numel(), 1, 1, 1)
+	d.emitElementwise("log_softmax_fwd", x.T.Numel(), 3, 1, 1, 1)
 	m, n := x.T.Shape[0], x.T.Shape[1]
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("log_softmax_bwd", x.T.Numel(), 2, 2, 1)
+		d.emitElementwise("log_softmax_bwd", x.T.Numel(), 2, 0, 2, 1)
 		if x.needGrad {
 			g := tensor.New(m, n)
 			for i := 0; i < m; i++ {
@@ -168,7 +168,7 @@ func NLLLoss(logProbs *V, labels []int) (*V, error) {
 	out.Data[0] = float32(sum / float64(b))
 	d.emitReduce("nll_loss_fwd", b)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("nll_loss_bwd", b, 1, 1, 1)
+		d.emitElementwise("nll_loss_bwd", b, 1, 0, 1, 1)
 		if logProbs.needGrad {
 			g := tensor.New(b, c)
 			scale := o.Grad.Data[0] / float32(b)
@@ -215,9 +215,9 @@ func TVLoss(x *V) (*V, error) {
 	if count > 0 {
 		out.Data[0] = float32(sum / float64(count))
 	}
-	d.emitElementwise("tv_loss_fwd", x.T.Numel(), 4, 1, 1)
+	d.emitElementwise("tv_loss_fwd", x.T.Numel(), 4, 0, 1, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("tv_loss_bwd", x.T.Numel(), 6, 2, 1)
+		d.emitElementwise("tv_loss_bwd", x.T.Numel(), 6, 0, 2, 1)
 		if x.needGrad && count > 0 {
 			g := tensor.New(x.T.Shape...)
 			scale := o.Grad.Data[0] * 2 / float32(count)

@@ -34,9 +34,9 @@ func MulElem(a, b *V) (*V, error) {
 	for i := range out.Data {
 		out.Data[i] = a.T.Data[i] * b.T.Data[i]
 	}
-	d.emitElementwise("elementwise_mul", out.Numel(), 1, 2, 1)
+	d.emitElementwise("elementwise_mul", out.Numel(), 1, 0, 2, 1)
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("elementwise_mul_bwd", out.Numel(), 2, 3, 2)
+		d.emitElementwise("elementwise_mul_bwd", out.Numel(), 2, 0, 3, 2)
 		if a.needGrad {
 			g := tensor.New(a.T.Shape...)
 			for i := range g.Data {

@@ -98,7 +98,7 @@ func (a *Adam) Step() {
 		}
 		total += p.T.Numel()
 		if a.perParam {
-			a.dev.emitParamOp(fmt.Sprintf("adam_elementwise_n%d", bucket(p.T.Numel())), p.T.Numel(), 0, 1, 4, 3)
+			a.dev.emitParamOp(fmt.Sprintf("adam_elementwise_n%d", bucket(p.T.Numel())), p.T.Numel(), 3, 1, 4, 3)
 		}
 		m, v := a.m[i], a.v[i]
 		for j := range p.T.Data {
@@ -114,7 +114,7 @@ func (a *Adam) Step() {
 	if total > 0 {
 		a.dev.emitParamOp("fill_zero_grad", total, 0.5, 0, 0, 1)
 		if !a.perParam {
-			a.dev.emitParamOp("multi_tensor_adam_step", total, 0, 1, 4, 3)
+			a.dev.emitParamOp("multi_tensor_adam_step", total, 3, 1, 4, 3)
 		}
 	}
 }

@@ -35,7 +35,7 @@ func AffineGrid(theta *V, h, w int) (*V, error) {
 			}
 		}
 	}
-	d.emitElementwise("affine_grid_generator", b*h*w, 6, 1, 1)
+	d.emitElementwise("affine_grid_generator", b*h*w, 6, 0, 1, 1)
 	return d.newNode(grid, func(o *V) {
 		d.emitReduce("affine_grid_generator_bwd", b*h*w*2)
 		if theta.needGrad {
@@ -100,10 +100,10 @@ func GridSample(x, grid *V) (*V, error) {
 			}
 		}
 	}
-	d.emitElementwise("grid_sampler_2d_fwd", b*c*oh*ow, 8, 2, 1)
+	d.emitElementwise("grid_sampler_2d_fwd", b*c*oh*ow, 8, 0, 2, 1)
 
 	return d.newNode(out, func(o *V) {
-		d.emitElementwise("grid_sampler_2d_bwd", b*c*oh*ow, 12, 3, 2)
+		d.emitElementwise("grid_sampler_2d_bwd", b*c*oh*ow, 12, 0, 3, 2)
 		var dx *tensor.Tensor
 		var dgrid *tensor.Tensor
 		if x.needGrad {

@@ -19,20 +19,11 @@ type RooflineChart struct {
 	Title  string
 	Model  roofline.Model
 	Points []roofline.Point
-	// Glyphs assigns a rune per point label prefix; unset labels cycle
-	// through a default alphabet.
-	Width, Height int
 }
 
 // Render writes the chart to w.
 func (c *RooflineChart) Render(w io.Writer) error {
-	width, height := c.Width, c.Height
-	if width <= 0 {
-		width = 72
-	}
-	if height <= 0 {
-		height = 20
-	}
+	const width, height = 72, 20 // plot area in characters
 
 	// Chart range: II from 1e-2..1e4, GIPS from 1e-2..1e3 (log10), adjusted
 	// to cover the data.

@@ -89,7 +89,7 @@ func TestRenderHeatmap(t *testing.T) {
 }
 
 func TestRenderDendrogram(t *testing.T) {
-	d, err := stats.Agglomerative([][]float64{{0}, {0.5}, {10}}, []string{"a", "b", "c"}, stats.WardLinkage)
+	d, err := stats.Agglomerative([][]float64{{0}, {0.5}, {10}}, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
 )
 
 // FuzzParseQuery — the HTTP boundary's parameter validation must, for any
@@ -18,12 +17,6 @@ func FuzzParseQuery(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	devices := map[string]gpu.DeviceConfig{
-		"rtx3080": gpu.RTX3080(),
-		"gtx1080": gpu.GTX1080(),
-	}
-	names := []string{"gtx1080", "rtx3080"}
-
 	f.Add("pb-sgemm", "rtx3080", "json")
 	f.Add("pb-sgemm", "gtx1080", "text")
 	f.Add("", "", "")
@@ -42,7 +35,7 @@ func FuzzParseQuery(f *testing.F) {
 		if format != "" {
 			v.Set("format", format)
 		}
-		q, aerr := parseQuery(v, cat, devices, names, true)
+		q, aerr := parseQuery(v, cat, true)
 		if aerr != nil {
 			switch aerr.Status {
 			case http.StatusBadRequest, http.StatusNotFound:

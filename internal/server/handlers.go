@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gpu"
 	"repro/internal/profiler"
 	"repro/internal/roofline"
 	"repro/internal/telemetry"
@@ -57,7 +56,7 @@ type query struct {
 // parameter values it must either return a valid query or an apiError with
 // a well-defined status (400 for malformed parameters, 404 for an unknown
 // workload) — never panic.
-func parseQuery(v url.Values, cat *workloads.Catalog, devices map[string]gpu.DeviceConfig, deviceNames []string, needWorkload bool) (query, *apiError) {
+func parseQuery(v url.Values, cat *workloads.Catalog, needWorkload bool) (query, *apiError) {
 	q := query{format: "json", device: "rtx3080"}
 	switch f := v.Get("format"); f {
 	case "", "json":
@@ -72,11 +71,6 @@ func parseQuery(v url.Values, cat *workloads.Catalog, devices map[string]gpu.Dev
 				d, strings.Join(deviceNames, ", "))
 		}
 		q.device = d
-	}
-	if _, ok := devices[q.device]; !ok {
-		// A custom device table without rtx3080: the default is not servable.
-		return q, apiErrorf(http.StatusBadRequest, "missing device parameter (known: %s)",
-			strings.Join(deviceNames, ", "))
 	}
 	if abbr := v.Get("workload"); abbr != "" {
 		w, err := cat.Lookup(abbr)
@@ -180,7 +174,7 @@ func (s *Server) handleQuery(render renderFunc) func(*http.Request) (string, []b
 		if aerr := requireMethod(r, http.MethodGet); aerr != nil {
 			return "", nil, aerr
 		}
-		q, aerr := parseQuery(r.URL.Query(), s.cat, s.devices, s.deviceNames(), true)
+		q, aerr := parseQuery(r.URL.Query(), s.cat, true)
 		if aerr != nil {
 			return "", nil, aerr
 		}
@@ -220,7 +214,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"workloads": len(s.cat.All()),
-		"devices":   s.deviceNames(),
+		"devices":   deviceNames,
 	})
 }
 
@@ -252,7 +246,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, aerr)
 		return
 	}
-	q, aerr := parseQuery(r.URL.Query(), s.cat, s.devices, s.deviceNames(), false)
+	q, aerr := parseQuery(r.URL.Query(), s.cat, false)
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
@@ -380,7 +374,7 @@ func (s *Server) renderRoofline(r *http.Request, q query) (string, []byte, *apiE
 	if err != nil {
 		return "", nil, apiErrorf(errStatus(err), "%v", err)
 	}
-	m := roofline.ForDevice(s.devices[q.device])
+	m := roofline.ForDevice(devices[q.device])
 	out := rooflineJSON{
 		Workload:  p.Abbr(),
 		Device:    q.device,
@@ -438,14 +432,9 @@ func (s *Server) handleCompare(r *http.Request) (string, []byte, *apiError) {
 	// (compareWorkloads) and give parseQuery only device and format.
 	common := r.URL.Query()
 	common.Del("workload")
-	q, aerr := parseQuery(common, s.cat, s.devices, s.deviceNames(), false)
+	q, aerr := parseQuery(common, s.cat, false)
 	if aerr != nil {
 		return "", nil, aerr
-	}
-	for _, name := range []string{"rtx3080", "gtx1080"} {
-		if _, ok := s.devices[name]; !ok {
-			return "", nil, apiErrorf(http.StatusBadRequest, "compare requires the %s device", name)
-		}
 	}
 	ws, aerr := s.compareWorkloads(r.URL.Query())
 	if aerr != nil {
@@ -490,8 +479,8 @@ func (s *Server) renderExplain(r *http.Request, q query) (string, []byte, *apiEr
 	if err != nil {
 		return "", nil, apiErrorf(errStatus(err), "%v", err)
 	}
-	root := core.AttributeProfile(p, s.devices[q.device])
-	if violations := telemetry.CheckAttribution(root, 0); len(violations) > 0 {
+	root := core.AttributeProfile(p, devices[q.device])
+	if violations := telemetry.CheckAttribution(root); len(violations) > 0 {
 		return "", nil, apiErrorf(http.StatusInternalServerError,
 			"attribution identity violated: %v", violations[0])
 	}
@@ -583,7 +572,7 @@ func (s *Server) batchOne(r *http.Request, bq batchQuery) batchResult {
 	if res.Device == "" {
 		res.Device = "rtx3080"
 	}
-	q, aerr := parseQuery(v, s.cat, s.devices, s.deviceNames(), true)
+	q, aerr := parseQuery(v, s.cat, true)
 	if aerr == nil {
 		var body []byte
 		var contentType string

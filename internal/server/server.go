@@ -21,10 +21,8 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -35,11 +33,8 @@ import (
 )
 
 // Options configures a Server. The zero value serves the default catalog
-// on the stock devices with per-CPU workers and no on-disk cache.
+// with per-CPU workers and no on-disk cache.
 type Options struct {
-	// Devices maps device names accepted in the ?device= parameter to
-	// their configurations. Nil selects the stock rtx3080 + gtx1080 pair.
-	Devices map[string]gpu.DeviceConfig
 	// Catalog is the servable workload set. Nil selects core.DefaultCatalog.
 	Catalog *workloads.Catalog
 	// Workers caps concurrent characterizations across all requests.
@@ -65,13 +60,21 @@ type Options struct {
 // maxBatch caps the query count of one POST /api/v1/batch request.
 const maxBatch = 256
 
+// devices maps the accepted ?device= values to the stock device models.
+var devices = map[string]gpu.DeviceConfig{
+	"rtx3080": gpu.RTX3080(),
+	"gtx1080": gpu.GTX1080(),
+}
+
+// deviceNames lists the keys of devices, sorted.
+var deviceNames = []string{"gtx1080", "rtx3080"}
+
 // Server is the characterization service. Construct with New, mount
 // Handler on any http.Server, and Shutdown to drain. Safe for concurrent
 // use by its nature.
 type Server struct {
 	opts    Options
 	cat     *workloads.Catalog
-	devices map[string]gpu.DeviceConfig
 	devFPs  map[string]string // device name -> core.Fingerprint
 	study   core.StudyOptions // cache and telemetry of every characterization
 	slots   chan struct{}     // one per concurrent cold characterization
@@ -89,12 +92,6 @@ type Server struct {
 
 // New builds a ready server; callers must Shutdown it when done.
 func New(opts Options) (*Server, error) {
-	if opts.Devices == nil {
-		opts.Devices = map[string]gpu.DeviceConfig{
-			"rtx3080": gpu.RTX3080(),
-			"gtx1080": gpu.GTX1080(),
-		}
-	}
 	if opts.Catalog == nil {
 		cat, err := core.DefaultCatalog()
 		if err != nil {
@@ -117,18 +114,14 @@ func New(opts Options) (*Server, error) {
 	if opts.Registry == nil {
 		opts.Registry = telemetry.NewRegistry()
 	}
-	devFPs := make(map[string]string, len(opts.Devices))
-	for name, cfg := range opts.Devices {
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("server: device %q: %w", name, err)
-		}
+	devFPs := make(map[string]string, len(devices))
+	for name, cfg := range devices {
 		devFPs[name] = core.Fingerprint(cfg)
 	}
 	ctr := opts.Registry.Counters()
 	s := &Server{
 		opts:    opts,
 		cat:     opts.Catalog,
-		devices: opts.Devices,
 		devFPs:  devFPs,
 		reg:     opts.Registry,
 		ctr:     ctr,
@@ -151,16 +144,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry returns the server's metrics registry (the /metrics source).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// deviceNames returns the accepted ?device= values, sorted.
-func (s *Server) deviceNames() []string {
-	names := make([]string, 0, len(s.devices))
-	for name := range s.devices {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // enter admits one request unless shutdown has begun.
 func (s *Server) enter() bool {
@@ -216,7 +199,7 @@ func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName s
 	case hit:
 		return e.profile, nil
 	case lead:
-		cfg := s.devices[devName]
+		cfg := devices[devName]
 		// Detached from the request context: the study belongs to every
 		// current and future asker of this key, not to the first one.
 		// Server.Shutdown waits for it through the table's leaders.
@@ -237,7 +220,7 @@ func (s *Server) profileFor(ctx context.Context, w workloads.Workload, devName s
 
 // studyFor assembles single-profile studies for the comparison path.
 func (s *Server) studyFor(ctx context.Context, ws []workloads.Workload, devName string) (*core.Study, error) {
-	st := &core.Study{Device: s.devices[devName]}
+	st := &core.Study{Device: devices[devName]}
 	for _, w := range ws {
 		p, err := s.profileFor(ctx, w, devName)
 		if err != nil {

@@ -5,36 +5,6 @@ import (
 	"math"
 )
 
-// Linkage selects the agglomerative merge criterion.
-type Linkage uint8
-
-const (
-	// WardLinkage minimizes within-cluster variance increase (the paper's
-	// choice, standard with FAMD coordinates).
-	WardLinkage Linkage = iota
-	// AverageLinkage merges by mean inter-cluster distance (UPGMA).
-	AverageLinkage
-	// CompleteLinkage merges by maximum inter-cluster distance.
-	CompleteLinkage
-	// SingleLinkage merges by minimum inter-cluster distance.
-	SingleLinkage
-)
-
-// String returns the linkage name.
-func (l Linkage) String() string {
-	switch l {
-	case WardLinkage:
-		return "ward"
-	case AverageLinkage:
-		return "average"
-	case CompleteLinkage:
-		return "complete"
-	case SingleLinkage:
-		return "single"
-	}
-	return fmt.Sprintf("linkage(%d)", uint8(l))
-}
-
 // Merge records one agglomeration step. Node ids < N refer to leaves;
 // node id N+i refers to the cluster created by Merges[i].
 type Merge struct {
@@ -51,8 +21,10 @@ type Dendrogram struct {
 }
 
 // Agglomerative performs hierarchical clustering of the points (row
-// vectors) under the given linkage, using the Lance-Williams recurrence.
-func Agglomerative(points [][]float64, labels []string, linkage Linkage) (*Dendrogram, error) {
+// vectors) under Ward linkage — the paper's choice, standard with FAMD
+// coordinates: each merge minimizes the within-cluster variance increase,
+// computed with the Lance-Williams recurrence.
+func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, fmt.Errorf("stats: clustering of zero points")
@@ -74,9 +46,8 @@ func Agglomerative(points [][]float64, labels []string, linkage Linkage) (*Dendr
 	}
 
 	// Distance matrix. Ward works on squared Euclidean distances inside the
-	// recurrence; we store squared distances for Ward and plain for others,
-	// and take the square root of merge heights for Ward at the end so all
-	// linkages report heights in distance units.
+	// recurrence; merge heights take the square root so they are reported
+	// in distance units.
 	d := make([][]float64, n)
 	for i := range d {
 		d[i] = make([]float64, n)
@@ -84,10 +55,7 @@ func Agglomerative(points [][]float64, labels []string, linkage Linkage) (*Dendr
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dist := EuclideanDist(points[i], points[j])
-			if linkage == WardLinkage {
-				dist = dist * dist
-			}
-			d[i][j], d[j][i] = dist, dist
+			d[i][j], d[j][i] = dist*dist, dist*dist
 		}
 	}
 
@@ -113,11 +81,7 @@ func Agglomerative(points [][]float64, labels []string, linkage Linkage) (*Dendr
 		}
 		ci, cj := active[bi], active[bj]
 		newSize := ci.size + cj.size
-		height := best
-		if linkage == WardLinkage {
-			height = math.Sqrt(best)
-		}
-		dend.Merges = append(dend.Merges, Merge{A: ci.id, B: cj.id, Height: height, Size: newSize})
+		dend.Merges = append(dend.Merges, Merge{A: ci.id, B: cj.id, Height: math.Sqrt(best), Size: newSize})
 
 		// Lance-Williams update of distances from the merged cluster to all
 		// others, written into row/col bi; then remove bj.
@@ -126,20 +90,9 @@ func Agglomerative(points [][]float64, labels []string, linkage Linkage) (*Dendr
 				continue
 			}
 			dik, djk, dij := d[bi][k], d[bj][k], d[bi][bj]
-			var nd float64
-			switch linkage {
-			case WardLinkage:
-				si, sj, sk := float64(ci.size), float64(cj.size), float64(active[k].size)
-				tot := si + sj + sk
-				nd = ((si+sk)*dik + (sj+sk)*djk - sk*dij) / tot
-			case AverageLinkage:
-				si, sj := float64(ci.size), float64(cj.size)
-				nd = (si*dik + sj*djk) / (si + sj)
-			case CompleteLinkage:
-				nd = math.Max(dik, djk)
-			case SingleLinkage:
-				nd = math.Min(dik, djk)
-			}
+			si, sj, sk := float64(ci.size), float64(cj.size), float64(active[k].size)
+			tot := si + sj + sk
+			nd := ((si+sk)*dik + (sj+sk)*djk - sk*dij) / tot
 			d[bi][k], d[k][bi] = nd, nd
 		}
 		active[bi] = clus{id: n + step, size: newSize}

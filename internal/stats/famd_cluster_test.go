@@ -122,36 +122,30 @@ func TestAgglomerativeRecoversBlobs(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	centers := [][]float64{{0, 0}, {10, 0}, {0, 10}}
 	pts, truth := gaussianBlobs(r, centers, 15, 0.5)
-	for _, linkage := range []Linkage{WardLinkage, AverageLinkage, CompleteLinkage, SingleLinkage} {
-		d, err := Agglomerative(pts, nil, linkage)
-		if err != nil {
-			t.Fatal(err)
+	d, err := Agglomerative(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := d.Cut(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every true blob must map to exactly one cluster id.
+	seen := map[int]int{}
+	for i, c := range assign {
+		if prev, found := seen[truth[i]]; found && prev != c {
+			t.Errorf("point %d splits blob %d across clusters %d and %d", i, truth[i], prev, c)
 		}
-		assign, err := d.Cut(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every true blob must map to exactly one cluster id.
-		seen := map[int]int{}
-		ok := true
-		for i, c := range assign {
-			if prev, found := seen[truth[i]]; found && prev != c {
-				ok = false
-			}
-			seen[truth[i]] = c
-		}
-		if !ok {
-			t.Errorf("%v linkage split a blob", linkage)
-		}
-		if len(clusterSizes(assign)) != 3 {
-			t.Errorf("%v linkage: %d clusters", linkage, len(clusterSizes(assign)))
-		}
+		seen[truth[i]] = c
+	}
+	if len(clusterSizes(assign)) != 3 {
+		t.Errorf("%d clusters, want 3", len(clusterSizes(assign)))
 	}
 }
 
 func TestDendrogramStructure(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {10}}
-	d, err := Agglomerative(pts, []string{"a", "b", "c"}, WardLinkage)
+	d, err := Agglomerative(pts, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +163,7 @@ func TestDendrogramStructure(t *testing.T) {
 
 func TestCutEdgeCases(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {2}, {3}}
-	d, err := Agglomerative(pts, nil, AverageLinkage)
+	d, err := Agglomerative(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +192,13 @@ func TestCutEdgeCases(t *testing.T) {
 }
 
 func TestAgglomerativeErrors(t *testing.T) {
-	if _, err := Agglomerative(nil, nil, WardLinkage); err == nil {
+	if _, err := Agglomerative(nil, nil); err == nil {
 		t.Error("empty points")
 	}
-	if _, err := Agglomerative([][]float64{{1}, {1, 2}}, nil, WardLinkage); err == nil {
+	if _, err := Agglomerative([][]float64{{1}, {1, 2}}, nil); err == nil {
 		t.Error("ragged points")
 	}
-	if _, err := Agglomerative([][]float64{{1}}, []string{"a", "b"}, WardLinkage); err == nil {
+	if _, err := Agglomerative([][]float64{{1}}, []string{"a", "b"}); err == nil {
 		t.Error("label count mismatch")
 	}
 }
@@ -240,7 +234,7 @@ func TestSilhouetteScore(t *testing.T) {
 }
 
 func TestSingleLeafDendrogram(t *testing.T) {
-	d, err := Agglomerative([][]float64{{1, 2}}, []string{"only"}, WardLinkage)
+	d, err := Agglomerative([][]float64{{1, 2}}, []string{"only"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +244,6 @@ func TestSingleLeafDendrogram(t *testing.T) {
 	assign, err := d.Cut(1)
 	if err != nil || len(assign) != 1 {
 		t.Errorf("cut single: %v %v", assign, err)
-	}
-}
-
-func TestLinkageString(t *testing.T) {
-	if WardLinkage.String() != "ward" || SingleLinkage.String() != "single" {
-		t.Error("linkage names")
 	}
 }
 

@@ -175,17 +175,13 @@ func (v AttributionViolation) String() string {
 }
 
 // CheckAttribution walks the tree and returns every node whose bottleneck
-// shares do not sum to 1 within tol (non-positive tol selects
-// AttributionTol) — the `cactus audit`-style identity check behind
-// `cactus explain`.
-func CheckAttribution(root *AttributionNode, tol float64) []AttributionViolation {
-	if tol <= 0 {
-		tol = AttributionTol
-	}
+// shares do not sum to 1 within AttributionTol — the `cactus audit`-style
+// identity check behind `cactus explain`.
+func CheckAttribution(root *AttributionNode) []AttributionViolation {
 	var out []AttributionViolation
 	var walk func(n *AttributionNode, path string)
 	walk = func(n *AttributionNode, path string) {
-		if sum := n.Shares.Sum(); sum < 1-tol || sum > 1+tol {
+		if sum := n.Shares.Sum(); sum < 1-AttributionTol || sum > 1+AttributionTol {
 			out = append(out, AttributionViolation{Path: path, Sum: sum})
 		}
 		for _, c := range n.Children {

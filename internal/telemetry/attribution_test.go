@@ -98,7 +98,7 @@ func TestAggregateNodePreservesIdentityAndSeconds(t *testing.T) {
 			t.Errorf("%s: parent %g s != sum of children %g s", b, parentSeconds, childSeconds)
 		}
 	}
-	if violations := CheckAttribution(n, 0); len(violations) != 0 {
+	if violations := CheckAttribution(n); len(violations) != 0 {
 		t.Errorf("CheckAttribution: %v", violations)
 	}
 }
@@ -111,11 +111,11 @@ func TestCheckAttributionFindsViolations(t *testing.T) {
 	root := AggregateNode(LevelStudy, "dev", []*AttributionNode{
 		AggregateNode(LevelWorkload, "w", []*AttributionNode{leaf}),
 	})
-	if v := CheckAttribution(root, 0); len(v) != 0 {
+	if v := CheckAttribution(root); len(v) != 0 {
 		t.Fatalf("clean tree reported violations: %v", v)
 	}
 	leaf.Shares[BottleneckDRAM] += 0.5
-	v := CheckAttribution(root, 0)
+	v := CheckAttribution(root)
 	if len(v) != 1 {
 		t.Fatalf("got %d violations, want 1 (the corrupted leaf): %v", len(v), v)
 	}
@@ -125,7 +125,7 @@ func TestCheckAttributionFindsViolations(t *testing.T) {
 	if !strings.Contains(v[0].String(), "want 1") {
 		t.Errorf("violation string = %q", v[0].String())
 	}
-	if v := CheckAttribution(nil, 0); v != nil {
+	if v := CheckAttribution(nil); v != nil {
 		t.Errorf("nil tree reported violations: %v", v)
 	}
 }

@@ -46,32 +46,16 @@ type chromeEvent struct {
 func pid(t Track) int { return int(t) + 1 }
 
 // WriteChrome writes events as Chrome trace-event JSON, loadable in
-// chrome://tracing or https://ui.perfetto.dev. When tracks are given, only
-// events on those tracks are written (the modeled track alone is the
-// deterministic subset golden tests compare). Events are ordered
+// chrome://tracing or https://ui.perfetto.dev. Events are ordered
 // deterministically — metadata first, then by (track, lane, start, duration,
 // name, category) — timestamps convert to microseconds, and all float
 // arguments are forced finite, so output bytes depend only on the recorded
 // events, not on emission interleaving.
-func WriteChrome(w io.Writer, events []Event, tracks ...Track) error {
-	keep := func(t Track) bool {
-		if len(tracks) == 0 {
-			return true
-		}
-		for _, want := range tracks {
-			if t == want {
-				return true
-			}
-		}
-		return false
-	}
-	var evs []Event
+func WriteChrome(w io.Writer, events []Event) error {
+	evs := append([]Event(nil), events...)
 	present := map[Track]bool{}
 	for _, ev := range events {
-		if keep(ev.Track) {
-			evs = append(evs, ev)
-			present[ev.Track] = true
-		}
+		present[ev.Track] = true
 	}
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]

@@ -21,7 +21,7 @@ const (
 	// CtrCacheCorrupt).
 	CtrCacheMisses = "cache.misses"
 	// CtrCacheCorrupt counts cache entries that existed but were unreadable
-	// or mismatched — previously dropped silently, now visible.
+	// or mismatched.
 	CtrCacheCorrupt = "cache.corrupt_entries"
 	// CtrCacheStoreErrors counts failed cache writes. A store failure does
 	// not fail the study; it is counted and reported instead.

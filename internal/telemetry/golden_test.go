@@ -58,8 +58,15 @@ func fixedWorkloadTrace(t *testing.T) []byte {
 		Mix: mem, Streams: []memsim.Stream{stream},
 	})
 
+	// The modeled track alone is the deterministic subset the golden pins.
+	var modeled []telemetry.Event
+	for _, ev := range rec.Events() {
+		if ev.Track == telemetry.TrackModeled {
+			modeled = append(modeled, ev)
+		}
+	}
 	var buf bytes.Buffer
-	if err := telemetry.WriteChrome(&buf, rec.Events(), telemetry.TrackModeled); err != nil {
+	if err := telemetry.WriteChrome(&buf, modeled); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

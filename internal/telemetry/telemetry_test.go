@@ -187,20 +187,6 @@ func TestWriteChromeValidSortedFinite(t *testing.T) {
 		}
 	}
 
-	// Track filtering: the modeled track alone drops host events.
-	var modeled bytes.Buffer
-	if err := WriteChrome(&modeled, events, TrackModeled); err != nil {
-		t.Fatal(err)
-	}
-	tm, err := testutil.ReadChrome(bytes.NewReader(modeled.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range tm.TraceEvents {
-		if ev.PID != 1 {
-			t.Errorf("filtered trace contains pid %d event %q", ev.PID, ev.Name)
-		}
-	}
 }
 
 // TestWriteChromeDeterministic — identical event sets serialize to
