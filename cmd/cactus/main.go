@@ -43,11 +43,11 @@
 // The shares provably sum to 1 at every node (checked on every invocation;
 // violations exit nonzero). -json emits the tree as JSON.
 //
-// The -pprof listener serves, besides net/http/pprof at /debug/pprof/ and
-// expvar at /debug/vars: /metrics (Prometheus text exposition of the
-// study's counters and histograms), /debug/counters (the same snapshot as
-// aligned text, ?format=json for JSON), and /debug/attribution (the latest
-// study's attribution tree as JSON, ?format=text for the aligned report).
+// The -pprof listener serves, besides net/http/pprof at /debug/pprof/:
+// /metrics (Prometheus text exposition of the study's counters and
+// histograms, the format -metrics FILE writes) and /debug/attribution (the
+// latest study's attribution tree as JSON, ?format=text for the aligned
+// report).
 //
 // `cactus lint` statically audits every registered workload's kernel-spec
 // stream against the device limits (Table II) without running the
@@ -55,8 +55,8 @@
 // session that records specs instead of pricing them, and every spec is
 // checked for block sizes that are not warp multiples or exceed device
 // limits, degenerate grids, register demand over the SM register file, and
-// zero theoretical occupancy. Exit is nonzero on any violation. The code-level
-// companion is cmd/cactuslint.
+// zero theoretical occupancy. Exit is nonzero on any violation. The
+// code-level invariants are checked by `go test ./internal/lint`.
 //
 // `cactus audit` replays every registered workload's launches through the
 // real timing model and audits each result for metric soundness
@@ -189,6 +189,9 @@ func run(args []string, out, errOut io.Writer) error {
 	if *clusters < 1 {
 		return usagef("-clusters %d: need at least 1 cluster", *clusters)
 	}
+	if *jobs < 1 {
+		return usagef("-j %d: need at least 1 worker", *jobs)
+	}
 
 	var cfg gpu.DeviceConfig
 	switch *deviceName {
@@ -229,11 +232,10 @@ func run(args []string, out, errOut io.Writer) error {
 			return fmt.Errorf("pprof listener: %w", err)
 		}
 		defer func() { _ = ln.Close() }() // shutdown race with http.Serve; nothing to do with the error
-		registry.PublishExpvar("cactus")
 		registerObservability()
-		// net/http/pprof and expvar register on the default mux; profiles
-		// live under /debug/pprof/, the metrics snapshot under /debug/vars
-		// and /metrics, the attribution tree under /debug/attribution.
+		// net/http/pprof registers on the default mux; profiles live under
+		// /debug/pprof/, the metrics snapshot under /metrics, the
+		// attribution tree under /debug/attribution.
 		go func() { _ = http.Serve(ln, nil) }()
 		fmt.Fprintf(errOut, "cactus: profiling on http://%s/debug/pprof/ (metrics at /metrics, attribution at /debug/attribution)\n", ln.Addr())
 	}

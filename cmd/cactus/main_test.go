@@ -94,6 +94,8 @@ func TestExitCodes(t *testing.T) {
 		// Out-of-range values are rejected before any study runs or any
 		// server starts.
 		{"clusters below one", []string{"-no-cache", "-clusters", "0", "figure", "9"}, 2},
+		{"jobs zero", []string{"-no-cache", "-j", "0", "figure", "2"}, 2},
+		{"jobs negative", []string{"-no-cache", "-j", "-4", "figure", "2"}, 2},
 		{"serve lru below one", []string{"-no-cache", "serve", "-lru", "-1"}, 2},
 		{"serve max-inflight zero", []string{"-no-cache", "serve", "-max-inflight", "0"}, 2},
 		{"serve negative timeout", []string{"-no-cache", "serve", "-timeout", "-5s"}, 2},

@@ -50,8 +50,8 @@ func studyProgress(reg *telemetry.Registry, logger *slog.Logger, verbose bool, e
 
 // Live observability state behind the -pprof listener. The handlers render
 // whatever registry and attribution tree the current command most recently
-// produced, through the same snapshot path every offline format uses. The
-// state is package-level (atomics, not locals) because the default
+// produced, through the same renderers -metrics FILE and `cactus explain`
+// use. The state is package-level (atomics, not locals) because the default
 // net/http mux accepts only one registration per pattern while tests call
 // run() many times per process — the Once keeps re-registration a no-op
 // and the pointers let each run swap in its own state.
@@ -62,11 +62,10 @@ var (
 )
 
 // registerObservability installs the introspection endpoints on the default
-// mux, alongside the /debug/pprof/ and /debug/vars handlers net/http/pprof
-// and expvar already registered:
+// mux, alongside the /debug/pprof/ handlers net/http/pprof already
+// registered:
 //
 //	/metrics            Prometheus text exposition of counters + histograms
-//	/debug/counters     aligned text (or ?format=json) of the same snapshot
 //	/debug/attribution  the latest study's attribution tree as JSON
 //	                    (or ?format=text for the aligned rendering)
 //
@@ -78,15 +77,6 @@ func registerObservability() {
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			countObsWriteError(liveRegistry.Load().WritePrometheus(w))
-		})
-		http.HandleFunc("/debug/counters", func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Query().Get("format") == "json" {
-				w.Header().Set("Content-Type", "application/json")
-				countObsWriteError(liveRegistry.Load().WriteJSON(w))
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			countObsWriteError(liveRegistry.Load().WriteText(w))
 		})
 		http.HandleFunc("/debug/attribution", func(w http.ResponseWriter, req *http.Request) {
 			root := liveAttribution.Load()

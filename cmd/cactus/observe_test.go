@@ -13,9 +13,10 @@ import (
 )
 
 // TestObservabilityEndpoints — the -pprof introspection surface serves the
-// live registry and attribution tree through the same snapshot path the
-// offline formats use: /metrics in Prometheus text exposition,
-// /debug/counters in text or JSON, /debug/attribution in JSON or text.
+// live registry as Prometheus text exposition at /metrics and the
+// attribution tree at /debug/attribution in JSON or text, next to the
+// pprof index. The snapshot has no other rendering: /debug/counters and
+// /debug/vars answer 404.
 func TestObservabilityEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counters().Add(telemetry.CtrLaunches, 7)
@@ -31,21 +32,25 @@ func TestObservabilityEndpoints(t *testing.T) {
 	registerObservability()
 	srv := httptest.NewServer(http.DefaultServeMux)
 	defer srv.Close()
-	get := func(path string) (body, contentType string) {
+	getStatus := func(path string, wantStatus int) (body, contentType string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, wantStatus)
 		}
 		raw, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(raw), resp.Header.Get("Content-Type")
+	}
+	get := func(path string) (body, contentType string) {
+		t.Helper()
+		return getStatus(path, http.StatusOK)
 	}
 
 	metrics, ct := get("/metrics")
@@ -62,28 +67,12 @@ func TestObservabilityEndpoints(t *testing.T) {
 		}
 	}
 
-	text, ct := get("/debug/counters")
-	if !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("/debug/counters Content-Type = %q", ct)
+	if index, _ := get("/debug/pprof/"); !strings.Contains(index, "goroutine") {
+		t.Errorf("/debug/pprof/ index lists no goroutine profile:\n%s", index)
 	}
-	if !strings.Contains(text, "gpu.launches") {
-		t.Errorf("/debug/counters text missing the launch counter:\n%s", text)
-	}
-	asJSON, ct := get("/debug/counters?format=json")
-	if ct != "application/json" {
-		t.Errorf("/debug/counters?format=json Content-Type = %q", ct)
-	}
-	var snap struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(asJSON), &snap); err != nil {
-		t.Fatalf("/debug/counters?format=json is not valid JSON: %v\n%s", err, asJSON)
-	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Name != "gpu.launches" || snap.Counters[0].Value != 7 {
-		t.Errorf("counters snapshot = %+v, want gpu.launches 7", snap.Counters)
+
+	for _, gone := range []string{"/debug/counters", "/debug/counters?format=json", "/debug/vars"} {
+		getStatus(gone, http.StatusNotFound)
 	}
 
 	attr, ct := get("/debug/attribution")

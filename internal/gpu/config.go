@@ -52,7 +52,6 @@ type DeviceConfig struct {
 	DRAMBytes       uint64
 	L2Bytes         int
 	L1BytesPerSM    int
-	SharedPerSM     int // max shared memory per SM
 	RegistersPerSM  int
 	MaxWarpsPerSM   int
 	MaxBlocksPerSM  int
@@ -81,7 +80,6 @@ func RTX3080() DeviceConfig {
 		DRAMBytes:        10 << 30,
 		L2Bytes:          5 << 20,
 		L1BytesPerSM:     128 << 10,
-		SharedPerSM:      100 << 10,
 		RegistersPerSM:   64 << 10,
 		MaxWarpsPerSM:    48,
 		MaxBlocksPerSM:   16,
@@ -104,7 +102,6 @@ func GTX1080() DeviceConfig {
 		DRAMBytes:        8 << 30,
 		L2Bytes:          2 << 20,
 		L1BytesPerSM:     48 << 10,
-		SharedPerSM:      96 << 10,
 		RegistersPerSM:   64 << 10,
 		MaxWarpsPerSM:    64,
 		MaxBlocksPerSM:   32,

@@ -6,12 +6,13 @@ import (
 	"strings"
 )
 
-// ErrCheckStrict flags statements that silently drop the error result of
-// calls whose failure loses data: io.Closer Close (an os.File close is when
-// buffered writes actually hit the disk), Flush, cache Store, encoder
-// Encode, report Render/Export, and Write* sink methods. An explicit
-// `_ = f.Close()` is an acknowledged drop and is not flagged; writers that
-// cannot fail (strings.Builder, bytes.Buffer) are exempt.
+// ErrCheckStrict flags statements, in every package, that silently drop
+// the error result of calls whose failure loses data: io.Closer Close (an
+// os.File close is when buffered writes actually hit the disk), Flush,
+// cache Store, encoder Encode, report Render/Export, and Write* sink
+// methods. An explicit `_ = f.Close()` is an acknowledged drop and is not
+// flagged; writers that cannot fail (strings.Builder, bytes.Buffer) are
+// exempt.
 //
 // On http.ResponseWriter paths the blank-assign escape hatch is closed:
 // `_, _ = w.Write(body)` (or a blank-assigned encoder/flusher call whose
@@ -21,10 +22,7 @@ import (
 // so the drop is flagged even when explicit.
 var ErrCheckStrict = &Analyzer{
 	Name: "errcheckstrict",
-	Doc: "forbid silently dropped errors on closers, flushes, cache " +
-		"stores, and sink writes (including blank-assigned ResponseWriter writes)",
-	ScopeDoc: "all packages",
-	Run:      runErrCheckStrict,
+	Run:  runErrCheckStrict,
 }
 
 // strictNames are the exact callee names checked; names starting with

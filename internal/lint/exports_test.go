@@ -16,10 +16,13 @@ import (
 // calls and that stay anyway, each matched with path.Match against the keys
 // exportKey builds.
 var keptExports = map[string]string{
-	"repro/internal/stats.SilhouetteScore": "BenchmarkAblationFAMD scores the FAMD-vs-raw-PCA ablation of DESIGN.md §6b with it",
-	"repro/internal/core.AmdahlExample":    "BenchmarkAblationAmdahl prices the Amdahl ablation of DESIGN.md §6b with it",
-	"repro/internal/testutil.*":            "the package exists to serve tests",
-	"repro/internal/units.*.Float":         "unitsafety's messages prescribe .Float() on every unit type",
+	"repro/internal/stats.SilhouetteScore":    "BenchmarkAblationFAMD scores the FAMD-vs-raw-PCA ablation of DESIGN.md §6b with it",
+	"repro/internal/core.AmdahlExample":       "BenchmarkAblationAmdahl prices the Amdahl ablation of DESIGN.md §6b with it",
+	"repro/internal/testutil.*":               "the package exists to serve tests",
+	"repro/internal/units.*.Float":            "unitsafety's messages prescribe .Float() on every unit type",
+	"repro/internal/lint.Run":                 "TestRepoIsClean runs every analyzer over the module with it",
+	"repro/internal/lint.Load":                "TestRepoIsClean, TestSuppressionBudget and the guard tests here type-check the module with it",
+	"repro/internal/lint.CollectSuppressions": "TestSuppressionBudget pins the //lint:ignore inventory with it",
 }
 
 // TestNoTestOnlyExports fails on any exported function, method, type or

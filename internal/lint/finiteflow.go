@@ -8,22 +8,19 @@ import (
 	"strings"
 )
 
-// FiniteFlow flags float divisions whose results are placed directly into a
-// serialization boundary — a struct literal with json tags, or a
-// map[string]any / map[string]float64 literal (trace args) — without passing
-// through a clamp. encoding/json rejects NaN and ±Inf with an error, so an
-// unguarded ratio (zero DRAM transactions, zero elapsed time) would abort an
-// export at runtime. Recognized guards: wrapping the expression in
-// telemetry.Finite (any function named Finite) or a clamp* helper, or
-// flooring the denominator with math.Max / the max built-in / a positive
-// constant.
+// FiniteFlow flags float divisions in the model packages whose results are
+// placed directly into a serialization boundary — a struct literal with
+// json tags, or a map[string]any / map[string]float64 literal (trace
+// args) — without passing through a clamp. encoding/json rejects NaN and
+// ±Inf with an error, so an unguarded ratio (zero DRAM transactions, zero
+// elapsed time) would abort an export at runtime. Recognized guards:
+// wrapping the expression in telemetry.Finite (any function named Finite)
+// or a clamp* helper, or flooring the denominator with math.Max / the max
+// built-in / a positive constant.
 var FiniteFlow = &Analyzer{
-	Name: "finiteflow",
-	Doc: "forbid unclamped float divisions inside JSON/trace boundary " +
-		"literals in model packages",
-	ScopeDoc: "model packages (gpu, trace, report, telemetry, stats, roofline, core, units)",
-	Scope:    modelScope,
-	Run:      runFiniteFlow,
+	Name:  "finiteflow",
+	Scope: modelScope,
+	Run:   runFiniteFlow,
 }
 
 func runFiniteFlow(p *Pass) {

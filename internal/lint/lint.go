@@ -1,18 +1,19 @@
-// Package lint implements cactuslint, the repository's custom static
-// analysis. The value of this reproduction is that every figure and table is
-// regenerated bit-for-bit from a deterministic device model; the analyzers
-// here turn the invariants that make that true — no wall-clock or global
-// randomness in model code, no map-iteration order leaking into emitted
-// output, no non-finite float reaching a JSON boundary unclamped, no raw
-// numbers crossing a typed-unit boundary, no silently dropped errors on
+// Package lint is the repository's custom static analysis. The value of
+// this reproduction is that every figure and table is regenerated
+// bit-for-bit from a deterministic device model; the analyzers here turn
+// the invariants that make that true — no wall-clock or global randomness
+// in model code, no map-iteration order leaking into emitted output, no
+// non-finite float reaching a JSON boundary unclamped, no raw numbers
+// crossing a typed-unit boundary, no silently dropped errors on
 // stores/sinks/closers — into machine-checked rules instead of reviewer
 // vigilance.
 //
 // The driver is dependency-free: packages are parsed with go/parser and
 // type-checked with go/types against export data produced by `go list
-// -export` (see load.go). Findings print as "file:line: analyzer: message";
-// a finding can be suppressed with a comment on the same line or the line
-// above:
+// -export` (see load.go). The package's own tests run every analyzer over
+// the whole module (`go test ./internal/lint`) and fail with each finding
+// as "file:line: analyzer: message"; a finding can be suppressed with a
+// comment on the same line or the line above:
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -55,10 +56,6 @@ type Package struct {
 // Analyzer is one invariant checker; it sees one package at a time.
 type Analyzer struct {
 	Name string
-	Doc  string
-	// ScopeDoc is the human-readable scope for `cactuslint -list`; empty
-	// means "all packages".
-	ScopeDoc string
 	// Scope restricts the analyzer to packages for which it returns true.
 	// A nil Scope means every package.
 	Scope func(pkgPath string) bool
@@ -82,7 +79,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns every cactuslint analyzer in stable order.
+// Analyzers returns every analyzer in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NoDeterminism, FiniteFlow, ErrCheckStrict, UnitSafety,
@@ -209,7 +206,7 @@ func suppressions(pkg *Package) (map[string]map[int][]directive, []Finding) {
 }
 
 // Suppression is one well-formed //lint:ignore directive, for the
-// cactuslint -suppressions inventory.
+// suppression inventory.
 type Suppression struct {
 	Pos      token.Position
 	Analyzer string

@@ -165,12 +165,124 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
+// TestSuppressionString pins the file:line: analyzer: reason inventory
+// format TestSuppressionBudget logs.
+func TestSuppressionString(t *testing.T) {
+	s := Suppression{Analyzer: "nodeterminism", Reason: "request latency is telemetry"}
+	s.Pos.Filename = "internal/server/handlers.go"
+	s.Pos.Line = 145
+	const want = "internal/server/handlers.go:145: nodeterminism: request latency is telemetry"
+	if got := s.String(); got != want {
+		t.Errorf("Suppression.String() = %q, want %q", got, want)
+	}
+}
+
+// TestByName checks the registry lookup that validates //lint:ignore
+// directives: every registered analyzer resolves to itself under a unique
+// name, and an unregistered or empty name resolves to nil.
+func TestByName(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, a := range Analyzers() {
+		if seen[a.Name] {
+			t.Errorf("analyzer name %q registered twice", a.Name)
+		}
+		seen[a.Name] = true
+		if got := ByName(a.Name); got != a {
+			t.Errorf("ByName(%q) = %v, want the registered analyzer", a.Name, got)
+		}
+	}
+	for _, name := range []string{"", "nope", "NoDeterminism", "lint"} {
+		if got := ByName(name); got != nil {
+			t.Errorf("ByName(%q) = %s, want nil", name, got.Name)
+		}
+	}
+}
+
+// TestRunSelectsAnalyzers checks that Run reports only the analyzers it is
+// given: over every fixture package at once, each analyzer alone finds its
+// own violations and nothing else, and the per-analyzer findings add up to
+// the findings of the full set.
+func TestRunSelectsAnalyzers(t *testing.T) {
+	loader := newFixtureLoader(filepath.Join("testdata", "src"))
+	var pkgs []*Package
+	for _, tc := range fixtureCases {
+		pkg, err := loader.load(tc.dir, tc.asPath)
+		if err != nil {
+			t.Fatalf("load fixture %s: %v", tc.dir, err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	total := 0
+	for _, tc := range fixtureCases {
+		t.Run(tc.dir, func(t *testing.T) {
+			findings := Run(pkgs, []*Analyzer{tc.analyzer})
+			if len(findings) == 0 {
+				t.Fatalf("%s found nothing in the fixtures", tc.analyzer.Name)
+			}
+			for _, f := range findings {
+				if f.Analyzer != tc.analyzer.Name {
+					t.Errorf("Run with only %s reported: %s", tc.analyzer.Name, f)
+				}
+			}
+			total += len(findings)
+		})
+	}
+	if all := Run(pkgs, Analyzers()); len(all) != total {
+		t.Errorf("full set found %d, the analyzers one by one %d", len(all), total)
+	}
+	if none := Run(pkgs, nil); len(none) != 0 {
+		t.Errorf("Run with no analyzers reported %v", none)
+	}
+}
+
+// TestLoadCleanPackage loads one real package of the module by import path
+// and requires every analyzer to pass it: the load-and-run path
+// TestRepoIsClean takes, kept small enough to run in -short mode too.
+func TestLoadCleanPackage(t *testing.T) {
+	const path = "repro/internal/units"
+	pkgs, err := Load(filepath.Join("..", ".."), path)
+	if err != nil {
+		t.Fatalf("Load(%s): %v", path, err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != path {
+		t.Fatalf("Load(%s) returned %d packages, want exactly %s", path, len(pkgs), path)
+	}
+	if findings := Run(pkgs, Analyzers()); len(findings) != 0 {
+		t.Errorf("clean package produced findings: %v", findings)
+	}
+}
+
+// TestCollectSuppressionsInventory pins the inventory of one real package
+// with known directives: internal/server's two request-latency
+// nodeterminism suppressions, in file order, with their reasons.
+func TestCollectSuppressionsInventory(t *testing.T) {
+	pkgs, err := Load(filepath.Join("..", ".."), "repro/internal/server")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	sups := CollectSuppressions(pkgs)
+	if len(sups) != 2 {
+		t.Fatalf("internal/server has 2 suppressions, inventory lists %d: %v", len(sups), sups)
+	}
+	for _, s := range sups {
+		if !strings.HasSuffix(filepath.ToSlash(s.Pos.Filename), "internal/server/handlers.go") {
+			t.Errorf("suppression outside handlers.go: %s", s)
+		}
+		if s.Analyzer != "nodeterminism" || !strings.HasPrefix(s.Reason, "request latency") {
+			t.Errorf("suppression is not the request-latency nodeterminism directive: %s", s)
+		}
+	}
+	if sups[0].Pos.Line >= sups[1].Pos.Line {
+		t.Errorf("suppressions not in line order: %v", sups)
+	}
+}
+
 // TestSuppressionBudget pins the repository's //lint:ignore inventory: the
 // CI gate that makes adding an exception a reviewed, counted act. When this
-// fails after adding a deliberate suppression, list the inventory with
-// `go run ./cmd/cactuslint -suppressions ./...`, confirm each reason still
-// holds, and bump the budget in the same commit. Skipped in -short mode
-// because it type-checks the full repository.
+// fails it logs the inventory as file:line: analyzer: reason lines; after
+// adding a deliberate suppression, confirm each reason still holds and bump
+// the budget in the same commit. Skipped in -short mode because it
+// type-checks the full repository.
 func TestSuppressionBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo suppression inventory is not short")

@@ -13,12 +13,9 @@ import (
 // and range loops over maps that emit output from inside the loop body —
 // Go's map iteration order would leak into figures, tables, and traces.
 var NoDeterminism = &Analyzer{
-	Name: "nodeterminism",
-	Doc: "forbid wall-clock time, the global math/rand source, and " +
-		"map-iteration order reaching emitted output in model packages",
-	ScopeDoc: "model packages (gpu, trace, report, telemetry, stats, roofline, core, units)",
-	Scope:    modelScope,
-	Run:      runNoDeterminism,
+	Name:  "nodeterminism",
+	Scope: modelScope,
+	Run:   runNoDeterminism,
 }
 
 // allowedRand are math/rand constructors: they build seeded generators and

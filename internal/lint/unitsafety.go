@@ -30,12 +30,9 @@ import (
 //     Finite/clamp guard or a units constructor in between can smuggle
 //     NaN or an out-of-range share into emitted output.
 var UnitSafety = &Analyzer{
-	Name: "unitsafety",
-	Doc: "enforce explicit conversions, constructor provenance, and guarded " +
-		"boundaries for internal/units types",
-	ScopeDoc: "model packages plus profiler and memsim, excluding internal/units itself",
-	Scope:    unitSafetyScope,
-	Run:      runUnitSafety,
+	Name:  "unitsafety",
+	Scope: unitSafetyScope,
+	Run:   runUnitSafety,
 }
 
 // unitSafetyScope covers the metric-producing packages — the model scope

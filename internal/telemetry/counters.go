@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bufio"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -8,7 +10,7 @@ import (
 )
 
 // Counter names used across the pipeline. Keeping them in one place makes
-// the -v snapshot and the expvar export self-describing.
+// the -v snapshot and the /metrics exposition self-describing.
 const (
 	// CtrLaunches counts kernel launches modeled by gpu.Device.Launch.
 	CtrLaunches = "gpu.launches"
@@ -129,8 +131,8 @@ func (c *Counters) Get(name string) int64 {
 
 // CounterValue is one snapshotted counter.
 type CounterValue struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
+	Name  string
+	Value int64
 }
 
 // Snapshot returns all counters sorted by name — a deterministic report for
@@ -149,8 +151,19 @@ func (c *Counters) Snapshot() []CounterValue {
 	return out
 }
 
-// WriteText writes the snapshot as aligned "name value" lines — the
-// counters half of MetricsSnapshot.WriteText.
+// WriteText writes the snapshot as "name value" lines, the names padded to
+// the longest one — the -v counters report.
 func (c *Counters) WriteText(w io.Writer) error {
-	return MetricsSnapshot{Counters: c.Snapshot()}.WriteText(w)
+	snap := c.Snapshot()
+	width := 0
+	for _, cv := range snap {
+		width = max(width, len(cv.Name))
+	}
+	bw := bufio.NewWriter(w)
+	for _, cv := range snap {
+		if _, err := fmt.Fprintf(bw, "%-*s %d\n", width, cv.Name, cv.Value); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

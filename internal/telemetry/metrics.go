@@ -1,16 +1,12 @@
 // Metrics registry: the counters registry's second generation. One
 // Registry unifies the pipeline's counters with fixed-bucket histograms
 // (per-workload modeled time, host wall latency, cache hit-rate
-// distributions) behind a single Snapshot, and every output format — the
-// aligned text report, JSON, the Prometheus text exposition served at
-// /metrics, and the expvar publication at /debug/vars — renders from that
-// one snapshot path, so the formats cannot drift apart.
+// distributions) behind a single Snapshot, rendered in the Prometheus text
+// exposition format — served at /metrics and written by -metrics FILE.
 package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -102,18 +98,18 @@ func (h *Histogram) Observe(v float64) {
 // BucketCount is one finite histogram bucket in a snapshot: Count is
 // cumulative (observations <= LE), Prometheus-style.
 type BucketCount struct {
-	LE    float64 `json:"le"`
-	Count int64   `json:"count"`
+	LE    float64
+	Count int64
 }
 
 // HistogramSnapshot is one histogram's frozen state. Count covers every
 // observation including those above the last finite bucket.
 type HistogramSnapshot struct {
-	Name    string        `json:"name"`
-	Help    string        `json:"help,omitempty"`
-	Buckets []BucketCount `json:"buckets"`
-	Sum     float64       `json:"sum"`
-	Count   int64         `json:"count"`
+	Name    string
+	Help    string
+	Buckets []BucketCount
+	Sum     float64
+	Count   int64
 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
@@ -129,10 +125,10 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 }
 
 // MetricsSnapshot is a Registry frozen at one instant: sorted counters and
-// sorted histograms. Every output format renders from this one shape.
+// sorted histograms.
 type MetricsSnapshot struct {
-	Counters   []CounterValue      `json:"counters"`
-	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   []CounterValue
+	Histograms []HistogramSnapshot
 }
 
 // Registry unifies a Counters registry with named histograms behind one
@@ -205,49 +201,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// WriteText renders the snapshot as aligned text: counters as "name value"
-// lines, then one block per histogram with cumulative bucket counts.
-func (r *Registry) WriteText(w io.Writer) error {
-	return r.Snapshot().WriteText(w)
-}
-
-// WriteText renders the frozen snapshot as aligned text.
-func (s MetricsSnapshot) WriteText(w io.Writer) error {
-	width := 0
-	for _, cv := range s.Counters {
-		if len(cv.Name) > width {
-			width = len(cv.Name)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	for _, cv := range s.Counters {
-		if _, err := fmt.Fprintf(bw, "%-*s %d\n", width, cv.Name, cv.Value); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		if _, err := fmt.Fprintf(bw, "%s  count %d  sum %g\n", h.Name, h.Count, h.Sum); err != nil {
-			return err
-		}
-		for _, b := range h.Buckets {
-			if _, err := fmt.Fprintf(bw, "  le %-12g %d\n", b.LE, b.Count); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r.Snapshot(), "", "\t")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}
-
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): counters as gauges (some, like
 // study.workers_busy, can decrease), histograms with cumulative
@@ -255,11 +208,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // registry names with non-identifier runes mapped to '_' under a `cactus_`
 // namespace prefix.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
-}
-
-// WritePrometheus renders the frozen snapshot in text exposition format.
-func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
+	s := r.Snapshot()
 	bw := bufio.NewWriter(w)
 	for _, cv := range s.Counters {
 		name := promName(cv.Name)
@@ -309,15 +258,3 @@ func promName(name string) string {
 
 // promFloat formats a float for exposition output (shortest round-trip).
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// PublishExpvar exposes the registry's snapshot under the given expvar
-// name (served at /debug/vars by any net/http server on the default mux).
-// Publishing the same name twice is a no-op rather than the panic
-// expvar.Publish would raise. The published value is the same
-// MetricsSnapshot every other format renders from.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}

@@ -2,8 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -105,62 +104,51 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatsAgree — text, JSON, and Prometheus renderings of one
-// registry must describe the same frozen snapshot (the one-snapshot-path
-// contract).
-func TestSnapshotFormatsAgree(t *testing.T) {
+// TestWritePrometheusCarriesSnapshot — the exposition is the one rendering
+// of a snapshot (served at /metrics, written by -metrics FILE), so it must
+// carry every counter and histogram of the snapshot, in the snapshot's
+// sorted order, and render the same bytes twice.
+func TestWritePrometheusCarriesSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counters().Add(CtrWorkloads, 42)
+	r.Counters().Add(CtrLaunches, 7)
+	r.Counters().Add(CtrWorkersBusy, -1)
 	r.Histogram(HistWorkloadModeledSeconds).Observe(0.25)
-	var txt, js, prom bytes.Buffer
-	if err := r.WriteText(&txt); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(js.Bytes(), &snap); err != nil {
-		t.Fatalf("JSON output does not round-trip: %v", err)
-	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 42 {
-		t.Errorf("JSON counters = %+v", snap.Counters)
-	}
-	if len(snap.Histograms) != 1 || snap.Histograms[0].Count != 1 {
-		t.Errorf("JSON histograms = %+v", snap.Histograms)
-	}
-	for name, out := range map[string]string{"text": txt.String(), "prometheus": prom.String()} {
-		if !strings.Contains(out, "42") || !strings.Contains(out, "workload") {
-			t.Errorf("%s rendering lost the snapshot:\n%s", name, out)
-		}
-	}
-}
-
-// TestRegistryPublishExpvar — publishing exposes the full MetricsSnapshot
-// (counters and histograms) and republishing is a no-op instead of the
-// expvar panic.
-func TestRegistryPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counters().Add(CtrLaunches, 9)
 	r.Histogram(HistKernelL1HitRate).Observe(0.8)
-	r.PublishExpvar("metrics_test_registry")
-	r.PublishExpvar("metrics_test_registry") // second publish must not panic
-	v := expvar.Get("metrics_test_registry")
-	if v == nil {
-		t.Fatal("registry not published")
+	r.Histogram(HistKernelL1HitRate).Observe(0.9)
+	var a, b bytes.Buffer
+	if err := r.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
 	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value is not a MetricsSnapshot: %v", err)
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 9 {
-		t.Errorf("expvar counters = %+v", snap.Counters)
+	if a.String() != b.String() {
+		t.Fatal("two renderings of an unchanged registry differ")
 	}
-	if len(snap.Histograms) != 1 || snap.Histograms[0].Name != HistKernelL1HitRate.Name {
-		t.Errorf("expvar histograms = %+v", snap.Histograms)
+	out := a.String()
+	snap := r.Snapshot()
+	if len(snap.Counters) != 3 || len(snap.Histograms) != 2 {
+		t.Fatalf("snapshot = %+v, want 3 counters and 2 histograms", snap)
+	}
+	var want []string
+	for _, cv := range snap.Counters {
+		want = append(want, fmt.Sprintf("\n%s %d\n", promName(cv.Name), cv.Value))
+	}
+	for _, h := range snap.Histograms {
+		want = append(want, fmt.Sprintf("\n%s_count %d\n", promName(h.Name), h.Count))
+	}
+	last := -1
+	for _, w := range want {
+		idx := strings.Index(out, w)
+		if idx < 0 {
+			t.Errorf("exposition missing %q:\n%s", w, out)
+			continue
+		}
+		if idx < last {
+			t.Errorf("exposition out of snapshot order at %q:\n%s", w, out)
+		}
+		last = idx
 	}
 }
 

@@ -7,7 +7,8 @@
 // time), exportable as Chrome trace-event JSON loadable in chrome://tracing
 // or Perfetto. A counters registry accumulates pipeline totals (launches,
 // warp instructions, cache hits/misses, worker occupancy) snapshotable as a
-// sorted, deterministic report and publishable through expvar.
+// sorted, deterministic report and exposed, with histograms, in the
+// Prometheus text format.
 //
 // Instrumented code pays near-zero cost when tracing is disabled: the
 // default Tracer is Nop, whose Enabled method reports false so callers skip
