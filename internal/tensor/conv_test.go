@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -277,6 +279,103 @@ func TestConvSkipFallbacks(t *testing.T) {
 			t.Fatalf("y[2, 2, 0, 0] = %g, want the -0 bias", y)
 		}
 	})
+}
+
+// TestConvSumsRangeGuard holds convSums to its range proof. With the
+// scalar or the lane operand one element short it panics with a runtime
+// index error, though the missing element lies within the slice's
+// capacity, where a kernel left to check nothing would read it silently.
+// Three blocks run a pair and an odd one.
+func TestConvSumsRangeGuard(t *testing.T) {
+	const blocks, rows, nb, ss, vs = 3, 4, 2, 6 * 6, 4 * 4
+	ax := convAxis{in: 6, out: 3, k: 4, stride: 2, pad: 1}
+	tab := newConvTable(ax, ax, perOut)
+	ds := nb * ss
+	needS, needV := 0, 0
+	for _, at := range tab.pos {
+		for _, tm := range tab.class[at.class] {
+			needS = max(needS, (blocks-1)*ds+int(at.s)+(nb-1)*ss+int(tm.s)+1)
+			needV = max(needV, int(at.v)+(nb-1)*vs+int(tm.v)+1)
+		}
+	}
+	r := rand.New(rand.NewSource(31))
+	s := Randn(r, 1, needS).Data
+	v := make([][convTile]float32, needV)
+	for i := range v {
+		copy(v[i][:], Randn(r, 1, convTile).Data)
+	}
+	run := func(s []float32, v [][convTile]float32) (err error) {
+		defer func() {
+			if e := recover(); e != nil {
+				re, ok := e.(runtime.Error)
+				if !ok {
+					panic(e)
+				}
+				err = re
+			}
+		}()
+		out := make([]float32, blocks*rows*len(tab.pos))
+		convSums(tab, [convTile]float32{}, s, ds, ss, v, vs, nb, false, out, rows, 0)
+		return nil
+	}
+	if err := run(s, v); err != nil {
+		t.Fatalf("operands of exactly the length read: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		s    []float32
+		v    [][convTile]float32
+	}{{"scalar", s[:needS-1], v}, {"lane", s, v[:needV-1]}} {
+		if err := run(c.s, c.v); err == nil || !strings.Contains(err.Error(), "index out of range") {
+			t.Errorf("%s operand one element short: got %v, want an index out of range panic", c.name, err)
+		}
+	}
+}
+
+// TestConvSumsDegenerate holds the sums that add no term to init, bit for
+// bit: every sum when there are no blocks (nb = 0), and the sums of
+// positions no tap reaches, which a stride longer than the kernel leaves
+// in the transposed convolution (an empty class).
+func TestConvSumsDegenerate(t *testing.T) {
+	const blocks, rows, ss, vs = 3, 4, 2 * 2, 1
+	negZero := float32(math.Copysign(0, -1))
+	init := [convTile]float32{1.5, negZero, -3, 1e-40}
+	ax := convAxis{in: 5, out: 2, k: 1, stride: 3, pad: 0}
+	tab := newConvTable(ax, ax, perIn)
+	empty := 0
+	for _, at := range tab.pos {
+		if len(tab.class[at.class]) == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no position without terms")
+	}
+	r := rand.New(rand.NewSource(37))
+	for _, nb := range []int{0, 2} {
+		s := Randn(r, 1, blocks*max(nb, 1)*ss).Data
+		v := make([][convTile]float32, max(nb, 1)*vs)
+		for i := range v {
+			copy(v[i][:], Randn(r, 1, convTile).Data)
+		}
+		for _, skip := range []bool{false, true} {
+			out := make([]float32, blocks*rows*len(tab.pos))
+			convSums(tab, init, s, nb*ss, ss, v, vs, nb, skip, out, rows, 0)
+			for p, at := range tab.pos {
+				if nb > 0 && len(tab.class[at.class]) > 0 {
+					continue
+				}
+				for b := 0; b < blocks; b++ {
+					for j, want := range init {
+						got := out[(b*rows+j)*len(tab.pos)+p]
+						if math.Float32bits(got) != math.Float32bits(want) {
+							t.Errorf("nb %d skip %v: block %d position %d lane %d = %g, want init %g", nb, skip, b, p, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestConv2DBitIdentical holds Conv2D and Conv2DGrads bit-identical to the

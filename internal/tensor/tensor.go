@@ -45,6 +45,19 @@
 //
 // The kernels tile, reorder their loops and repack operands freely within
 // this order, and are tested bit for bit against the naive nests.
+//
+// # Packed kernels on amd64
+//
+// On amd64 the inner loops of the convolution sums and of MatMul's row
+// update are assembler (sum_amd64.s): one MULPS and one ADDPS add a term
+// to four lanes. Lane j of those instructions is the IEEE single-precision
+// multiply or add that MULSS or ADDSS performs, Go neither fuses nor
+// changes the rounding mode on amd64, and the kernels use no FMA, so every
+// sum has the bits of the Go loops in sum_other.go, which the other
+// architectures run. Those write each product as float32(x*y), which rounds
+// it and so forbids fusing it with the add. Assembler checks no index:
+// before each call the Go caller reads the largest index the kernel will
+// read, with an ordinary bounds check, so a bad range panics instead.
 package tensor
 
 import (
@@ -141,7 +154,7 @@ func (t *Tensor) AddScaled(src *Tensor, alpha float32) error {
 		return fmt.Errorf("tensor: addScaled %v += %v", t.Shape, src.Shape)
 	}
 	for i, v := range src.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 	return nil
 }
@@ -178,13 +191,10 @@ func MatMul(a, b *Tensor, transA, transB bool) (*Tensor, error) {
 			}
 			row := c.Data[i*n : (i+1)*n]
 			if !transB {
-				brow := b.Data[kk*n : (kk+1)*n]
-				for j := range row {
-					row[j] += av * brow[j]
-				}
+				axpy(row, b.Data[kk*n:(kk+1)*n], av)
 			} else {
 				for j := range row {
-					row[j] += av * b.Data[j*ldb+kk]
+					row[j] += float32(av * b.Data[j*ldb+kk])
 				}
 			}
 		}
@@ -432,8 +442,10 @@ type convTerm struct{ s, v uint32 }
 // terms of class[pos[p].class], each index offset by pos[p].s and
 // pos[p].v. Positions whose sums differ only by those offsets (all
 // interior pixels, for one) share a class, so the table stays small.
+// hi[c] holds the largest s and the largest v index of class c's terms.
 type convTable struct {
 	class [][]convTerm
+	hi    []convTerm
 	pos   []convPos
 }
 
@@ -451,7 +463,11 @@ func newConvTable(y, x convAxis, role convRole) convTable {
 	yc, ys := convClasses(ylists)
 	xc, xs := convClasses(xlists)
 	at := func(a, b convTerm) convTerm { return convTerm{a.s*uint32(sw) + b.s, a.v*uint32(vw) + b.v} }
-	t := convTable{class: make([][]convTerm, 0, len(yc)*len(xc)), pos: make([]convPos, 0, len(ys)*len(xs))}
+	t := convTable{
+		class: make([][]convTerm, 0, len(yc)*len(xc)),
+		hi:    make([]convTerm, 0, len(yc)*len(xc)),
+		pos:   make([]convPos, 0, len(ys)*len(xs)),
+	}
 	var ny, nx int
 	for _, ty := range yc {
 		ny += len(ty)
@@ -468,7 +484,12 @@ func newConvTable(y, x convAxis, role convRole) convTable {
 					buf = append(buf, at(a, b))
 				}
 			}
+			var hi convTerm
+			for _, c := range buf[start:] {
+				hi = convTerm{max(hi.s, c.s), max(hi.v, c.v)}
+			}
 			t.class = append(t.class, buf[start:len(buf):len(buf)])
+			t.hi = append(t.hi, hi)
 		}
 	}
 	for _, py := range ys {
@@ -541,6 +562,11 @@ func convLanes(dst [][convTile]float32, data []float32, r0, rows, outer, inner, 
 // terms whose scalar is zero. Adding such a term anyway changes a sum only
 // if the sum turns NaN or starts at -0 (see the package doc), so those
 // sums are then redone through convSumNonzero.
+//
+// The kernels check no index, so before each call convSums reads the
+// largest index the sum takes in each operand, a bounds-checked read:
+// the indices are sums of non-negative offsets and strides, so every
+// other one is smaller.
 func convSums(tab convTable, init [convTile]float32, s []float32, ds, ss int, v [][convTile]float32, vs, nb int, skip bool, out []float32, rows, r0 int) {
 	np := len(tab.pos)
 	blocks, lanes := len(out)/(rows*np), min(convTile, rows-r0)
@@ -549,6 +575,14 @@ func convSums(tab convTable, init [convTile]float32, s []float32, ds, ss int, v 
 		o := (b*rows + r0) * np
 		for p, at := range tab.pos {
 			terms, sb, vb := tab.class[at.class], s[b*ds+int(at.s):], v[at.v:]
+			if len(terms) > 0 && nb > 0 {
+				hi := tab.hi[at.class]
+				last := (nb-1)*ss + int(hi.s)
+				if b+1 < blocks {
+					last += ds
+				}
+				_, _ = sb[last], vb[(nb-1)*vs+int(hi.v)]
+			}
 			acc := init
 			if b+1 < blocks {
 				acc2 := init
@@ -593,52 +627,6 @@ func convStore(dst []float32, stride int, acc *[convTile]float32, lanes int) {
 	}
 }
 
-// convSum adds to every lane j of acc the products v[b*vs+t.v][j] *
-// s[b*ss+t.s], block by block for b < nb and within a block in term order
-// — the order the sum's definition gives its terms.
-func convSum(acc *[convTile]float32, terms []convTerm, s []float32, ss int, v [][convTile]float32, vs, nb int) {
-	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	for so, vo := 0, 0; so < nb*ss; so, vo = so+ss, vo+vs {
-		for _, t := range terms {
-			sv := s[so+int(t.s)]
-			q := &v[vo+int(t.v)]
-			a0 += q[0] * sv
-			a1 += q[1] * sv
-			a2 += q[2] * sv
-			a3 += q[3] * sv
-		}
-	}
-	*acc = [convTile]float32{a0, a1, a2, a3}
-}
-
-// convSum2 is convSum for two sums over the same lanes at once: acc's
-// scalars at s and acc2's at s[ds:]. Each lane value is loaded once for
-// both. The second scalar is read after two lanes of the first sum: the
-// bounds check splits the loop body there, and with the products of each
-// part added before the next begins, all eight sums stay in registers.
-func convSum2(acc, acc2 *[convTile]float32, terms []convTerm, s []float32, ds, ss int, v [][convTile]float32, vs, nb int) {
-	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-	b0, b1, b2, b3 := acc2[0], acc2[1], acc2[2], acc2[3]
-	for so, vo := 0, 0; so < nb*ss; so, vo = so+ss, vo+vs {
-		for _, t := range terms {
-			i := so + int(t.s)
-			q := &v[vo+int(t.v)]
-			sa := s[i]
-			a0 += q[0] * sa
-			a1 += q[1] * sa
-			sb := s[i+ds]
-			b0 += q[0] * sb
-			b1 += q[1] * sb
-			a2 += q[2] * sa
-			a3 += q[3] * sa
-			b2 += q[2] * sb
-			b3 += q[3] * sb
-		}
-	}
-	*acc = [convTile]float32{a0, a1, a2, a3}
-	*acc2 = [convTile]float32{b0, b1, b2, b3}
-}
-
 // convSumNonzero is convSum skipping every term whose scalar is zero, as
 // the naive nests skip a zero dy (or a zero x in the transposed
 // convolution). The skip is visible: adding 0*v would turn a sum of -0
@@ -653,10 +641,10 @@ func convSumNonzero(acc *[convTile]float32, terms []convTerm, s []float32, ss in
 				continue
 			}
 			q := &v[vo+int(t.v)]
-			a0 += sv * q[0]
-			a1 += sv * q[1]
-			a2 += sv * q[2]
-			a3 += sv * q[3]
+			a0 += float32(sv * q[0])
+			a1 += float32(sv * q[1])
+			a2 += float32(sv * q[2])
+			a3 += float32(sv * q[3])
 		}
 	}
 	*acc = [convTile]float32{a0, a1, a2, a3}

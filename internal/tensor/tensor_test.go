@@ -129,6 +129,58 @@ func TestMatMulTransposes(t *testing.T) {
 	}
 }
 
+// TestMatMulBitIdentical holds MatMul, in all four transpose modes, bit
+// for bit to the reference loop on widths 1 to 9, so that axpy's 4-wide
+// body and its 1-3 element tail both run, with signed zeros, denormals
+// and infinities among the inputs and zero rows of A, whose terms MatMul
+// skips.
+func TestMatMulBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	fill := func(shape ...int) *Tensor {
+		x := Randn(r, 1, shape...)
+		for i := range x.Data {
+			if r.Intn(3) == 0 {
+				x.Data[i] = convSpecials[r.Intn(len(convSpecials))]
+			}
+		}
+		return x
+	}
+	for n := 1; n <= 9; n++ {
+		for _, m := range []int{1, 3} {
+			for _, k := range []int{1, 2, 5} {
+				for mode := 0; mode < 4; mode++ {
+					transA, transB := mode&1 != 0, mode&2 != 0
+					aShape, bShape := []int{m, k}, []int{k, n}
+					if transA {
+						aShape = []int{k, m}
+					}
+					if transB {
+						bShape = []int{n, k}
+					}
+					a, b := fill(aShape...), fill(bShape...)
+					// Zero one of A's entries outright, so the skip runs.
+					a.Data[r.Intn(len(a.Data))] = 0
+					want, err := refMatMul(a, b, transA, transB)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := MatMul(a, b, transA, transB)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want.Data {
+						if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("m%d k%d n%d transA=%v transB=%v: c[%d] = %g (%#08x), want %g (%#08x)",
+								m, k, n, transA, transB, i, got.Data[i], math.Float32bits(got.Data[i]),
+								want.Data[i], math.Float32bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatMulErrors(t *testing.T) {
 	if _, err := MatMul(New(2, 3), New(4, 5), false, false); err == nil {
 		t.Error("inner mismatch")
