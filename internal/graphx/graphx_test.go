@@ -175,7 +175,7 @@ func TestReferenceBFS(t *testing.T) {
 	}
 }
 
-func session(t *testing.T) *profiler.Session {
+func session(t testing.TB) *profiler.Session {
 	t.Helper()
 	d, err := gpu.New(gpu.RTX3080())
 	if err != nil {
@@ -479,4 +479,26 @@ func BenchmarkRMAT(b *testing.B) {
 // BenchmarkRoadGrid builds the GRU input.
 func BenchmarkRoadGrid(b *testing.B) {
 	b.Run("GRU_1024x1024", func(b *testing.B) { benchGraph(b, func() (*Graph, error) { return RoadGrid(1024, 1024, 1717) }) })
+}
+
+// BenchmarkGunrockBFS times GST's and GRU's traversal, trace replay
+// included, each iteration on a fresh rtx3080 session; the graph is built
+// once, outside the timer.
+func BenchmarkGunrockBFS(b *testing.B) {
+	for _, w := range []*Workload{SocialBFS(), RoadBFS()} {
+		b.Run(w.abbr, func(b *testing.B) {
+			g, err := w.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := g.LargestComponentVertex()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := GunrockBFS(g, src, w.cfg, session(b)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -49,6 +49,10 @@ func (c CacheConfig) Validate() error {
 	if c.Assoc <= 0 {
 		return fmt.Errorf("memsim: %s: non-positive associativity %d", c.Name, c.Assoc)
 	}
+	if c.Assoc > math.MaxUint8 {
+		return fmt.Errorf("memsim: %s: associativity %d above %d (a set's fill count is a byte)",
+			c.Name, c.Assoc, math.MaxUint8)
+	}
 	if c.SizeBytes%(LineBytes*c.Assoc) != 0 {
 		return fmt.Errorf("memsim: %s: size %d not divisible by line*assoc=%d",
 			c.Name, c.SizeBytes, LineBytes*c.Assoc)
@@ -75,23 +79,26 @@ func (c CacheConfig) numSets() int {
 // is load-only: every access is a read that allocates on a miss. It is not
 // safe for concurrent use.
 //
-// Line metadata lives in flat struct-of-arrays slices indexed set*assoc+way
-// rather than per-set slices of line structs: the probe loop walks one
-// contiguous tag run per access with no pointer chasing, and Reset only has
-// to clear the LRU array. A line is valid iff its lastUse entry is nonzero —
-// ticks start at 1, so every resident line has lastUse >= 1, and a cleared
-// entry doubles as the invalid bit (this folds the valid bitset into the LRU
-// counters and keeps the probe to one load per way).
+// Each set is its recency order: the set's valid lines sit in the prefix
+// [0, fill) of its ways, most recent first, and each way packs its line
+// address with the line's present-sector mask (line<<sectorBits | mask).
+// A probe reads only the filled ways and shifts each down one as it
+// passes, so the line it finds moves to the front; a miss shifts the whole
+// prefix, which drops a full set's last line (the LRU), and the new line
+// takes the front. Lines are never invalidated singly, so empty ways fill
+// before any line evicts, and the hit/miss sequence is that of any exact
+// LRU. Reset only clears the fill counts.
 type Cache struct {
 	assoc   int
 	setMask uint64
 
-	tags    []uint64 // line tag per (set, way); meaningful iff lastUse != 0
-	lastUse []uint64 // LRU tick per (set, way); 0 = invalid
-	sectors []uint8  // present-sector bitmask per (set, way)
-
-	tick uint64
+	lines []uint64 // line<<sectorBits | sector mask per (set, way), MRU first
+	fill  []uint8  // valid ways per set: the prefix [0, fill) of its ways
 }
+
+// sectorBits is the width of the sector mask packed under each line
+// address. A line address is addr/LineBytes < 2^57, so it fits above it.
+const sectorBits = SectorsPerLine
 
 // NewCache builds a cache from cfg. It panics on invalid configuration:
 // cache geometry is program-defined, so a bad value is a programming error.
@@ -100,67 +107,47 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	nSets := cfg.numSets()
-	lines := nSets * cfg.Assoc
 	return &Cache{
 		assoc:   cfg.Assoc,
 		setMask: uint64(nSets - 1),
-		tags:    make([]uint64, lines),
-		lastUse: make([]uint64, lines),
-		sectors: make([]uint8, lines),
+		lines:   make([]uint64, nSets*cfg.Assoc),
+		fill:    make([]uint8, nSets),
 	}
 }
 
 // Access performs one sector-granular load at byte address addr. It
 // returns true on a hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
-	lineAddr := addr / LineBytes
-	sector := uint8(1) << ((addr / SectorBytes) % SectorsPerLine)
-	base := int(lineAddr&c.setMask) * c.assoc
-	tag := lineAddr
+	line := addr / LineBytes
+	sector := uint64(1) << ((addr / SectorBytes) % SectorsPerLine)
+	key := line << sectorBits
+	set := int(line & c.setMask)
+	base := set * c.assoc
+	n := int(c.fill[set])
+	ways := c.lines[base : base+c.assoc : base+c.assoc]
 
-	tags := c.tags[base : base+c.assoc : base+c.assoc]
-	use := c.lastUse[base : base+c.assoc : base+c.assoc]
-
-	// Probe.
-	for i, t := range tags {
-		if use[i] != 0 && t == tag {
-			use[i] = c.tick
-			if c.sectors[base+i]&sector != 0 {
-				return true
-			}
-			// Line present but sector missing: sector miss fills the sector.
-			c.sectors[base+i] |= sector
-			return false
+	// Each way passed takes its predecessor's entry; way 0 takes the new
+	// line, which a hit overwrites with the line found.
+	carry := key | sector
+	for i, w := range ways[:n] {
+		ways[i] = carry
+		if w^key < 1<<sectorBits {
+			// A present line missing the sector is a miss that fills it.
+			ways[0] = w | sector
+			return w&sector != 0
 		}
+		carry = w
 	}
-	// Miss: fill into the LRU victim (an invalid way, lastUse 0, always
-	// loses the strict-< scan, so empty ways fill before any resident line
-	// evicts).
-	victim := 0
-	for i := 1; i < len(use); i++ {
-		if use[i] == 0 {
-			victim = i
-			break
-		}
-		if use[i] < use[victim] {
-			victim = i
-		}
+	if n < len(ways) {
+		ways[n] = carry
+		c.fill[set] = uint8(n + 1)
 	}
-	tags[victim] = tag
-	use[victim] = c.tick
-	c.sectors[base+victim] = sector
 	return false
 }
 
-// Reset clears contents and the LRU clock. Only the LRU array needs wiping:
-// lastUse 0 marks a way invalid, and the fill path overwrites its tag and
-// sector mask before the way can match again.
+// Reset empties every set.
 func (c *Cache) Reset() {
-	for i := range c.lastUse {
-		c.lastUse[i] = 0
-	}
-	c.tick = 0
+	clear(c.fill)
 }
 
 // Traffic summarizes resolved global-memory traffic for one kernel launch,

@@ -55,6 +55,13 @@ func TestCacheConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("non-divisible size should be invalid")
 	}
+	// A set's fill count is a byte: 255 ways fit, 256 do not.
+	if err := (CacheConfig{Name: "T", SizeBytes: LineBytes * 255, Assoc: 255}).Validate(); err != nil {
+		t.Error(err)
+	}
+	if err := (CacheConfig{Name: "T", SizeBytes: LineBytes * 256, Assoc: 256}).Validate(); err == nil {
+		t.Error("associativity 256 should be invalid")
+	}
 }
 
 func TestNewCachePanicsOnInvalid(t *testing.T) {

@@ -177,7 +177,18 @@ func MatMul(a, b *Tensor, transA, transB bool) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: matmul inner dims %d != %d", k, k2)
 	}
 	c := New(m, n)
-	lda, ldb := a.Shape[1], b.Shape[1]
+	lda := a.Shape[1]
+	// B's rows in kk order: with transB, a k×n row-major copy made once,
+	// so every row update below runs through axpy.
+	bk := b.Data
+	if transB {
+		bk = make([]float32, k*n)
+		for j := 0; j < n; j++ {
+			for kk, v := range b.Data[j*k : (j+1)*k] {
+				bk[kk*n+j] = v
+			}
+		}
+	}
 	for i := 0; i < m; i++ {
 		for kk := 0; kk < k; kk++ {
 			var av float32
@@ -189,14 +200,7 @@ func MatMul(a, b *Tensor, transA, transB bool) (*Tensor, error) {
 			if av == 0 {
 				continue
 			}
-			row := c.Data[i*n : (i+1)*n]
-			if !transB {
-				axpy(row, b.Data[kk*n:(kk+1)*n], av)
-			} else {
-				for j := range row {
-					row[j] += float32(av * b.Data[j*ldb+kk])
-				}
-			}
+			axpy(c.Data[i*n:(i+1)*n], bk[kk*n:(kk+1)*n], av)
 		}
 	}
 	return c, nil

@@ -181,6 +181,31 @@ func TestMatMulBitIdentical(t *testing.T) {
 	}
 }
 
+// BenchmarkMatMul times C = A·B and C = A·Bᵀ at the shape of the STN
+// classifier's first dense layer's input gradient, dc·Wᵀ: 8×50 times
+// 50×320.
+func BenchmarkMatMul(b *testing.B) {
+	const m, k, n = 8, 50, 320
+	r := rand.New(rand.NewSource(1))
+	a := Randn(r, 1, m, k)
+	for _, transB := range []bool{false, true} {
+		bm := Randn(r, 1, k, n)
+		if transB {
+			bm = Randn(r, 1, n, k)
+		}
+		b.Run(fmt.Sprintf("transB=%v", transB), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := MatMul(a, bm, false, transB)
+				if err != nil {
+					b.Fatal(err)
+				}
+				convBenchSink = c
+			}
+		})
+	}
+}
+
 func TestMatMulErrors(t *testing.T) {
 	if _, err := MatMul(New(2, 3), New(4, 5), false, false); err == nil {
 		t.Error("inner mismatch")
