@@ -9,7 +9,10 @@ package graphx
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // Graph is a directed graph in CSR form.
@@ -159,6 +162,18 @@ func prefixSum(c []int32) {
 // 265 M edges; here reduced, see DESIGN.md scale substitutions). The
 // standard Graph500 partition probabilities (0.57, 0.19, 0.19, 0.05) yield
 // the heavy-tailed degree distribution that drives wide BFS frontiers.
+//
+// Each bit of an edge's endpoints is one draw of
+// rand.New(rand.NewSource(seed)).Float64(), compared with a, a+b and
+// a+b+c, and the edges are those of that loop, draw for draw; but RMAT
+// calls neither Float64 nor the source. The source is an additive lagged
+// Fibonacci generator, x[n] = x[n-607] + x[n-273] mod 2^64, and Int63 is
+// x[n] & (1<<63 - 1). randStream reads that sequence in place from a
+// 607-slot ring. Float64 is float64(x)/2^63 for the Int63 value x, drawn
+// again when that rounds to 1. The conversion is monotone in x and the
+// division by 2^63 is exact, so float64(x)/2^63 >= t holds exactly when
+// x >= atLeast(t): RMAT compares integers. A draw is redrawn exactly when
+// x >= atLeast(1), which is 2^63-512.
 func RMAT(scale, edgeFactor int, seed int64) (*Graph, error) {
 	if scale < 2 || scale > 24 {
 		return nil, fmt.Errorf("graphx: RMAT scale %d out of [2,24]", scale)
@@ -167,33 +182,78 @@ func RMAT(scale, edgeFactor int, seed int64) (*Graph, error) {
 		return nil, fmt.Errorf("graphx: RMAT edge factor %d", edgeFactor)
 	}
 	n := 1 << scale
+	// The graph's int32 offsets must count both arcs of every edge.
+	if edgeFactor > math.MaxInt32/(2*n) {
+		return nil, fmt.Errorf("graphx: RMAT scale %d with edge factor %d overflows an int32 CSR", scale, edgeFactor)
+	}
 	m := n * edgeFactor
-	r := rand.New(rand.NewSource(seed))
 	pairs := make([]int32, 0, 2*m)
 	const a, b, c = 0.57, 0.19, 0.19
-	for e := 0; e < m; e++ {
-		u, v := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			// Each draw picks a quadrant: upper-left below a, upper-right
-			// below a+b, lower-left below a+b+c, lower-right above. So u's
-			// bit is set from a+b up, and v's bit in [a, a+b) and from
-			// a+b+c up.
-			p := r.Float64()
-			lower := b2i(p >= a+b)
-			u |= lower << bit
-			v |= (b2i(p >= a) ^ lower ^ b2i(p >= a+b+c)) << bit
+	ta, tab, tabc, redraw := atLeast(a), atLeast(a+b), atLeast(a+b+c), atLeast(1)
+	s := newRandStream(seed)
+	var i uint // s[i] is the next draw
+	shift := 64 - scale
+	for e := m; e > 0; e-- {
+		// u starts with a marker bit scale places below bit 63. Each draw
+		// shifts it up one, so it ends the loop after scale draws; the
+		// reversal below shifts it out.
+		u, v := uint64(1)<<(63-scale), uint64(0)
+		for int64(u) >= 0 {
+			var x uint64
+			for {
+				if i >= streamLen {
+					s.refill()
+					i = 0
+				}
+				x = s[i] & (1<<63 - 1)
+				i++
+				if x < redraw { // else Float64 would round to 1 and draw again
+					break
+				}
+			}
+			// The first draw's bits end up lowest, at bit 0, once the
+			// endpoints are reversed.
+			ub, vb := quadrant(x, ta, tab, tabc)
+			u, v = u<<1|ub, v<<1|vb
 		}
-		if u == v {
+		ru, rv := bits.Reverse64(u)>>shift, bits.Reverse64(v)>>shift
+		if ru == rv {
 			continue
 		}
-		pairs = append(pairs, int32(u), int32(v))
+		pairs = append(pairs, int32(ru), int32(rv))
 	}
 	return fromEdges(n, pairs), nil
 }
 
-// b2i is 1 for true and 0 for false; the compiler emits it without a
+// atLeast returns the least x in [0, 2^63] for which float64(x)/(1<<63) >= t,
+// the Float64 comparison RMAT makes, found by binary search over the
+// conversion itself. Every x the search converts is below 2^63.
+func atLeast(t float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) >= t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// quadrant returns u's and v's bit for the draw x, given ta, tab and tabc,
+// the thresholds of a, a+b and a+b+c. The draw picks a quadrant:
+// upper-left below a, upper-right below a+b, lower-left below a+b+c,
+// lower-right above. So u's bit is set from a+b up, and v's bit in
+// [a, a+b) and from a+b+c up.
+func quadrant(x, ta, tab, tabc uint64) (ub, vb uint64) {
+	ub = b2u(x >= tab)
+	return ub, b2u(x >= ta) ^ ub ^ b2u(x >= tabc)
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits it without a
 // branch.
-func b2i(b bool) int {
+func b2u(b bool) uint64 {
 	if b {
 		return 1
 	}
@@ -206,35 +266,124 @@ func b2i(b bool) int {
 // paper's Road-USA input (23 M vertices, 28 M edges; average degree ~2.4,
 // enormous diameter). The low degree and high diameter drive BFS into many
 // iterations with tiny frontiers.
+//
+// One rand.Rand draws, in order, Float64() > 0.12 for each vertex's right
+// and then lower street, row by row, and then an Intn pair per highway.
+// latticeGraph builds the CSR from the streets kept and the highways.
 func RoadGrid(w, h int, seed int64) (*Graph, error) {
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("graphx: road grid %dx%d too small", w, h)
 	}
+	// The vertex ids and the offsets are int32: the latter count two arcs
+	// per street and per highway. Dividing first keeps w*h from
+	// overflowing int.
+	if w > math.MaxInt32/h || 2*(2*int64(w*h)-int64(w)-int64(h)+int64(w*h/1000)) > math.MaxInt32 {
+		return nil, fmt.Errorf("graphx: road grid %dx%d overflows an int32 CSR", w, h)
+	}
 	n := w * h
 	r := rand.New(rand.NewSource(seed))
-	pairs := make([]int32, 0, 4*n)
-	add := func(u, v int) {
-		pairs = append(pairs, int32(u), int32(v))
-	}
+	links := make([]uint8, n)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			u := y*w + x
 			if x+1 < w && r.Float64() > 0.12 { // some missing streets
-				add(u, u+1)
+				links[u] |= linkRight
 			}
 			if y+1 < h && r.Float64() > 0.12 {
-				add(u, u+w)
+				links[u] |= linkDown
 			}
 		}
 	}
 	// Sparse highways: long-range shortcuts for ~0.1% of vertices.
+	highways := make([]int32, 0, 2*(n/1000))
 	for i := 0; i < n/1000; i++ {
 		u, v := r.Intn(n), r.Intn(n)
-		if u != v {
-			add(u, v)
+		highways = append(highways, int32(u), int32(v))
+	}
+	return latticeGraph(w, h, links, highways), nil
+}
+
+// Bits of latticeGraph's links: a vertex's street to its right and to its
+// lower neighbor.
+const (
+	linkRight = 1 << iota
+	linkDown
+)
+
+// latticeGraph builds the CSR graph of a w x h lattice and its highways.
+// Vertex u = y*w + x has a street to u+1 when links[u]&linkRight is set
+// (x+1 < w) and to u+w when links[u]&linkDown is set (y+1 < h). The
+// highways are undirected pairs (u, v), given consecutively. The graph is
+// the one fromEdges builds from the streets and highways: every edge in
+// both directions, each list ascending, without repeats or self-loops.
+//
+// A vertex's lattice neighbors u-w, u-1, u+1, u+w come ascending, so no
+// sort is needed: one pass over the vertices merges each one's lattice
+// neighbors with its highway ends, which are sorted once, both directions
+// of every highway together.
+func latticeGraph(w, h int, links []uint8, highways []int32) *Graph {
+	n := w * h
+	// arcs holds each highway in both directions as from<<32 | to, so
+	// sorting orders them by (from, to).
+	arcs := make([]uint64, 0, len(highways))
+	for i := 0; i < len(highways); i += 2 {
+		if u, v := uint64(highways[i]), uint64(highways[i+1]); u != v {
+			arcs = append(arcs, u<<32|v, v<<32|u)
 		}
 	}
-	return fromEdges(n, pairs), nil
+	slices.Sort(arcs)
+	streets := 0
+	for _, l := range links {
+		streets += bits.OnesCount8(l)
+	}
+	g := &Graph{N: n, Offsets: make([]int32, n+1)}
+	edges := make([]int32, 2*streets+len(arcs))
+	e, k := 0, 0 // edges[e] is the next arc to write, arcs[k] the next highway arc
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			u := y*w + x
+			g.Offsets[u] = int32(e)
+			var nb [4]int32
+			c := 0
+			if y > 0 && links[u-w]&linkDown != 0 {
+				nb[c] = int32(u - w)
+				c++
+			}
+			if x > 0 && links[u-1]&linkRight != 0 {
+				nb[c] = int32(u - 1)
+				c++
+			}
+			if links[u]&linkRight != 0 {
+				nb[c] = int32(u + 1)
+				c++
+			}
+			if links[u]&linkDown != 0 {
+				nb[c] = int32(u + w)
+				c++
+			}
+			// Merge: a highway end goes in after the lattice neighbors up
+			// to it, unless it repeats the last neighbor written.
+			start, j := e, 0
+			for ; k < len(arcs) && arcs[k]>>32 == uint64(u); k++ {
+				t := int32(arcs[k])
+				for ; j < c && nb[j] <= t; j++ {
+					edges[e] = nb[j]
+					e++
+				}
+				if e == start || edges[e-1] != t {
+					edges[e] = t
+					e++
+				}
+			}
+			for ; j < c; j++ {
+				edges[e] = nb[j]
+				e++
+			}
+		}
+	}
+	g.Offsets[n] = int32(e)
+	g.Edges = edges[:e:e]
+	return g
 }
 
 // LargestComponentVertex returns a vertex in (very likely) the largest

@@ -1,8 +1,10 @@
 package graphx
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -369,6 +371,17 @@ func TestGeneratorsMatchReference(t *testing.T) {
 		want, _ := refRoadGrid(sz[0], sz[1], int64(sz[2]))
 		sameGraph(t, "RoadGrid", got, want)
 	}
+	// Grids of 1,000 vertices or more draw highways.
+	for _, sz := range [][2]int{{1000, 2}, {2, 1000}, {40, 40}, {33, 31}} {
+		for seed := int64(1); seed <= 20; seed++ {
+			got, err := RoadGrid(sz[0], sz[1], seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := refRoadGrid(sz[0], sz[1], seed)
+			sameGraph(t, "RoadGrid", got, want)
+		}
+	}
 	if testing.Short() {
 		return
 	}
@@ -395,6 +408,105 @@ func TestFromEdgesMatchesReference(t *testing.T) {
 			us, vs = append(us, u), append(vs, v)
 		}
 		sameGraph(t, "fromEdges", fromEdges(n, pairs), refFromEdges(n, us, vs))
+	}
+}
+
+// TestLatticeGraphMatchesFromEdges feeds latticeGraph random streets and
+// highways that the generator rarely or never draws: repeats, highways
+// along a street in either direction, self-loops, and ends at vertex 0 and
+// n-1, on strips two vertices wide or tall among other shapes.
+func TestLatticeGraphMatchesFromEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	shapes := [][2]int{{2, 2}, {2, 17}, {23, 2}, {2, 300}, {300, 2}, {5, 7}, {31, 33}}
+	for i := 0; i < 400; i++ {
+		w, h := 2+r.Intn(40), 2+r.Intn(40)
+		if i < len(shapes) {
+			w, h = shapes[i][0], shapes[i][1]
+		}
+		n := w * h
+		// keep is the share of streets kept: every fifth grid keeps all
+		// or none.
+		keep := r.Float64()
+		if i%5 == 0 {
+			keep = float64(i % 2)
+		}
+		links := make([]uint8, n)
+		var pairs []int32
+		for u := 0; u < n; u++ {
+			if u%w+1 < w && r.Float64() < keep {
+				links[u] |= linkRight
+				pairs = append(pairs, int32(u), int32(u+1))
+			}
+			if u+w < n && r.Float64() < keep {
+				links[u] |= linkDown
+				pairs = append(pairs, int32(u), int32(u+w))
+			}
+		}
+		var highways []int32
+		add := func(u, v int) { highways = append(highways, int32(u), int32(v)) }
+		either := func(u, v int) { // in a random orientation
+			if r.Intn(2) == 0 {
+				u, v = v, u
+			}
+			add(u, v)
+		}
+		for j := r.Intn(12); j > 0; j-- {
+			u := r.Intn(n)
+			switch r.Intn(7) {
+			case 0:
+				add(u, r.Intn(n))
+			case 1: // along a street, kept or not
+				if v := u + 1; v%w != 0 {
+					either(u, v)
+				}
+			case 2:
+				if v := u + w; v < n {
+					either(u, v)
+				}
+			case 3: // repeated, in both orientations
+				v := r.Intn(n)
+				add(u, v)
+				add(u, v)
+				add(v, u)
+			case 4:
+				add(0, u)
+			case 5:
+				add(u, n-1)
+			case 6:
+				add(u, u)
+			}
+		}
+		want := fromEdges(n, append(pairs, highways...))
+		sameGraph(t, "latticeGraph", latticeGraph(w, h, links, highways), want)
+	}
+}
+
+// TestGeneratorsRejectInt32Overflow asks for graphs whose vertex ids or
+// offsets overflow int32, among them sizes whose vertex count overflows
+// int. Each must fail before the generator allocates its graph.
+func TestGeneratorsRejectInt32Overflow(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func() (*Graph, error)
+	}{
+		{"RMAT 24x64", func() (*Graph, error) { return RMAT(24, 64, 1) }},
+		{"RMAT 2xMaxInt32/8+1", func() (*Graph, error) { return RMAT(2, math.MaxInt32/8+1, 1) }},
+		{"RMAT 24xMaxInt", func() (*Graph, error) { return RMAT(24, math.MaxInt, 1) }},
+		{"RoadGrid 2^16x(2^15+1)", func() (*Graph, error) { return RoadGrid(1<<16, 1<<15+1, 1) }},
+		{"RoadGrid 23170x23170", func() (*Graph, error) { return RoadGrid(23170, 23170, 1) }},
+		{"RoadGrid MaxInt32x2", func() (*Graph, error) { return RoadGrid(math.MaxInt32, 2, 1) }},
+		{"RoadGrid MaxIntxMaxInt", func() (*Graph, error) { return RoadGrid(math.MaxInt, math.MaxInt, 1) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := tc.gen()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: built a graph of %d vertices", tc.name, g.N)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing", tc.name, d)
+		}
 	}
 }
 
