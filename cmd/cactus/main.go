@@ -13,8 +13,6 @@
 //	cactus trace <abbr> [file]
 //	cactus compare <abbr> [...]
 //	cactus explain [-json] [-launches] [-depth N] [abbr ...]
-//	cactus lint [abbr ...]
-//	cactus audit [abbr ...]
 //	cactus figure <1..9>
 //	cactus table <1..4>
 //	cactus bench [run|check|scaling] [flags]
@@ -49,23 +47,6 @@
 // latest study's attribution tree as JSON, ?format=text for the aligned
 // report).
 //
-// `cactus lint` statically audits every registered workload's kernel-spec
-// stream against the device limits (Table II) without running the
-// simulation: each workload executes against a device-less profiling
-// session that records specs instead of pricing them, and every spec is
-// checked for block sizes that are not warp multiples or exceed device
-// limits, degenerate grids, register demand over the SM register file, and
-// zero theoretical occupancy. Exit is nonzero on any violation. The
-// code-level invariants are checked by `go test ./internal/lint`.
-//
-// `cactus audit` replays every registered workload's launches through the
-// real timing model and audits each result for metric soundness
-// (gpu.CheckResult): fractional metrics finite and within [0,1], stall
-// shares summing to at most 1, instruction intensity and GIPS consistent
-// with the instruction mix and modeled time, DRAM read throughput under
-// the device peak, and per-kernel times adding up to the session total.
-// Exit is nonzero on any violation.
-//
 // `cactus bench` times a fixed benchmark set (the serial and parallel study
 // plus subsystem micro-benchmarks) with pinned iteration counts, best-of-N,
 // and writes BENCH_<label>.json. `cactus bench check -baseline
@@ -82,7 +63,10 @@
 // requests share one study. The global -j, -cache, and -metrics flags apply.
 //
 // Exit codes: 0 on success, 1 on a runtime failure, 2 on a usage error
-// (unknown command or flag, wrong arity, out-of-range argument).
+// (unknown command or flag, wrong arity, out-of-range argument). Every
+// launch a command prices is checked against the device's limits and for
+// metric soundness (profiler.Session.Launch); a violation is a runtime
+// failure naming the workload, kernel and rule.
 //
 // `cactus trace <abbr>` records one workload's launch timeline as Chrome
 // trace-event JSON (load it in chrome://tracing or https://ui.perfetto.dev):
@@ -98,7 +82,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -108,10 +91,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/profiler"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/units"
 	"repro/internal/workloads"
 )
 
@@ -184,7 +165,7 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return usagef("missing command (list, device, run, profile, export, trace, compare, explain, lint, audit, figure, table, bench, serve, all)")
+		return usagef("missing command (list, device, run, profile, export, trace, compare, explain, figure, table, bench, serve, all)")
 	}
 	if *clusters < 1 {
 		return usagef("-clusters %d: need at least 1 cluster", *clusters)
@@ -457,20 +438,6 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 		}
 		return core.WriteCompareTable(out, cmps)
 
-	case "lint":
-		ws, err := selectWorkloads(cat, rest[1:])
-		if err != nil {
-			return err
-		}
-		return lintWorkloads(ws, cfg, out, errOut)
-
-	case "audit":
-		ws, err := selectWorkloads(cat, rest[1:])
-		if err != nil {
-			return err
-		}
-		return auditWorkloads(ws, cfg, opts, out, errOut)
-
 	case "explain":
 		return explainCmd(rest, cat, cfg, opts, out, errOut)
 
@@ -518,103 +485,6 @@ func dispatch(rest []string, cat *workloads.Catalog, cfg gpu.DeviceConfig,
 	default:
 		return usagef("unknown command %q", rest[0])
 	}
-}
-
-// lintWorkloads runs each workload against a device-less session —
-// recording its kernel-spec stream without pricing it — and reports every
-// spec that violates the device's hardware limits (gpu.CheckSpec).
-func lintWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer) error {
-	return checkWorkloads("lint", "kernel-spec", ws, cfg, out, errOut, func(w workloads.Workload) (int, []issue, error) {
-		sess := profiler.NewSession(nil)
-		if err := w.Run(sess); err != nil {
-			return 0, nil, fmt.Errorf("lint: %s: %w", w.Abbr(), err)
-		}
-		specs := sess.Specs()
-		var issues []issue
-		for _, spec := range specs {
-			for _, is := range gpu.CheckSpec(cfg, spec) {
-				issues = append(issues, issue{spec.Name, is.Rule, is.Detail})
-			}
-		}
-		return len(specs), issues, nil
-	})
-}
-
-// auditWorkloads replays each workload on the real timing model and audits
-// every launch result for metric soundness (gpu.CheckResult), plus the
-// session-level identity that per-kernel times sum to the session total.
-// The runs feed opts' tracer and counters, each workload on its own
-// modeled-track lane.
-func auditWorkloads(ws []workloads.Workload, cfg gpu.DeviceConfig, opts core.StudyOptions, out, errOut io.Writer) error {
-	lane := 0
-	return checkWorkloads("audit", "metric-soundness", ws, cfg, out, errOut, func(w workloads.Workload) (int, []issue, error) {
-		sess, err := core.RunWorkload(w, cfg, opts.Tracer, opts.Counters, lane)
-		lane++
-		if err != nil {
-			return 0, nil, err
-		}
-		ls := sess.Launches()
-		var issues []issue
-		for _, l := range ls {
-			for _, is := range gpu.CheckResult(cfg, l) {
-				issues = append(issues, issue{l.Name, is.Rule, is.Detail})
-			}
-		}
-		var kernelSum units.Seconds
-		for _, kp := range sess.Kernels() {
-			kernelSum += kp.TotalTime
-		}
-		total := sess.TotalTime().Float()
-		if diff := math.Abs(kernelSum.Float() - total); diff > 1e-9*math.Max(total, 1e-12) {
-			issues = append(issues, issue{"(session)", "time-sum",
-				fmt.Sprintf("per-kernel times sum to %.9g s, session total is %.9g s", kernelSum.Float(), total)})
-		}
-		return len(ls), issues, nil
-	})
-}
-
-// issue is one rule violation found on one launch.
-type issue struct{ kernel, rule, detail string }
-
-// checkWorkloads runs check over each workload in turn and reports what it
-// found: one line per (kernel, rule), in order of first appearance, with
-// the first detail and the number of offending launches, then a summary on
-// errOut. It returns an error (nonzero exit) when any violation is found;
-// kind names the class of violation.
-func checkWorkloads(cmd, kind string, ws []workloads.Workload, cfg gpu.DeviceConfig, out, errOut io.Writer,
-	check func(workloads.Workload) (launches int, issues []issue, err error)) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	type key struct{ kernel, rule string }
-	var launches, violations int
-	for _, w := range ws {
-		n, issues, err := check(w)
-		if err != nil {
-			return err
-		}
-		launches += n
-		counts := make(map[key]int)
-		var first []issue
-		for _, is := range issues {
-			k := key{is.kernel, is.rule}
-			if counts[k] == 0 {
-				first = append(first, is)
-			}
-			counts[k]++
-		}
-		for _, is := range first {
-			fmt.Fprintf(out, "%s/%s: kernel %s: %s: %s (%d launches)\n",
-				w.Suite(), w.Abbr(), is.kernel, is.rule, is.detail, counts[key{is.kernel, is.rule}])
-		}
-		violations += len(first)
-	}
-	fmt.Fprintf(errOut, "cactus %s: %d workloads, %d launches audited, %d violations\n",
-		cmd, len(ws), launches, violations)
-	if violations > 0 {
-		return fmt.Errorf("%s: %d %s violation(s)", cmd, violations, kind)
-	}
-	return nil
 }
 
 // selectWorkloads resolves abbrs against the catalog, in order; no

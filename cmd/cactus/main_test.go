@@ -10,11 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gpu"
-	"repro/internal/isa"
-	"repro/internal/profiler"
 	"repro/internal/testutil"
-	"repro/internal/workloads"
 )
 
 func TestRunArgValidation(t *testing.T) {
@@ -33,7 +29,6 @@ func TestRunArgValidation(t *testing.T) {
 		{"profile unknown workload", []string{"profile", "XYZ"}},
 		{"export wrong arity", []string{"export"}},
 		{"compare without workload", []string{"compare"}},
-		{"audit unknown workload", []string{"audit", "XYZ"}},
 		{"explain unknown workload", []string{"explain", "XYZ"}},
 		{"unknown log format", []string{"-log", "xml", "list"}},
 	}
@@ -53,7 +48,7 @@ func TestUsageListsEveryCommand(t *testing.T) {
 		t.Fatal("expected a missing-command error")
 	}
 	for _, cmd := range []string{
-		"list", "device", "run", "profile", "export", "trace", "compare", "explain", "lint", "audit", "figure", "table", "bench", "serve", "all",
+		"list", "device", "run", "profile", "export", "trace", "compare", "explain", "figure", "table", "bench", "serve", "all",
 	} {
 		if !strings.Contains(err.Error(), cmd) {
 			t.Errorf("usage error %q omits command %q", err, cmd)
@@ -77,6 +72,8 @@ func TestExitCodes(t *testing.T) {
 		{"bench check help", []string{"bench", "check", "-h"}, 0},
 		{"missing command", nil, 2},
 		{"unknown command", []string{"frobnicate"}, 2},
+		{"lint is not a command", []string{"lint"}, 2},
+		{"audit is not a command", []string{"audit"}, 2},
 		{"unknown flag", []string{"-frobnicate", "list"}, 2},
 		{"unknown device", []string{"-device", "voodoo3", "list"}, 2},
 		{"bad log format", []string{"-log", "xml", "list"}, 2},
@@ -145,23 +142,6 @@ func TestErrorOutputOnStderr(t *testing.T) {
 			t.Errorf("-h output missing flag docs:\n%s", errOut.String())
 		}
 	})
-}
-
-// TestAuditCommand replays a small workload subset through the metric
-// audit: the model must pass its own soundness checks, and the stderr
-// summary must account for every launch.
-func TestAuditCommand(t *testing.T) {
-	var out, errOut strings.Builder
-	if err := run([]string{"audit", "GMS", "pb-sgemm", "rd-kmeans"}, &out, &errOut); err != nil {
-		t.Fatalf("audit: %v\n%s", err, out.String())
-	}
-	if out.Len() != 0 {
-		t.Errorf("clean audit wrote violations:\n%s", out.String())
-	}
-	if !strings.Contains(errOut.String(), "3 workloads") ||
-		!strings.Contains(errOut.String(), "0 violations") {
-		t.Errorf("audit summary = %q", errOut.String())
-	}
 }
 
 func TestRunFastCommands(t *testing.T) {
@@ -372,58 +352,10 @@ func TestNoCacheFlag(t *testing.T) {
 	}
 }
 
-// badSpecs launches kernels that break the device's spec limits: two
-// launches of a block size that is not a warp multiple, then one block
-// larger than any SM holds.
-type badSpecs struct{}
-
-func (badSpecs) Name() string             { return "bad-specs" }
-func (badSpecs) Abbr() string             { return "BAD" }
-func (badSpecs) Suite() workloads.Suite   { return workloads.Cactus }
-func (badSpecs) Domain() workloads.Domain { return workloads.Scientific }
-
-func (badSpecs) Run(s *profiler.Session) error {
-	var mix isa.Mix
-	mix.Add(isa.FP32, 1<<10)
-	for _, spec := range []gpu.KernelSpec{
-		{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix},
-		{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix},
-		{Name: "huge", Grid: gpu.D1(8), Block: gpu.D1(2048), Mix: mix},
-	} {
-		if _, err := s.Launch(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestLintReportsViolations — one line per (kernel, rule) in order of
-// first appearance, with its first detail and offending-launch count, then
-// the summary, and an error for the nonzero exit.
-func TestLintReportsViolations(t *testing.T) {
-	var out, errOut bytes.Buffer
-	err := lintWorkloads([]workloads.Workload{badSpecs{}}, gpu.RTX3080(), &out, &errOut)
-	if err == nil || err.Error() != "lint: 4 kernel-spec violation(s)" {
-		t.Errorf("err = %v, want the 4-violation lint error", err)
-	}
-	want := `cactus/BAD: kernel ragged: block-warp: block size 100 is not a multiple of WarpSize 32; the trailing partial warp wastes 28 lanes per block (2 launches)
-cactus/BAD: kernel huge: validate: gpu: kernel huge: block size 2048 exceeds 1024 (1 launches)
-cactus/BAD: kernel huge: block-limit: block size 2048 exceeds the device limit of 1024 threads per block (1 launches)
-cactus/BAD: kernel huge: occupancy: zero theoretical occupancy: warps demand means not even one block fits on an SM (1 launches)
-`
-	if out.String() != want {
-		t.Errorf("lint report:\n%s\nwant:\n%s", out.String(), want)
-	}
-	if got, want := errOut.String(), "cactus lint: 1 workloads, 3 launches audited, 4 violations\n"; got != want {
-		t.Errorf("summary = %q, want %q", got, want)
-	}
-}
-
 // oneShotRuns are the commands that run their workloads outside a study:
-// export, audit and explain -launches.
+// export and explain -launches.
 var oneShotRuns = [][]string{
 	{"export", "pb-sgemm"},
-	{"audit", "pb-sgemm"},
 	{"explain", "-launches", "pb-sgemm"},
 }
 
@@ -455,14 +387,12 @@ func checkOneShotObserved(t *testing.T, args ...string) {
 
 func TestExportHonoursObservability(t *testing.T) { checkOneShotObserved(t, oneShotRuns[0]...) }
 
-func TestAuditHonoursObservability(t *testing.T) { checkOneShotObserved(t, oneShotRuns[1]...) }
-
 func TestExplainLaunchesHonoursObservability(t *testing.T) {
-	checkOneShotObserved(t, oneShotRuns[2]...)
+	checkOneShotObserved(t, oneShotRuns[1]...)
 }
 
 // TestOneShotOutputUnaffectedByObservability — the one-shot commands'
-// stdout (an exported trace, audit violations, the launch-level tree) is
+// stdout (an exported trace, the launch-level tree) is
 // the same bytes with -trace, -v and -metrics on as with them off.
 func TestOneShotOutputUnaffectedByObservability(t *testing.T) {
 	dir := t.TempDir()

@@ -132,7 +132,9 @@ func Characterize(w workloads.Workload, cfg gpu.DeviceConfig) (*Profile, error) 
 // fresh device for cfg, attaches tr and ctr to it (host-track launch spans,
 // launch and warp-instruction counters), opens a profiling session labelled
 // with the workload on modeled-track lane `lane`, and runs the workload.
-// Both sinks are optional. The returned session holds every launch result.
+// Both sinks are optional. The returned session holds every launch result;
+// a launch that failed its checks (see profiler.Session.Launch) fails the
+// run, naming the workload, kernel and rule.
 // A device is never shared between calls, so concurrent calls race on
 // nothing but the sinks, which are safe for concurrent use.
 func RunWorkload(w workloads.Workload, cfg gpu.DeviceConfig, tr telemetry.Tracer, ctr *telemetry.Counters, lane int) (*profiler.Session, error) {
@@ -144,7 +146,11 @@ func RunWorkload(w workloads.Workload, cfg gpu.DeviceConfig, tr telemetry.Tracer
 	sess := profiler.NewSessionWith(dev, profiler.SessionOptions{
 		Tracer: tr, Label: w.Abbr(), Lane: lane,
 	})
-	if err := w.Run(sess); err != nil {
+	err = w.Run(sess)
+	if err == nil {
+		err = sess.Err()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: running %s: %w", w.Abbr(), err)
 	}
 	return sess, nil
@@ -175,7 +181,9 @@ func profileFromSession(w workloads.Workload, sess *profiler.Session) (*Profile,
 	}
 	p.AggII = units.IntensityFloor1(p.TotalWarpInsts, txns)
 	p.AggGIPS = p.TotalWarpInsts.PerSec(total) / 1e9
+	var kernelSum units.Seconds
 	for _, k := range sess.Kernels() {
+		kernelSum += k.TotalTime
 		p.Kernels = append(p.Kernels, KernelChar{
 			Name:        k.Name,
 			Invocations: k.Invocations,
@@ -183,6 +191,11 @@ func profileFromSession(w workloads.Workload, sess *profiler.Session) (*Profile,
 			Metrics:     k.Metrics(),
 			instCount:   k.WarpInstructions().Float(),
 		})
+	}
+	// The time-sum identity: the per-kernel aggregation loses no launch.
+	if diff := math.Abs((kernelSum - total).Float()); diff > 1e-9*total.Float() {
+		return nil, fmt.Errorf("core: %s: time-sum: per-kernel times sum to %.9g s, session total is %.9g s",
+			w.Abbr(), kernelSum.Float(), total.Float())
 	}
 	return p, nil
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/gpu"
+	"repro/internal/isa"
 	"repro/internal/profiler"
 	"repro/internal/workloads"
 )
@@ -89,6 +91,37 @@ func TestParallelStudyError(t *testing.T) {
 	}
 	if n := starts.Load(); n == 0 || n == 16 {
 		t.Logf("starts=%d (early-exit is best-effort)", n)
+	}
+}
+
+// raggedWorkload submits, as the real emitters do, a kernel whose
+// 100-thread blocks are not a warp multiple.
+type raggedWorkload struct{}
+
+func (raggedWorkload) Name() string             { return "ragged" }
+func (raggedWorkload) Abbr() string             { return "RAG" }
+func (raggedWorkload) Suite() workloads.Suite   { return workloads.Cactus }
+func (raggedWorkload) Domain() workloads.Domain { return workloads.Scientific }
+func (raggedWorkload) Run(s *profiler.Session) error {
+	var mix isa.Mix
+	mix.Add(isa.FP32, 1<<10)
+	s.Submit(gpu.KernelSpec{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix})
+	return nil
+}
+
+// TestStudyFailsOnCheckedLaunch — a launch that breaks a spec rule fails
+// the study with an error naming the workload, the kernel and the rule,
+// even though the workload itself returned no error.
+func TestStudyFailsOnCheckedLaunch(t *testing.T) {
+	ws := append(BaselineWorkloads()[:1], raggedWorkload{})
+	_, err := NewStudyWith(gpu.RTX3080(), StudyOptions{Workers: 2}, ws...)
+	if err == nil {
+		t.Fatal("expected the study to fail")
+	}
+	for _, want := range []string{"RAG", "kernel ragged", "block-warp"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -7,19 +7,17 @@ import (
 	"repro/internal/units"
 )
 
-// MetricIssue is one runtime metric-soundness violation of a modeled launch
-// result — a value that is dimensionally or arithmetically inconsistent
-// with the rest of the result, even though every individual field looks
-// plausible in isolation. `cactus audit` replays every registered
-// workload's launches through CheckResult.
-type MetricIssue struct {
+// Issue is one rule a kernel spec (CheckSpec) or a modeled launch result
+// (CheckResult) breaks. profiler.Session.Launch runs both checks on every
+// launch it prices and fails the launch on any issue.
+type Issue struct {
 	// Rule names the violated invariant (stable identifier).
 	Rule string
 	// Detail is the human-readable explanation.
 	Detail string
 }
 
-func (i MetricIssue) String() string { return i.Rule + ": " + i.Detail }
+func (i Issue) String() string { return i.Rule + ": " + i.Detail }
 
 // relTol is the tolerance for recomputed-identity checks. The audited
 // fields are produced from the same inputs the checks recompute them from,
@@ -28,7 +26,9 @@ func (i MetricIssue) String() string { return i.Rule + ": " + i.Detail }
 const relTol = 1e-9
 
 // CheckResult audits one modeled launch result for cross-metric
-// consistency against the device that produced it. It reports:
+// consistency against the device that produced it: a value that is
+// dimensionally or arithmetically inconsistent with the rest of the result,
+// even though every field looks plausible in isolation. It reports:
 //
 //   - time: the modeled duration is not positive and finite
 //   - fraction-range: a fractional metric (SM efficiency, pipe
@@ -44,10 +44,10 @@ const relTol = 1e-9
 //   - attribution-sum: the top-down bottleneck shares (LaunchResult.
 //     Attribution) do not sum to 1 within tolerance — the per-launch leaf
 //     identity the attribution tree's every level inherits
-func CheckResult(c DeviceConfig, r LaunchResult) []MetricIssue {
-	var issues []MetricIssue
+func CheckResult(c DeviceConfig, r LaunchResult) []Issue {
+	var issues []Issue
 	add := func(rule, format string, args ...any) {
-		issues = append(issues, MetricIssue{Rule: rule, Detail: fmt.Sprintf(format, args...)})
+		issues = append(issues, Issue{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	}
 
 	if t := r.Time.Float(); !(t > 0) || math.IsInf(t, 0) {

@@ -128,9 +128,9 @@ func dominant(s telemetry.BottleneckShares) telemetry.Bottleneck {
 	return best
 }
 
-// TestMetricIssueString pins the "rule: detail" rendering.
-func TestMetricIssueString(t *testing.T) {
-	i := MetricIssue{Rule: "gips", Detail: "drift"}
+// TestIssueString pins the "rule: detail" rendering.
+func TestIssueString(t *testing.T) {
+	i := Issue{Rule: "gips", Detail: "drift"}
 	if got := i.String(); got != "gips: drift" {
 		t.Errorf("String() = %q", got)
 	}

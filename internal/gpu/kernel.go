@@ -128,8 +128,8 @@ type Occupancy struct {
 // limiting resource, without flooring: a block whose warp or register
 // demand exceeds the SM budget yields limit 0 — the kernel has zero
 // theoretical occupancy and could never launch on real hardware.
-// CheckSpec reports that statically; occupancyOf floors it at 1 so the
-// timing model stays defined.
+// CheckSpec reports that, failing the launch in profiler.Session.Launch;
+// occupancyOf floors it at 1 so the timing model stays defined.
 func theoreticalLimit(c DeviceConfig, k KernelSpec) (limit int, limiter string) {
 	warpsPerBlock := (k.Block.Count() + 31) / 32
 

@@ -2,21 +2,10 @@ package gpu
 
 import "fmt"
 
-// SpecIssue is one static violation of a kernel spec against a device's
-// hardware limits — a launch that would be rejected or crippled on the real
-// GPU even though the model would happily simulate it. `cactus lint` audits
-// every registered workload's spec stream with CheckSpec.
-type SpecIssue struct {
-	// Rule names the violated invariant (stable identifier).
-	Rule string
-	// Detail is the human-readable explanation.
-	Detail string
-}
-
-func (i SpecIssue) String() string { return i.Rule + ": " + i.Detail }
-
 // CheckSpec statically validates k against c's limits (the paper's Table II
-// for the RTX 3080) without running the simulation. It reports:
+// for the RTX 3080) without running the simulation: a launch the real GPU
+// would reject or cripple even though the model would happily price it. It
+// reports:
 //
 //   - validate: anything KernelSpec.Validate rejects (empty mix, bad
 //     geometry, out-of-range fractions)
@@ -37,10 +26,10 @@ func (i SpecIssue) String() string { return i.Rule + ": " + i.Detail }
 //     would fail with "too many resources requested"
 //   - occupancy: zero theoretical occupancy (warp or register demand means
 //     not even one block fits on an SM)
-func CheckSpec(c DeviceConfig, k KernelSpec) []SpecIssue {
-	var issues []SpecIssue
+func CheckSpec(c DeviceConfig, k KernelSpec) []Issue {
+	var issues []Issue
 	add := func(rule, format string, args ...any) {
-		issues = append(issues, SpecIssue{Rule: rule, Detail: fmt.Sprintf(format, args...)})
+		issues = append(issues, Issue{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 	}
 
 	if err := k.Validate(); err != nil {

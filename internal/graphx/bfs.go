@@ -119,7 +119,7 @@ func (em *bfsEmitter) launch(name string, threads int, mix isa.Mix, streams []me
 		spec.Trace = trace
 		spec.TraceCoverage = coverage / r
 	}
-	em.sess.MustLaunch(spec)
+	em.sess.Submit(spec)
 }
 
 func (em *bfsEmitter) memset(name string, elems, elemBytes int) {

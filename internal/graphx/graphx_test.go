@@ -183,7 +183,13 @@ func session(t testing.TB) *profiler.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return profiler.NewSession(d)
+	s := profiler.NewSession(d)
+	t.Cleanup(func() {
+		if err := s.Err(); err != nil {
+			t.Errorf("launch failed: %v", err)
+		}
+	})
+	return s
 }
 
 func TestGunrockBFSMatchesReference(t *testing.T) {

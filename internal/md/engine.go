@@ -119,7 +119,7 @@ func (e *Engine) Run() error {
 
 // launch assembles and issues one kernel.
 func (e *Engine) launch(name string, threads int, mix isa.Mix, streams []memsim.Stream, div float64) {
-	e.sess.MustLaunch(gpu.Replicated(name, threads, 128, e.cfg.Replication, mix, streams, div))
+	e.sess.Submit(gpu.Replicated(name, threads, 128, e.cfg.Replication, mix, streams, div))
 }
 
 const f4 = 16 // bytes of a float4 (position / force record)

@@ -388,7 +388,13 @@ func newSession(t *testing.T) *profiler.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return profiler.NewSession(d)
+	s := profiler.NewSession(d)
+	t.Cleanup(func() {
+		if err := s.Err(); err != nil {
+			t.Errorf("launch failed: %v", err)
+		}
+	})
+	return s
 }
 
 func TestConfigValidate(t *testing.T) {

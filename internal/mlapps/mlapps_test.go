@@ -17,7 +17,13 @@ func newSession(t *testing.T) *profiler.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return profiler.NewSession(d)
+	s := profiler.NewSession(d)
+	t.Cleanup(func() {
+		if err := s.Err(); err != nil {
+			t.Errorf("launch failed: %v", err)
+		}
+	})
+	return s
 }
 
 // appSessions holds each app's session by abbreviation, so that every app

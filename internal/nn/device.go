@@ -42,7 +42,7 @@ func NewDevice(sess *profiler.Session, replication float64, seed int64) *Device 
 
 // emit launches one kernel scaled by the replication factor.
 func (d *Device) emit(name string, threads int, mix isa.Mix, streams []memsim.Stream, div float64) {
-	d.sess.MustLaunch(gpu.Replicated(name, threads, 256, d.Replication, mix, streams, div))
+	d.sess.Submit(gpu.Replicated(name, threads, 256, d.Replication, mix, streams, div))
 }
 
 // bucket rounds n to the nearest power of two for kernel-name shape classes

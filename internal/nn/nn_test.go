@@ -16,7 +16,13 @@ func device(t *testing.T) *Device {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDevice(profiler.NewSession(d), 1, 42)
+	s := profiler.NewSession(d)
+	t.Cleanup(func() {
+		if err := s.Err(); err != nil {
+			t.Errorf("launch failed: %v", err)
+		}
+	})
+	return NewDevice(s, 1, 42)
 }
 
 // Session returns the underlying profiling session, whose launches the

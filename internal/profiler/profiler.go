@@ -8,6 +8,7 @@ package profiler
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/gpu"
@@ -191,9 +192,11 @@ func (k *KernelProfile) Metrics() Vector {
 }
 
 // Session records the launches of one workload run. It wraps a device so
-// workload code only ever talks to the session. A session without a device
-// prices nothing: it records each spec as issued, which is how `cactus
-// lint` extracts a workload's input-dependent spec stream.
+// workload code only ever talks to the session, and it is the one checked
+// launch path: every launch it prices passes gpu.CheckSpec before pricing
+// and gpu.CheckResult after. A session without a device prices and checks
+// nothing: it records each spec as issued, so a workload's input-dependent
+// spec stream can be captured without a device model.
 type Session struct {
 	dev    *gpu.Device
 	tracer telemetry.Tracer
@@ -203,6 +206,7 @@ type Session struct {
 	launches []gpu.LaunchResult
 	specs    []gpu.KernelSpec // device-less sessions only
 	cursor   units.Seconds    // modeled-track timeline position
+	err      error            // the first failed launch's error
 }
 
 // SessionOptions configures a session's telemetry.
@@ -220,7 +224,7 @@ type SessionOptions struct {
 }
 
 // NewSession starts a profiling session on dev with telemetry disabled. A
-// nil dev makes a session that only records specs (see Specs).
+// nil dev makes a session that only records specs.
 func NewSession(dev *gpu.Device) *Session {
 	return NewSessionWith(dev, SessionOptions{})
 }
@@ -237,9 +241,12 @@ func NewSessionWith(dev *gpu.Device, opts SessionOptions) *Session {
 // Device returns the underlying device.
 func (s *Session) Device() *gpu.Device { return s.dev }
 
-// Launch models spec on the device and records the result. Without a
-// device it records spec unvalidated — collecting an invalid spec is the
-// point, so gpu.CheckSpec can report it — and returns a zero result.
+// Launch checks spec against the device's limits (gpu.CheckSpec), models
+// it, checks the result's metrics (gpu.CheckResult) and records it. Any
+// issue fails the launch with an error naming the kernel and each rule
+// with its detail. The session keeps its first failure: from then on
+// Launch prices nothing and returns that error, and Err reports it.
+// Without a device Launch records spec unchecked and returns a zero result.
 func (s *Session) Launch(spec gpu.KernelSpec) (gpu.LaunchResult, error) {
 	if s.dev == nil {
 		s.mu.Lock()
@@ -247,11 +254,18 @@ func (s *Session) Launch(spec gpu.KernelSpec) (gpu.LaunchResult, error) {
 		s.mu.Unlock()
 		return gpu.LaunchResult{}, nil
 	}
-	res, err := s.dev.Launch(spec)
-	if err != nil {
-		return res, err
+	if err := s.Err(); err != nil {
+		return gpu.LaunchResult{}, err
 	}
+	res, err := s.price(spec)
 	s.mu.Lock()
+	if err != nil {
+		if s.err == nil {
+			s.err = err
+		}
+		s.mu.Unlock()
+		return gpu.LaunchResult{}, err
+	}
 	s.launches = append(s.launches, res)
 	start := s.cursor
 	s.cursor += res.Time
@@ -267,14 +281,43 @@ func (s *Session) Launch(spec gpu.KernelSpec) (gpu.LaunchResult, error) {
 	return res, nil
 }
 
-// MustLaunch is Launch that panics on error. Workload kernel specs are
-// constructed programmatically; an invalid one is a bug, not an input error.
-func (s *Session) MustLaunch(spec gpu.KernelSpec) gpu.LaunchResult {
-	res, err := s.Launch(spec)
-	if err != nil {
-		panic(err)
+// price runs the device model on spec between the two checks.
+func (s *Session) price(spec gpu.KernelSpec) (gpu.LaunchResult, error) {
+	cfg := s.dev.Config()
+	if issues := gpu.CheckSpec(cfg, spec); len(issues) > 0 {
+		return gpu.LaunchResult{}, launchError(spec.Name, issues)
 	}
-	return res
+	res, err := s.dev.Launch(spec)
+	if err != nil {
+		return res, err
+	}
+	if issues := gpu.CheckResult(cfg, res); len(issues) > 0 {
+		return res, launchError(spec.Name, issues)
+	}
+	return res, nil
+}
+
+// launchError names the kernel and every issue one launch broke.
+func launchError(kernel string, issues []gpu.Issue) error {
+	rules := make([]string, len(issues))
+	for i, is := range issues {
+		rules[i] = is.String()
+	}
+	return fmt.Errorf("profiler: kernel %s: %s", kernel, strings.Join(rules, "; "))
+}
+
+// Submit is Launch for workload code, which has no use for the result: a
+// failed launch is kept as the session's error rather than returned, and
+// core.RunWorkload reports it (Err) once the workload returns.
+func (s *Session) Submit(spec gpu.KernelSpec) {
+	_, _ = s.Launch(spec) // kept in s.err
+}
+
+// Err returns the session's first failed launch, or nil.
+func (s *Session) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // Launches returns the recorded launches in issue order.
@@ -283,15 +326,6 @@ func (s *Session) Launches() []gpu.LaunchResult {
 	defer s.mu.Unlock()
 	out := make([]gpu.LaunchResult, len(s.launches))
 	copy(out, s.launches)
-	return out
-}
-
-// Specs returns the specs a device-less session recorded, in issue order.
-func (s *Session) Specs() []gpu.KernelSpec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]gpu.KernelSpec, len(s.specs))
-	copy(out, s.specs)
 	return out
 }
 

@@ -6,15 +6,30 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/isa"
 	"repro/internal/memsim"
+	"repro/internal/telemetry"
 )
 
+// session returns an RTX 3080 session whose launches must all pass.
 func session(t *testing.T) *Session {
 	t.Helper()
 	d, err := gpu.New(gpu.RTX3080())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSession(d)
+	s := NewSession(d)
+	t.Cleanup(func() {
+		if err := s.Err(); err != nil {
+			t.Errorf("launch failed: %v", err)
+		}
+	})
+	return s
+}
+
+// Specs returns the specs a device-less session recorded, in issue order.
+func (s *Session) Specs() []gpu.KernelSpec {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]gpu.KernelSpec(nil), s.specs...)
 }
 
 func spec(name string, insts uint64, memHeavy bool) gpu.KernelSpec {
@@ -83,8 +98,8 @@ func TestSessionRecordsLaunches(t *testing.T) {
 	if _, err := s.Launch(spec("k1", 1<<22, false)); err != nil {
 		t.Fatal(err)
 	}
-	s.MustLaunch(spec("k2", 1<<22, true))
-	s.MustLaunch(spec("k1", 1<<22, false))
+	s.Submit(spec("k2", 1<<22, true))
+	s.Submit(spec("k1", 1<<22, false))
 	if s.LaunchCount() != 3 {
 		t.Errorf("launch count = %d", s.LaunchCount())
 	}
@@ -102,32 +117,78 @@ func TestSessionRecordsLaunches(t *testing.T) {
 	}
 }
 
+// TestSessionLaunchError — a failed launch records nothing and becomes the
+// session's error, and later launches, valid ones included, price nothing.
 func TestSessionLaunchError(t *testing.T) {
-	s := session(t)
-	if _, err := s.Launch(gpu.KernelSpec{}); err == nil {
-		t.Error("invalid spec should error")
+	d, err := gpu.New(gpu.RTX3080())
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := NewSession(d)
+	_, first := s.Launch(gpu.KernelSpec{Name: "empty", Grid: gpu.D1(1), Block: gpu.D1(32)})
+	if first == nil {
+		t.Fatal("invalid spec should error")
+	}
+	if _, err := s.Launch(spec("k", 1<<20, false)); err != first {
+		t.Errorf("launch after a failure = %v, want the first error %v", err, first)
+	}
+	s.Submit(spec("k", 1<<20, false))
 	if s.LaunchCount() != 0 {
-		t.Error("failed launch must not be recorded")
+		t.Error("no launch may be recorded once one has failed")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLaunch should panic")
-		}
-	}()
-	s.MustLaunch(gpu.KernelSpec{})
+	if err := s.Err(); err != first {
+		t.Errorf("Err() = %v, want the first error %v", err, first)
+	}
 }
 
-// TestDevicelessSessionCollectsSpecs checks the session behind `cactus
-// lint`: without a device, launches are recorded in issue order — even
-// invalid ones, so gpu.CheckSpec can report them — priced at zero, and
-// kept out of the launch results.
+// badSpecs are launches that break the RTX 3080's spec limits: a block
+// size that is not a warp multiple, and a block larger than any SM holds.
+var badSpecs = func() []gpu.KernelSpec {
+	var mix isa.Mix
+	mix.Add(isa.FP32, 1<<10)
+	return []gpu.KernelSpec{
+		{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix},
+		{Name: "huge", Grid: gpu.D1(8), Block: gpu.D1(2048), Mix: mix},
+	}
+}()
+
+// TestLaunchChecksSpec — Launch runs gpu.CheckSpec before pricing: each
+// bad spec fails with one error naming the kernel and every rule it breaks
+// with its detail, and nothing is priced.
+func TestLaunchChecksSpec(t *testing.T) {
+	want := map[string]string{
+		"ragged": "profiler: kernel ragged: block-warp: block size 100 is not a multiple of WarpSize 32; the trailing partial warp wastes 28 lanes per block",
+		"huge": "profiler: kernel huge: validate: gpu: kernel huge: block size 2048 exceeds 1024; " +
+			"block-limit: block size 2048 exceeds the device limit of 1024 threads per block; " +
+			"occupancy: zero theoretical occupancy: warps demand means not even one block fits on an SM",
+	}
+	for _, sp := range badSpecs {
+		d, err := gpu.New(gpu.RTX3080())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctr := telemetry.NewCounters()
+		d.SetTelemetry(nil, ctr)
+		s := NewSession(d)
+		_, err = s.Launch(sp)
+		if err == nil || err.Error() != want[sp.Name] {
+			t.Errorf("Launch(%s) = %v, want %q", sp.Name, err, want[sp.Name])
+		}
+		if n := ctr.Get(telemetry.CtrLaunches); n != 0 {
+			t.Errorf("%s: the device priced %d launches, want 0", sp.Name, n)
+		}
+	}
+}
+
+// TestDevicelessSessionCollectsSpecs checks the capture session: without a
+// device, launches are recorded in issue order — even invalid ones —
+// priced at zero, and kept out of the launch results.
 func TestDevicelessSessionCollectsSpecs(t *testing.T) {
 	s := NewSession(nil)
 	good := spec("k", 1000, false)
 	bad := spec("", 1000, false) // Validate would reject this; the session must still record it
 
-	for _, sp := range []gpu.KernelSpec{good, bad} {
+	for _, sp := range []gpu.KernelSpec{good, bad, badSpecs[0]} {
 		res, err := s.Launch(sp)
 		if err != nil {
 			t.Fatalf("Launch(%q) = %v, want nil (a device-less session records, not rejects)", sp.Name, err)
@@ -138,11 +199,11 @@ func TestDevicelessSessionCollectsSpecs(t *testing.T) {
 	}
 
 	specs := s.Specs()
-	if len(specs) != 2 {
-		t.Fatalf("Specs() returned %d specs, want 2", len(specs))
+	if len(specs) != 3 {
+		t.Fatalf("Specs() returned %d specs, want 3", len(specs))
 	}
-	if specs[0].Name != "k" || specs[1].Name != "" {
-		t.Errorf("Specs() = %q, %q; want recorded launch order", specs[0].Name, specs[1].Name)
+	if specs[0].Name != "k" || specs[1].Name != "" || specs[2].Name != "ragged" {
+		t.Errorf("Specs() = %q, %q, %q; want recorded launch order", specs[0].Name, specs[1].Name, specs[2].Name)
 	}
 	if n := s.LaunchCount(); n != 0 {
 		t.Errorf("LaunchCount() = %d, want 0 (nothing was priced)", n)
@@ -151,9 +212,9 @@ func TestDevicelessSessionCollectsSpecs(t *testing.T) {
 
 func TestKernelAggregation(t *testing.T) {
 	s := session(t)
-	s.MustLaunch(spec("alpha", 1<<24, false))
-	s.MustLaunch(spec("alpha", 1<<24, false))
-	s.MustLaunch(spec("beta", 1<<20, true))
+	s.Submit(spec("alpha", 1<<24, false))
+	s.Submit(spec("alpha", 1<<24, false))
+	s.Submit(spec("beta", 1<<20, true))
 	ks := s.Kernels()
 	if len(ks) != 2 {
 		t.Fatalf("kernels = %d, want 2", len(ks))
@@ -176,9 +237,9 @@ func TestKernelAggregation(t *testing.T) {
 // overhead category derives from.
 func TestKernelTotalOverhead(t *testing.T) {
 	s := session(t)
-	s.MustLaunch(spec("alpha", 1<<24, false))
-	s.MustLaunch(spec("alpha", 1<<24, false))
-	s.MustLaunch(spec("beta", 1<<20, true))
+	s.Submit(spec("alpha", 1<<24, false))
+	s.Submit(spec("alpha", 1<<24, false))
+	s.Submit(spec("beta", 1<<20, true))
 	perLaunchNs := s.Device().Config().LaunchOverheadNs
 	for _, k := range s.Kernels() {
 		want := float64(k.Invocations) * perLaunchNs
@@ -194,7 +255,7 @@ func TestKernelTotalOverhead(t *testing.T) {
 
 func TestKernelMetricsVector(t *testing.T) {
 	s := session(t)
-	s.MustLaunch(spec("m", 1<<24, true))
+	s.Submit(spec("m", 1<<24, true))
 	k := s.Kernels()[0]
 	v := k.Metrics()
 	if v.Get(GIPS) <= 0 {
@@ -229,8 +290,8 @@ func TestEmptyProfileMetrics(t *testing.T) {
 
 func TestMemVsComputeCharacter(t *testing.T) {
 	s := session(t)
-	s.MustLaunch(spec("mem", 1<<24, true))
-	s.MustLaunch(spec("cmp", 1<<24, false))
+	s.Submit(spec("mem", 1<<24, true))
+	s.Submit(spec("cmp", 1<<24, false))
 	var memII, cmpII float64
 	for _, k := range s.Kernels() {
 		switch k.Name {
@@ -252,7 +313,7 @@ func TestConcurrentLaunches(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 10; j++ {
-				s.MustLaunch(spec("par", 1<<18, j%2 == 0))
+				s.Submit(spec("par", 1<<18, j%2 == 0))
 			}
 		}()
 	}

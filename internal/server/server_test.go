@@ -16,8 +16,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/isa"
+	"repro/internal/profiler"
 	"repro/internal/telemetry"
 	"repro/internal/testutil"
+	"repro/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -430,5 +434,51 @@ func TestDeviceFingerprintsNameCacheEntries(t *testing.T) {
 		if err != nil || len(entries) != 1 {
 			t.Errorf("%s: %d cache entries named by fingerprint %s (err=%v), want 1", dev, len(entries), fp, err)
 		}
+	}
+}
+
+// raggedWorkload submits, as the real emitters do, a kernel whose
+// 100-thread blocks are not a warp multiple.
+type raggedWorkload struct{}
+
+func (raggedWorkload) Name() string             { return "ragged" }
+func (raggedWorkload) Abbr() string             { return "RAG" }
+func (raggedWorkload) Suite() workloads.Suite   { return workloads.Cactus }
+func (raggedWorkload) Domain() workloads.Domain { return workloads.Scientific }
+func (raggedWorkload) Run(s *profiler.Session) error {
+	var mix isa.Mix
+	mix.Add(isa.FP32, 1<<10)
+	s.Submit(gpu.KernelSpec{Name: "ragged", Grid: gpu.D1(8), Block: gpu.D1(100), Mix: mix})
+	return nil
+}
+
+// TestFailedLaunchIs500 — a workload whose launch breaks a spec rule gets
+// 500 naming the kernel and the rule, and the server goes on serving: the
+// next request for a valid workload gets 200.
+func TestFailedLaunchIs500(t *testing.T) {
+	def, err := core.DefaultCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgemm, err := def.Lookup("pb-sgemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := workloads.NewCatalog(raggedWorkload{}, sgemm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Catalog: cat})
+	rr := do(t, s, "GET", "/api/v1/profile?workload=RAG", nil)
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500\n%s", rr.Code, rr.Body.String())
+	}
+	for _, want := range []string{"kernel ragged", "block-warp"} {
+		if !strings.Contains(rr.Body.String(), want) {
+			t.Errorf("body %q does not name %q", rr.Body.String(), want)
+		}
+	}
+	if rr := do(t, s, "GET", "/api/v1/profile?workload=pb-sgemm", nil); rr.Code != http.StatusOK {
+		t.Errorf("status after the failed launch = %d, want 200\n%s", rr.Code, rr.Body.String())
 	}
 }

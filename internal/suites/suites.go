@@ -120,5 +120,5 @@ func max1(v uint64) uint64 {
 
 // Launch issues one kernel with the given thread count, mix and streams.
 func (e *Emitter) Launch(name string, threads int, mix *Mix, streams []Stream, div float64) {
-	e.sess.MustLaunch(gpu.Replicated(name, threads, 256, e.repl, mix.m, streams, div))
+	e.sess.Submit(gpu.Replicated(name, threads, 256, e.repl, mix.m, streams, div))
 }

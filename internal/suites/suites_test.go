@@ -19,7 +19,13 @@ func session(t *testing.T) *profiler.Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return profiler.NewSession(d)
+	s := profiler.NewSession(d)
+	t.Cleanup(func() {
+		if err := s.Err(); err != nil {
+			t.Errorf("launch failed: %v", err)
+		}
+	})
+	return s
 }
 
 func allBaselines() []workloads.Workload {

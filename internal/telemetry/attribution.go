@@ -5,8 +5,8 @@
 // kernel) down to individual launches, and at every node the time is split
 // into four bottleneck categories whose shares provably sum to 1. The
 // category shares derive from the typed stall/utilization fields the device
-// model already produces; CheckAttribution is the audit-style identity
-// check `cactus explain` and `cactus audit` enforce.
+// model already produces; CheckAttribution is the identity check `cactus
+// explain` enforces on whole trees, as gpu.CheckResult does on every launch.
 package telemetry
 
 import (
@@ -175,8 +175,8 @@ func (v AttributionViolation) String() string {
 }
 
 // CheckAttribution walks the tree and returns every node whose bottleneck
-// shares do not sum to 1 within AttributionTol — the `cactus audit`-style
-// identity check behind `cactus explain`.
+// shares do not sum to 1 within AttributionTol — the identity check behind
+// `cactus explain`.
 func CheckAttribution(root *AttributionNode) []AttributionViolation {
 	var out []AttributionViolation
 	var walk func(n *AttributionNode, path string)

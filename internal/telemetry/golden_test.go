@@ -48,15 +48,18 @@ func fixedWorkloadTrace(t *testing.T) []byte {
 		ElemBytes: 4, Pattern: memsim.Coalesced, Partitioned: true,
 	}
 	for i := 0; i < 2; i++ {
-		sess.MustLaunch(gpu.KernelSpec{
+		sess.Submit(gpu.KernelSpec{
 			Name: "fixed_compute", Grid: gpu.D1(512), Block: gpu.D1(256),
 			Mix: compute, Streams: []memsim.Stream{stream},
 		})
 	}
-	sess.MustLaunch(gpu.KernelSpec{
+	sess.Submit(gpu.KernelSpec{
 		Name: "fixed_memory", Grid: gpu.D1(1024), Block: gpu.D1(128),
 		Mix: mem, Streams: []memsim.Stream{stream},
 	})
+	if err := sess.Err(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The modeled track alone is the deterministic subset the golden pins.
 	var modeled []telemetry.Event
