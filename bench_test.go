@@ -319,6 +319,10 @@ func BenchmarkAblationMemoryModes(b *testing.B) {
 	var mix isa.Mix
 	mix.Add(isa.FP32, bytes/64)
 	mix.Add(isa.LoadGlobal, bytes/128)
+	var sweep []uint64
+	for a := uint64(0); a < bytes; a += 128 {
+		sweep = append(sweep, a)
+	}
 	for i := 0; i < b.N; i++ {
 		// Model mode.
 		_, err := dev.Launch(gpu.KernelSpec{
@@ -335,11 +339,7 @@ func BenchmarkAblationMemoryModes(b *testing.B) {
 		_, err = dev.Launch(gpu.KernelSpec{
 			Name: "ablate_trace", Grid: gpu.D1(1024), Block: gpu.D1(256), Mix: mix,
 			TraceCoverage: 1,
-			Trace: func(h *memsim.Hierarchy) {
-				for a := uint64(0); a < bytes; a += 128 {
-					h.AccessBatch([]uint64{a})
-				}
-			},
+			Trace:         sweep,
 		})
 		if err != nil {
 			b.Fatal(err)

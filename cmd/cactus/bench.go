@@ -52,11 +52,11 @@ func benchSuite(cfg gpu.DeviceConfig) []benchkit.Bench {
 		{Name: "memsim_replay", Iters: 20, Fn: func() {
 			pool := memsim.NewReplayPool(cfg.L1Config(), cfg.L2Config())
 			h := pool.Get()
-			b := memsim.NewBatcher(h)
+			addrs := make([]uint64, 0, (4<<20)/64)
 			for a := uint64(0); a < 4<<20; a += 64 {
-				b.Access(a)
+				addrs = append(addrs, a)
 			}
-			b.Flush()
+			h.AccessBatch(addrs)
 			pool.Put(h)
 		}},
 		{Name: "tensor_conv2d", Iters: 10, Fn: func() {

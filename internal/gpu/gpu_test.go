@@ -88,6 +88,16 @@ func (d *Device) MustLaunch(spec KernelSpec) LaunchResult {
 	return res
 }
 
+// sweep returns the addresses from base up to base+n in steps of step, the
+// trace of a kernel that reads one range in order.
+func sweep(base, n, step uint64) []uint64 {
+	var addrs []uint64
+	for a := uint64(0); a < n; a += step {
+		addrs = append(addrs, base+a)
+	}
+	return addrs
+}
+
 func computeSpec(insts uint64) KernelSpec {
 	var mix isa.Mix
 	mix.Add(isa.FP32, insts*8/10)
@@ -145,7 +155,7 @@ func TestSpecValidate(t *testing.T) {
 		t.Error("divergence out of range")
 	}
 	bad = good
-	bad.Trace = func(h *memsim.Hierarchy) {}
+	bad.Trace = []uint64{0}
 	bad.TraceCoverage = 0
 	if bad.Validate() == nil {
 		t.Error("trace without coverage")
@@ -294,11 +304,7 @@ func TestTraceModeKernel(t *testing.T) {
 	res, err := d.Launch(KernelSpec{
 		Name: "traced", Grid: D1(512), Block: D1(128), Mix: mix,
 		TraceCoverage: 0.5,
-		Trace: func(h *memsim.Hierarchy) {
-			for a := uint64(0); a < 1<<20; a += 32 {
-				h.AccessBatch([]uint64{a})
-			}
-		},
+		Trace:         sweep(0, 1<<20, 32),
 	})
 	if err != nil {
 		t.Fatal(err)

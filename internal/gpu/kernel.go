@@ -9,11 +9,6 @@ import (
 	"repro/internal/memsim"
 )
 
-// TraceFunc replays a kernel's global-memory address trace (or a sampled
-// subset of it) against the cache hierarchy. Workloads with data-dependent
-// locality supply one instead of declarative streams.
-type TraceFunc func(h *memsim.Hierarchy)
-
 // KernelSpec describes one kernel launch to the device model. Workload code
 // derives every field from its live data structures, so launch sequences are
 // input-dependent — the property the paper's Observation #3 highlights.
@@ -29,11 +24,17 @@ type KernelSpec struct {
 
 	// Streams declaratively describe global-memory traffic (model mode).
 	Streams []memsim.Stream
-	// Trace, when non-nil, replays addresses through the cache simulator
-	// (trace mode). TraceCoverage gives the fraction of the launch's
-	// traffic the trace represents; resolved traffic is scaled by its
-	// inverse. Both Streams and Trace may be present; their traffic adds.
-	Trace         TraceFunc
+	// Trace, when non-nil, holds the launch's sampled sector-load byte
+	// addresses in issue order, which the cache simulator replays (trace
+	// mode). Workloads with data-dependent locality supply one.
+	// TraceCoverage gives the fraction of the launch's traffic the trace
+	// represents; resolved traffic is scaled by its inverse. Both Streams
+	// and Trace may be present; their traffic adds.
+	//
+	// The spec borrows Trace only while the launch that prices it runs:
+	// an emitter may refill the same buffer for its next launch, so code
+	// that keeps a spec past its launch keeps slices.Clone(Trace).
+	Trace         []uint64
 	TraceCoverage float64
 
 	// DivergenceFraction is the fraction of issue slots lost to branch

@@ -132,7 +132,7 @@ func (d *Device) Launch(spec KernelSpec) (LaunchResult, error) {
 		// replay itself is deterministic, so results stay byte-identical to
 		// a serial run.
 		hier := d.replay.Get()
-		spec.Trace(hier)
+		hier.AccessBatch(spec.Trace)
 		traffic.Add(hier.Traffic().Scale(1 / spec.TraceCoverage))
 		d.replay.Put(hier)
 	}

@@ -35,13 +35,7 @@ func TestConcurrentReplayPoolMatchesSerial(t *testing.T) {
 		specs[g] = KernelSpec{
 			Name: "race_replay", Grid: D1(128), Block: D1(256), Mix: mix,
 			TraceCoverage: 1,
-			Trace: func(h *memsim.Hierarchy) {
-				b := memsim.NewBatcher(h)
-				for a := uint64(0); a < 1<<18; a += stride {
-					b.Access(base + a)
-				}
-				b.Flush()
-			},
+			Trace:         sweep(base, 1<<18, stride),
 		}
 	}
 
@@ -96,11 +90,7 @@ func TestConcurrentLaunchesOneDevice(t *testing.T) {
 	traceSpec := KernelSpec{
 		Name: "race_trace", Grid: D1(512), Block: D1(256), Mix: mix,
 		TraceCoverage: 1,
-		Trace: func(h *memsim.Hierarchy) {
-			for a := uint64(0); a < 1<<18; a += 128 {
-				h.AccessBatch([]uint64{a})
-			}
-		},
+		Trace:         sweep(0, 1<<18, 128),
 	}
 
 	wantModel := d.MustLaunch(modelSpec)

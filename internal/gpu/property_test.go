@@ -160,11 +160,7 @@ func TestStreamTraceAgreement(t *testing.T) {
 		}
 		spec.Streams = nil
 		spec.TraceCoverage = 1
-		spec.Trace = func(h *memsim.Hierarchy) {
-			for a := uint64(0); a < bytes; a += memsim.SectorBytes {
-				h.AccessBatch([]uint64{a})
-			}
-		}
+		spec.Trace = sweep(0, bytes, memsim.SectorBytes)
 		traced, err := d.Launch(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -188,11 +184,7 @@ func TestTraceCoverageScaling(t *testing.T) {
 		return KernelSpec{
 			Name: "cov", Grid: D1(512), Block: D1(256), Mix: mix,
 			TraceCoverage: cov,
-			Trace: func(h *memsim.Hierarchy) {
-				for a := uint64(0); a < 1<<20; a += 64 {
-					h.AccessBatch([]uint64{a})
-				}
-			},
+			Trace:         sweep(0, 1<<20, 64),
 		}
 	}
 	full, err := d.Launch(mk(1))

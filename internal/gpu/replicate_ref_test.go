@@ -102,7 +102,7 @@ func refMDLaunch(r float64, name string, threads int, mix isa.Mix, streams []mem
 
 // refGraphxLaunch is graphx.bfsEmitter.launch; r is the integer
 // BFSConfig.replication().
-func refGraphxLaunch(r int, name string, threads int, mix isa.Mix, streams []memsim.Stream, trace TraceFunc, coverage, div float64) KernelSpec {
+func refGraphxLaunch(r int, name string, threads int, mix isa.Mix, streams []memsim.Stream, trace []uint64, coverage, div float64) KernelSpec {
 	if r > 1 {
 		mix = mix.Scale(float64(r))
 		scaled := make([]memsim.Stream, len(streams))
@@ -137,12 +137,9 @@ func refGraphxLaunch(r int, name string, threads int, mix isa.Mix, streams []mem
 }
 
 // specDiff describes the first difference between two specs, or returns ""
-// when they are equal. Trace funcs compare by presence; a nil and an empty
-// stream list are equal (both describe no declarative traffic).
+// when they are equal. A nil and an empty stream list are equal (both
+// describe no declarative traffic).
 func specDiff(got, want KernelSpec) string {
-	if (got.Trace == nil) != (want.Trace == nil) {
-		return fmt.Sprintf("trace present %v, want %v", got.Trace != nil, want.Trace != nil)
-	}
 	if len(got.Streams) != len(want.Streams) {
 		return fmt.Sprintf("%d streams, want %d", len(got.Streams), len(want.Streams))
 	}
@@ -151,7 +148,6 @@ func specDiff(got, want KernelSpec) string {
 			return fmt.Sprintf("stream %d = %+v, want %+v", i, got.Streams[i], want.Streams[i])
 		}
 	}
-	got.Trace, want.Trace = nil, nil
 	got.Streams, want.Streams = nil, nil
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 		return fmt.Sprintf("spec %+v, want %+v", got, want)
@@ -188,7 +184,7 @@ func TestReplicatedMatchesReferences(t *testing.T) {
 		{{Name: "empty", ElemBytes: 4, Pattern: memsim.Coalesced}},
 		{{Name: "w:empty", AccessBytes: 64, ElemBytes: 4, Pattern: memsim.Random}},
 	}
-	probe := TraceFunc(func(*memsim.Hierarchy) {})
+	probe := []uint64{0x1000}
 
 	check := func(t *testing.T, ref string, got, want KernelSpec) {
 		t.Helper()
@@ -213,7 +209,7 @@ func TestReplicatedMatchesReferences(t *testing.T) {
 						if r != math.Trunc(r) {
 							return
 						}
-						for _, trace := range []TraceFunc{nil, probe} {
+						for _, trace := range [][]uint64{nil, probe} {
 							got := Replicated("k", threads, 256, r, mix, streams, 0.1)
 							if trace != nil {
 								got.Trace, got.TraceCoverage = trace, 0.75/r

@@ -2,6 +2,7 @@ package graphx
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -99,6 +100,10 @@ type bfsEmitter struct {
 	g    *Graph
 	sess *profiler.Session
 	cfg  BFSConfig
+
+	// trace is the address buffer every traced launch fills in turn; each
+	// launch's spec borrows it until the session has priced it.
+	trace []uint64
 }
 
 const (
@@ -111,7 +116,7 @@ const (
 // simulator per launch; larger launches are sampled.
 const maxTraceEdges = 40960
 
-func (em *bfsEmitter) launch(name string, threads int, mix isa.Mix, streams []memsim.Stream, trace gpu.TraceFunc, coverage, div float64) {
+func (em *bfsEmitter) launch(name string, threads int, mix isa.Mix, streams []memsim.Stream, trace []uint64, coverage, div float64) {
 	r := float64(em.cfg.replication())
 	spec := gpu.Replicated(name, threads, 256, r, mix, streams, div)
 	if trace != nil {
@@ -314,89 +319,91 @@ func (em *bfsEmitter) scanKernels(n int) {
 	}, nil, 0, 0.1)
 }
 
-// advanceTrace replays (a sample of) the advance kernel's actual memory
-// accesses: frontier reads, CSR offset reads, edge-list reads, and label
-// lookups at the real neighbor ids.
-func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) (gpu.TraceFunc, float64) {
+// advanceTrace records (a sample of) the advance kernel's actual memory
+// accesses into the emitter's trace buffer: frontier reads, CSR offset
+// reads, edge-list reads, and label lookups at the real neighbor ids.
+func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) ([]uint64, float64) {
 	g := em.g
-	// Choose a vertex sample whose edge volume fits the trace budget.
-	sample := frontier
-	sampledEdges := totalEdges
-	if totalEdges > maxTraceEdges {
-		stride := (totalEdges + maxTraceEdges - 1) / maxTraceEdges
-		var sel []int32
-		sampledEdges = 0
-		for i := 0; i < len(frontier); i += stride {
-			sel = append(sel, frontier[i])
-			sampledEdges += g.Degree(int(frontier[i]))
-		}
-		if len(sel) == 0 {
-			sel = frontier[:1]
-			sampledEdges = g.Degree(int(frontier[0]))
-		}
-		sample = sel
+	// Sample every stride-th frontier vertex, so the sample's edge volume
+	// fits the trace budget.
+	stride := max((totalEdges+maxTraceEdges-1)/maxTraceEdges, 1)
+	sampled, sampledEdges := 0, 0
+	for i := 0; i < len(frontier); i += stride {
+		sampled++
+		sampledEdges += g.Degree(int(frontier[i]))
 	}
-	if sampledEdges == 0 {
-		sampledEdges = 1
+	// One offset read per sampled vertex, one edge and one label read per
+	// sampled edge.
+	trace := slices.Grow(em.trace[:0], sampled+2*sampledEdges)
+	r := uint64(em.cfg.replication())
+	for i := 0; i < len(frontier); i += stride {
+		u := frontier[i]
+		trace = append(trace, offsBase+uint64(u)*4*r)
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		base := edgeBase + uint64(lo)*4*r
+		for e := lo; e < hi; e++ {
+			// Edge runs stay sequential; runs of different vertices land
+			// r-stretched apart, and label gathers spread over the
+			// full-scale label array.
+			trace = append(trace, base+uint64(e-lo)*4, labelBase+uint64(g.Edges[e])*4*r)
+		}
 	}
-	coverage := float64(sampledEdges) / float64(max(totalEdges, 1))
+	em.trace = trace
+	coverage := float64(max(sampledEdges, 1)) / float64(max(totalEdges, 1))
 	if coverage > 1 {
 		coverage = 1
 	}
-	r := uint64(em.cfg.replication())
-	return func(h *memsim.Hierarchy) {
-		// Addresses go through a Batcher so the hierarchy processes them in
-		// blocks; the issue order is exactly the per-access order.
-		b := memsim.NewBatcher(h)
-		for _, u := range sample {
-			b.Access(offsBase + uint64(u)*4*r)
-			lo, hi := g.Offsets[u], g.Offsets[u+1]
-			base := edgeBase + uint64(lo)*4*r
-			for e := lo; e < hi; e++ {
-				// Edge runs stay sequential; runs of different vertices land
-				// r-stretched apart, and label gathers spread over the
-				// full-scale label array.
-				b.Access(base + uint64(e-lo)*4)
-				v := g.Edges[e]
-				b.Access(labelBase + uint64(v)*4*r)
-			}
-		}
-		b.Flush()
-	}, coverage
+	return trace, coverage
 }
 
-// pullTrace replays the bottom-up kernel's accesses for a sample of
-// unvisited vertices.
-func (em *bfsEmitter) pullTrace(depth []int32, d int32, totalEdges int) (gpu.TraceFunc, float64) {
+// pullTrace records the bottom-up kernel's accesses for a sample of
+// unvisited vertices into the emitter's trace buffer.
+func (em *bfsEmitter) pullTrace(depth []int32, d int32, totalEdges int) ([]uint64, float64) {
 	g := em.g
 	coverage := 1.0
 	if totalEdges > maxTraceEdges {
 		coverage = float64(maxTraceEdges) / float64(totalEdges)
 	}
+	// Walk the sample once to size the buffer, then again to fill it.
+	n := 0
+	pullSample(g, depth, d, func(_ int, read []int32) { n += 1 + 2*len(read) })
+	trace := slices.Grow(em.trace[:0], n)
 	r := uint64(em.cfg.replication())
-	return func(h *memsim.Hierarchy) {
-		b := memsim.NewBatcher(h)
-		replayed := 0
-		for v := 0; v < g.N && replayed < maxTraceEdges; v++ {
-			// Replay the same work pattern the functional pass executed:
-			// vertices that were unvisited entering this iteration have
-			// depth -1 or were assigned d during it.
-			if depth[v] != -1 && depth[v] != d {
-				continue
-			}
-			b.Access(offsBase + uint64(v)*4*r)
-			lo := g.Offsets[v]
-			for i, u := range g.Neighbors(v) {
-				b.Access(edgeBase + (uint64(lo)*r+uint64(i))*4)
-				b.Access(labelBase + uint64(u)*4*r)
-				replayed++
-				if depth[u] == d-1 {
-					break
-				}
+	pullSample(g, depth, d, func(v int, read []int32) {
+		trace = append(trace, offsBase+uint64(v)*4*r)
+		lo := uint64(g.Offsets[v])
+		for i, u := range read {
+			trace = append(trace, edgeBase+(lo*r+uint64(i))*4, labelBase+uint64(u)*4*r)
+		}
+	})
+	em.trace = trace
+	return trace, coverage
+}
+
+// pullSample calls visit, in vertex order, with each vertex the bottom-up
+// trace samples and the neighbors that vertex reads: up to and including
+// its first parent at depth d-1. It follows the work pattern the
+// functional pass executed: the vertices that were unvisited entering
+// this iteration have depth -1 or were assigned d during it. The sample
+// ends with the first vertex that brings the neighbor reads to
+// maxTraceEdges.
+func pullSample(g *Graph, depth []int32, d int32, visit func(v int, read []int32)) {
+	replayed := 0
+	for v := 0; v < g.N && replayed < maxTraceEdges; v++ {
+		if depth[v] != -1 && depth[v] != d {
+			continue
+		}
+		nb := g.Neighbors(v)
+		k := len(nb)
+		for i, u := range nb {
+			if depth[u] == d-1 {
+				k = i + 1
+				break
 			}
 		}
-		b.Flush()
-	}, coverage
+		visit(v, nb[:k])
+		replayed += k
+	}
 }
 
 // raggedness estimates advance divergence from the frontier's degree spread.

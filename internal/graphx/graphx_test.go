@@ -562,6 +562,63 @@ func TestPushIterationMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTracesMatchReference holds advanceTrace and pullTrace to the
+// previous trace functions at every level of a BFS: the push frontier of
+// level d is every vertex at depth d-1, and the pull sees the labels as
+// they stand after level d. The graphs' frontiers reach both sampled
+// paths, and one emitter serves every call, so each call refills the
+// buffer the previous one left.
+func TestTracesMatchReference(t *testing.T) {
+	for name, build := range map[string]func() (*Graph, error){
+		"rmat14": func() (*Graph, error) { return RMAT(14, 16, 9) },
+		"road":   func() (*Graph, error) { return RoadGrid(96, 64, 7) },
+	} {
+		g, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := ReferenceBFS(g, g.LargestComponentVertex())
+		sampled := map[string]bool{}
+		for _, r := range []int{1, 24} {
+			em := &bfsEmitter{g: g, cfg: BFSConfig{Replication: r}}
+			depth := make([]int32, g.N)
+			for d := int32(1); d <= slices.Max(ref.Depth); d++ {
+				var frontier []int32
+				edges := 0
+				for v, dv := range ref.Depth {
+					if dv == d-1 {
+						frontier = append(frontier, int32(v))
+						edges += g.Degree(v)
+					}
+					depth[v] = -1
+					if dv >= 0 && dv <= d {
+						depth[v] = dv
+					}
+				}
+				check := func(kind string, got []uint64, gotCov float64, want []uint64, wantCov float64) {
+					t.Helper()
+					if !slices.Equal(got, want) || gotCov != wantCov {
+						t.Fatalf("%s r=%d level %d: %s trace has %d addresses at coverage %g, want %d at %g",
+							name, r, d, kind, len(got), gotCov, len(want), wantCov)
+					}
+					if wantCov < 1 {
+						sampled[kind] = true
+					}
+				}
+				got, cov := em.advanceTrace(frontier, edges)
+				want, wantCov := em.refAdvanceTrace(frontier, edges)
+				check("advance", got, cov, want, wantCov)
+				got, cov = em.pullTrace(depth, d, edges)
+				want, wantCov = em.refPullTrace(depth, d, edges)
+				check("pull", got, cov, want, wantCov)
+			}
+		}
+		if name == "rmat14" && !(sampled["advance"] && sampled["pull"]) {
+			t.Errorf("%s: sampled paths reached %v, want advance and pull", name, sampled)
+		}
+	}
+}
+
 func TestBFSConfigDefaults(t *testing.T) {
 	var c BFSConfig
 	if c.pullThreshold() != 0.05 {

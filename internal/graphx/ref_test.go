@@ -10,9 +10,9 @@ import (
 	"repro/internal/profiler"
 )
 
-// This file keeps the previous graph builders and BFS push step verbatim,
-// renamed with a ref prefix. The differential tests hold the current code
-// to exactly their output.
+// This file keeps the previous graph builders, BFS push step and trace
+// generators verbatim, renamed with a ref prefix. The differential tests
+// hold the current code to exactly their output.
 
 // refFromEdges is the previous fromEdges: a per-vertex slices.Sort over
 // the scattered arcs.
@@ -265,4 +265,77 @@ func (em *bfsEmitter) refPushIteration(frontier []int32, depth []int32, d int32)
 	// --- scan + scatter compaction ----------------------------------------
 	em.scanKernels(nc)
 	return next, edges
+}
+
+// refAdvanceTrace is the previous advanceTrace, run at once: it returns
+// the addresses its trace function fed, in order, where that function
+// buffered each one into a memsim.Batcher at launch.
+func (em *bfsEmitter) refAdvanceTrace(frontier []int32, totalEdges int) ([]uint64, float64) {
+	g := em.g
+	// Choose a vertex sample whose edge volume fits the trace budget.
+	sample := frontier
+	sampledEdges := totalEdges
+	if totalEdges > maxTraceEdges {
+		stride := (totalEdges + maxTraceEdges - 1) / maxTraceEdges
+		var sel []int32
+		sampledEdges = 0
+		for i := 0; i < len(frontier); i += stride {
+			sel = append(sel, frontier[i])
+			sampledEdges += g.Degree(int(frontier[i]))
+		}
+		if len(sel) == 0 {
+			sel = frontier[:1]
+			sampledEdges = g.Degree(int(frontier[0]))
+		}
+		sample = sel
+	}
+	if sampledEdges == 0 {
+		sampledEdges = 1
+	}
+	coverage := float64(sampledEdges) / float64(max(totalEdges, 1))
+	if coverage > 1 {
+		coverage = 1
+	}
+	r := uint64(em.cfg.replication())
+	var addrs []uint64
+	for _, u := range sample {
+		addrs = append(addrs, offsBase+uint64(u)*4*r)
+		lo, hi := g.Offsets[u], g.Offsets[u+1]
+		base := edgeBase + uint64(lo)*4*r
+		for e := lo; e < hi; e++ {
+			addrs = append(addrs, base+uint64(e-lo)*4)
+			v := g.Edges[e]
+			addrs = append(addrs, labelBase+uint64(v)*4*r)
+		}
+	}
+	return addrs, coverage
+}
+
+// refPullTrace is the previous pullTrace, run at once like
+// refAdvanceTrace.
+func (em *bfsEmitter) refPullTrace(depth []int32, d int32, totalEdges int) ([]uint64, float64) {
+	g := em.g
+	coverage := 1.0
+	if totalEdges > maxTraceEdges {
+		coverage = float64(maxTraceEdges) / float64(totalEdges)
+	}
+	r := uint64(em.cfg.replication())
+	var addrs []uint64
+	replayed := 0
+	for v := 0; v < g.N && replayed < maxTraceEdges; v++ {
+		if depth[v] != -1 && depth[v] != d {
+			continue
+		}
+		addrs = append(addrs, offsBase+uint64(v)*4*r)
+		lo := g.Offsets[v]
+		for i, u := range g.Neighbors(v) {
+			addrs = append(addrs, edgeBase+(uint64(lo)*r+uint64(i))*4)
+			addrs = append(addrs, labelBase+uint64(u)*4*r)
+			replayed++
+			if depth[u] == d-1 {
+				break
+			}
+		}
+	}
+	return addrs, coverage
 }

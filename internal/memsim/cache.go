@@ -2,8 +2,9 @@
 // complementary resolution paths for a kernel's global-memory traffic:
 //
 //   - a sectored set-associative cache simulator (Cache, Hierarchy) that
-//     replays address traces, used for kernels whose locality is
-//     data-dependent (graph gathers, neighbor-list walks);
+//     replays a kernel's sampled sector-load addresses, handed over as one
+//     slice in issue order (Hierarchy.AccessBatch), used for kernels whose
+//     locality is data-dependent (the BFS kernels' graph gathers);
 //   - an analytical locality model (stream.go) that derives hit rates from a
 //     declarative description of access streams, used for dense/regular
 //     kernels (GEMM tiles, elementwise, stencils).
@@ -215,8 +216,8 @@ func NewHierarchy(l1, l2 CacheConfig) *Hierarchy {
 }
 
 // AccessBatch resolves a block of sector loads in issue order,
-// accumulating traffic once per block instead of once per access. Trace
-// emitters buffer address runs and feed them here.
+// accumulating traffic once per block instead of once per access. A traced
+// launch replays its whole address list in one call.
 func (h *Hierarchy) AccessBatch(addrs []uint64) {
 	var l1Hits, l2Hits, dram units.Txns
 	for _, a := range addrs {
@@ -245,38 +246,6 @@ func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()
 	h.t = Traffic{}
-}
-
-// Batcher accumulates sector load addresses and flushes them through
-// Hierarchy.AccessBatch in issue order, so trace emitters get block
-// processing without managing buffers themselves. Zero value is not usable;
-// construct with NewBatcher. Flush must be called before reading the
-// hierarchy's traffic.
-type Batcher struct {
-	h   *Hierarchy
-	buf []uint64
-}
-
-// batcherChunk bounds a Batcher's buffered addresses (8 KiB per Batcher).
-const batcherChunk = 1024
-
-// NewBatcher returns a Batcher feeding h.
-func NewBatcher(h *Hierarchy) *Batcher {
-	return &Batcher{h: h, buf: make([]uint64, 0, batcherChunk)}
-}
-
-// Access buffers one sector access at byte address addr.
-func (b *Batcher) Access(addr uint64) {
-	if len(b.buf) == cap(b.buf) {
-		b.Flush()
-	}
-	b.buf = append(b.buf, addr)
-}
-
-// Flush replays all buffered accesses.
-func (b *Batcher) Flush() {
-	b.h.AccessBatch(b.buf)
-	b.buf = b.buf[:0]
 }
 
 // ReplayPool hands out per-launch Hierarchy replay states for one immutable

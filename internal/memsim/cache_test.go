@@ -262,3 +262,28 @@ func TestHierarchyDRAMConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkReplay is the package twin of `cactus bench`'s memsim_replay
+// entry: a 4 MB sweep in 64-byte steps (65,536 sector loads) replayed
+// through a reset hierarchy of each stock device's geometry. The address
+// list is built once, outside the timer, so only the replay is timed.
+func BenchmarkReplay(b *testing.B) {
+	var addrs []uint64
+	for a := uint64(0); a < 4<<20; a += 64 {
+		addrs = append(addrs, a)
+	}
+	for _, g := range propConfigs {
+		if !stockConfig(g.name) {
+			continue
+		}
+		b.Run(g.name, func(b *testing.B) {
+			h := NewHierarchy(g.l1, g.l2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Reset()
+				h.AccessBatch(addrs)
+			}
+		})
+	}
+}

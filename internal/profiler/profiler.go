@@ -7,6 +7,7 @@ package profiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -249,6 +250,8 @@ func (s *Session) Device() *gpu.Device { return s.dev }
 // Without a device Launch records spec unchecked and returns a zero result.
 func (s *Session) Launch(spec gpu.KernelSpec) (gpu.LaunchResult, error) {
 	if s.dev == nil {
+		// The spec outlives this call, so it keeps its own trace.
+		spec.Trace = slices.Clone(spec.Trace)
 		s.mu.Lock()
 		s.specs = append(s.specs, spec)
 		s.mu.Unlock()
