@@ -556,11 +556,15 @@ func Correlate(obs []Observation) (*CorrelationResult, error) {
 		Primary:   profiler.PrimaryMetrics(),
 		Secondary: profiler.SecondaryMetrics(),
 	}
+	secondary := make([][]float64, len(res.Secondary))
+	for j, sm := range res.Secondary {
+		secondary[j] = col(sm)
+	}
 	for _, pm := range res.Primary {
 		row := make([]float64, 0, len(res.Secondary))
 		pc := col(pm)
-		for _, sm := range res.Secondary {
-			r, err := stats.Pearson(pc, col(sm))
+		for _, sc := range secondary {
+			r, err := stats.Pearson(pc, sc)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,6 @@ package graphx
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/isa"
@@ -319,6 +318,17 @@ func (em *bfsEmitter) scanKernels(n int) {
 	}, nil, 0, 0.1)
 }
 
+// traceBuf returns the emitter's trace buffer, emptied, with room for n
+// addresses. A buffer too small for n is replaced by one of at least twice
+// its capacity, so frontiers that widen level by level reallocate it a few
+// times per traversal, not once per level.
+func (em *bfsEmitter) traceBuf(n int) []uint64 {
+	if cap(em.trace) < n {
+		em.trace = make([]uint64, 0, max(n, 2*cap(em.trace)))
+	}
+	return em.trace[:0]
+}
+
 // advanceTrace records (a sample of) the advance kernel's actual memory
 // accesses into the emitter's trace buffer: frontier reads, CSR offset
 // reads, edge-list reads, and label lookups at the real neighbor ids.
@@ -334,7 +344,7 @@ func (em *bfsEmitter) advanceTrace(frontier []int32, totalEdges int) ([]uint64, 
 	}
 	// One offset read per sampled vertex, one edge and one label read per
 	// sampled edge.
-	trace := slices.Grow(em.trace[:0], sampled+2*sampledEdges)
+	trace := em.traceBuf(sampled + 2*sampledEdges)
 	r := uint64(em.cfg.replication())
 	for i := 0; i < len(frontier); i += stride {
 		u := frontier[i]
@@ -367,7 +377,7 @@ func (em *bfsEmitter) pullTrace(depth []int32, d int32, totalEdges int) ([]uint6
 	// Walk the sample once to size the buffer, then again to fill it.
 	n := 0
 	pullSample(g, depth, d, func(_ int, read []int32) { n += 1 + 2*len(read) })
-	trace := slices.Grow(em.trace[:0], n)
+	trace := em.traceBuf(n)
 	r := uint64(em.cfg.replication())
 	pullSample(g, depth, d, func(v int, read []int32) {
 		trace = append(trace, offsBase+uint64(v)*4*r)

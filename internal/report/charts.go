@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/roofline"
@@ -182,32 +183,46 @@ func RenderDendrogram(w io.Writer, d *stats.Dendrogram, k int) error {
 	if err != nil {
 		return err
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "dendrogram (%d leaves, cut into %d clusters)\n", d.N, k)
-	var walk func(node int, prefix string, last bool)
-	walk = func(node int, prefix string, last bool) {
-		connector := "+-- "
-		childPrefix := prefix + "|   "
-		if last {
-			childPrefix = prefix + "    "
-		}
+	b := fmt.Appendf(nil, "dendrogram (%d leaves, cut into %d clusters)\n", d.N, k)
+	leaf := func(b []byte, node int) []byte {
+		b = append(b, "+-- "...)
+		b = append(b, d.Labels[node]...)
+		b = append(b, "  [cluster "...)
+		b = strconv.AppendInt(b, int64(assign[node]+1), 10)
+		return append(b, "]\n"...)
+	}
+	// prefix holds the indentation of the node being written: one
+	// four-byte column per ancestor, pushed on the way down and popped on
+	// the way back.
+	var prefix []byte
+	var walk func(node int, last bool)
+	walk = func(node int, last bool) {
+		b = append(b, prefix...)
 		if node < d.N {
-			fmt.Fprintf(&b, "%s%s%s  [cluster %d]\n", prefix, connector, d.Labels[node], assign[node]+1)
+			b = leaf(b, node)
 			return
 		}
 		m := d.Merges[node-d.N]
-		fmt.Fprintf(&b, "%s%s(h=%.3f)\n", prefix, connector, m.Height)
-		walk(m.A, childPrefix, false)
-		walk(m.B, childPrefix, true)
+		b = append(b, "+-- (h="...)
+		b = strconv.AppendFloat(b, m.Height, 'f', 3, 64)
+		b = append(b, ")\n"...)
+		if last {
+			prefix = append(prefix, "    "...)
+		} else {
+			prefix = append(prefix, "|   "...)
+		}
+		walk(m.A, false)
+		walk(m.B, true)
+		prefix = prefix[:len(prefix)-4]
 	}
 	if len(d.Merges) == 0 {
-		for i, l := range d.Labels {
-			fmt.Fprintf(&b, "+-- %s  [cluster %d]\n", l, assign[i]+1)
+		for i := range d.Labels {
+			b = leaf(b, i)
 		}
 	} else {
-		walk(d.N+len(d.Merges)-1, "", true)
+		walk(d.N+len(d.Merges)-1, true)
 	}
-	_, err = io.WriteString(w, b.String())
+	_, err = w.Write(b)
 	return err
 }
 

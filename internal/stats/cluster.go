@@ -24,6 +24,14 @@ type Dendrogram struct {
 // vectors) under Ward linkage — the paper's choice, standard with FAMD
 // coordinates: each merge minimizes the within-cluster variance increase,
 // computed with the Lance-Williams recurrence.
+//
+// Each merge joins the closest pair of active clusters. Among exactly equal
+// distances it takes the pair that comes first in row-major order of the
+// active slots, the order a strict-< scan of every pair visits them in.
+// The search keeps, for each active row i, the smallest d[i][j] over j > i
+// and the first j that holds it, so a merge reads the row minima and
+// rescans only the rows the merge disturbed. Every coordinate must be
+// finite.
 func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 	n := len(points)
 	if n == 0 {
@@ -37,6 +45,15 @@ func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 		if len(p) != dim {
 			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDimension, i, len(p), dim)
 		}
+		for c, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				name := fmt.Sprintf("point %d", i)
+				if labels != nil {
+					name += fmt.Sprintf(" (%s)", labels[i])
+				}
+				return nil, fmt.Errorf("stats: %s has non-finite coordinate %d: %g", name, c, v)
+			}
+		}
 	}
 	if labels == nil {
 		labels = make([]string, n)
@@ -45,18 +62,22 @@ func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 		}
 	}
 
-	// Distance matrix. Ward works on squared Euclidean distances inside the
-	// recurrence; merge heights take the square root so they are reported
-	// in distance units.
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
+	// Distance matrix, row i at d[i*n:]. Ward works on squared Euclidean
+	// distances inside the recurrence; merge heights take the square root
+	// so they are reported in distance units.
+	d := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			dist := EuclideanDist(points[i], points[j])
-			d[i][j], d[j][i] = dist*dist, dist*dist
+			d[i*n+j], d[j*n+i] = dist*dist, dist*dist
 		}
+	}
+	// rowMin[i] is the smallest d[i][j] over active j > i and rowArg[i] the
+	// first j holding it; -1 and +Inf when no entry compares below +Inf.
+	rowMin := make([]float64, n)
+	rowArg := make([]int, n)
+	for i := 0; i < n; i++ {
+		rowMin[i], rowArg[i] = rowMinimum(d[i*n:i*n+n], i)
 	}
 
 	type clus struct {
@@ -67,18 +88,21 @@ func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 	for i := range active {
 		active[i] = clus{id: i, size: 1}
 	}
-	dend := &Dendrogram{N: n, Labels: append([]string(nil), labels...)}
+	dend := &Dendrogram{N: n, Labels: append([]string(nil), labels...), Merges: make([]Merge, 0, n-1)}
 
 	for step := 0; step < n-1; step++ {
-		// Find the closest active pair.
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < len(active); i++ {
-			for j := i + 1; j < len(active); j++ {
-				if d[i][j] < best {
-					best, bi, bj = d[i][j], i, j
-				}
+		// The closest active pair: the first row whose minimum is the
+		// smallest, at that row's first column holding it.
+		bi, best := -1, math.Inf(1)
+		for i := range active {
+			if rowMin[i] < best {
+				best, bi = rowMin[i], i
 			}
 		}
+		if bi < 0 {
+			return nil, fmt.Errorf("stats: no two of %d clusters are closer than +Inf", len(active))
+		}
+		bj := rowArg[bi]
 		ci, cj := active[bi], active[bj]
 		newSize := ci.size + cj.size
 		dend.Merges = append(dend.Merges, Merge{A: ci.id, B: cj.id, Height: math.Sqrt(best), Size: newSize})
@@ -89,11 +113,11 @@ func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 			if k == bi || k == bj {
 				continue
 			}
-			dik, djk, dij := d[bi][k], d[bj][k], d[bi][bj]
+			dik, djk, dij := d[bi*n+k], d[bj*n+k], d[bi*n+bj]
 			si, sj, sk := float64(ci.size), float64(cj.size), float64(active[k].size)
 			tot := si + sj + sk
 			nd := ((si+sk)*dik + (sj+sk)*djk - sk*dij) / tot
-			d[bi][k], d[k][bi] = nd, nd
+			d[bi*n+k], d[k*n+bi] = nd, nd
 		}
 		active[bi] = clus{id: n + step, size: newSize}
 		// Remove bj by swapping with the last entry.
@@ -101,10 +125,47 @@ func Agglomerative(points [][]float64, labels []string) (*Dendrogram, error) {
 		active[bj] = active[last]
 		active = active[:last]
 		for k := 0; k < len(active); k++ {
-			d[bj][k], d[k][bj] = d[last][k], d[k][last]
+			d[bj*n+k], d[k*n+bj] = d[last*n+k], d[k*n+last]
+		}
+
+		// Rows bi and bj are new, and a row whose minimum sat at column bi,
+		// bj or last lost it. Any other row keeps its minimum and weighs
+		// only its new entries at columns bi and bj.
+		for k := range active {
+			if a := rowArg[k]; k == bi || k == bj || a == bi || a == bj || a == last {
+				rowMin[k], rowArg[k] = rowMinimum(d[k*n:k*n+last], k)
+				continue
+			}
+			if k < bi {
+				offerColumn(d[k*n:], k, bi, rowMin, rowArg)
+			}
+			if k < bj && bj < last {
+				offerColumn(d[k*n:], k, bj, rowMin, rowArg)
+			}
 		}
 	}
 	return dend, nil
+}
+
+// rowMinimum returns the smallest row[j] over j > i and the first j holding
+// it, or +Inf and -1 when no entry compares below +Inf.
+func rowMinimum(row []float64, i int) (float64, int) {
+	best, arg := math.Inf(1), -1
+	for j := i + 1; j < len(row); j++ {
+		if row[j] < best {
+			best, arg = row[j], j
+		}
+	}
+	return best, arg
+}
+
+// offerColumn weighs row k's new entry at column j against the row's cached
+// minimum. An equal entry wins only from an earlier column, so the cache
+// keeps the first column holding the minimum.
+func offerColumn(row []float64, k, j int, rowMin []float64, rowArg []int) {
+	if v := row[j]; v < rowMin[k] || v == rowMin[k] && j < rowArg[k] {
+		rowMin[k], rowArg[k] = v, j
+	}
 }
 
 // Cut assigns each leaf to one of k clusters by undoing the last k-1 merges.

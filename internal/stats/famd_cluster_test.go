@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -200,6 +202,41 @@ func TestAgglomerativeErrors(t *testing.T) {
 	}
 	if _, err := Agglomerative([][]float64{{1}}, []string{"a", "b"}); err == nil {
 		t.Error("label count mismatch")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Agglomerative([][]float64{{0, 1}, {2, bad}, {3, 4}}, []string{"a", "b", "c"})
+		if err == nil || !strings.Contains(err.Error(), "point 1 (b)") {
+			t.Errorf("coordinate %v: error %v, want one naming point 1 (b)", bad, err)
+		}
+	}
+	if _, err := Agglomerative([][]float64{{math.NaN()}, {math.NaN()}}, nil); err == nil {
+		t.Error("NaN points")
+	}
+	// Finite points whose squared distance overflows: no pair compares
+	// below +Inf, so there is no merge to make.
+	if _, err := Agglomerative([][]float64{{0}, {1e200}}, nil); err == nil {
+		t.Error("no pair closer than +Inf")
+	}
+}
+
+// BenchmarkAgglomerative clusters 123 points in six dimensions, the size of
+// Figure 9's dominant-kernel set after FAMD.
+func BenchmarkAgglomerative(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	pts := make([][]float64, 123)
+	labels := make([]string, len(pts))
+	for i := range pts {
+		pts[i] = make([]float64, 6)
+		for c := range pts[i] {
+			pts[i][c] = r.NormFloat64()
+		}
+		labels[i] = fmt.Sprintf("k%d", i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Agglomerative(pts, labels); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

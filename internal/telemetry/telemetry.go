@@ -116,11 +116,16 @@ var epoch = time.Now()
 //lint:ignore nodeterminism the host track is wall time by definition; the modeled track stays deterministic
 func Now() float64 { return time.Since(epoch).Seconds() }
 
+// recorderChunk is the number of events in each of a Recorder's chunks.
+const recorderChunk = 256
+
 // Recorder is an in-memory Tracer: it buffers events under a mutex for
-// later export. Safe for concurrent use by pooled workers.
+// later export. Safe for concurrent use by pooled workers. Events sit in
+// fixed-size chunks, so an Emit never copies the events before it.
 type Recorder struct {
 	mu     sync.Mutex
-	events []Event // guarded by mu
+	chunks [][]Event // guarded by mu; every chunk but the last is full
+	n      int       // guarded by mu; events recorded
 }
 
 // NewRecorder returns an empty recording sink.
@@ -129,7 +134,12 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Emit appends ev to the buffer.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	if r.n%recorderChunk == 0 {
+		r.chunks = append(r.chunks, make([]Event, 0, recorderChunk))
+	}
+	last := len(r.chunks) - 1
+	r.chunks[last] = append(r.chunks[last], ev)
+	r.n++
 	r.mu.Unlock()
 }
 
@@ -140,8 +150,10 @@ func (r *Recorder) Enabled() bool { return true }
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
+	out := make([]Event, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -149,5 +161,5 @@ func (r *Recorder) Events() []Event {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }

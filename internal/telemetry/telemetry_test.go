@@ -45,6 +45,62 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestRecorderChunkOrder fills several chunks, the last one part way, and
+// checks that Events returns every event once, in emission order.
+func TestRecorderChunkOrder(t *testing.T) {
+	rec := NewRecorder()
+	const n = 3*recorderChunk + recorderChunk/2
+	for i := 0; i < n; i++ {
+		rec.Emit(Event{TID: i})
+		if rec.Len() != i+1 {
+			t.Fatalf("Len = %d after %d emits", rec.Len(), i+1)
+		}
+	}
+	evs := rec.Events()
+	if len(evs) != n {
+		t.Fatalf("Events returned %d events, want %d", len(evs), n)
+	}
+	for i, ev := range evs {
+		if ev.TID != i {
+			t.Fatalf("event %d has TID %d: out of emission order", i, ev.TID)
+		}
+	}
+}
+
+// TestRecorderConcurrentOrder runs emitters on several goroutines across
+// many chunk boundaries, reading Events as they go: each emitter's events
+// must come back complete and in its own order. Run it under -race.
+func TestRecorderConcurrentOrder(t *testing.T) {
+	rec := NewRecorder()
+	const workers, per = 4, 2*recorderChunk + 17
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				rec.Emit(Event{TID: w, Start: float64(i)})
+				if i%recorderChunk == 0 {
+					_ = rec.Events()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	next := make([]int, workers)
+	for _, ev := range rec.Events() {
+		if ev.Start != float64(next[ev.TID]) {
+			t.Fatalf("emitter %d: event %v arrived where %d was due", ev.TID, ev.Start, next[ev.TID])
+		}
+		next[ev.TID]++
+	}
+	for w, got := range next {
+		if got != per {
+			t.Errorf("emitter %d: %d events recorded, want %d", w, got, per)
+		}
+	}
+}
+
 // TestConcurrentSinkWrites hammers a shared Recorder and Counters from many
 // goroutines — the pooled-worker pattern — and is the -race regression for
 // concurrent sink writes.
